@@ -8,8 +8,9 @@ Run from the root of a rankcert checkout. The seed generates every input
 names the CLI commands that run on them:
 
 1. rounds, for about ``--seconds`` seconds, each running the set-up command
-   ``rankcert build-lexicon`` twice and then the workload's ``certify`` or
-   ``attack`` command once, every command in a fresh process;
+   ``rankcert build-lexicon`` for ``SETUP_ROUND_S`` seconds and then the
+   workload's ``certify`` or ``attack`` command once, every command in a
+   fresh process;
 2. checks on every output (``perfbench/checks.py``); every repetition must
    also write the same bytes.
 
@@ -48,7 +49,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
-SETUP_PER_ROUND = 2
+SETUP_ROUND_S = 2.5
+"""Seconds of ``build-lexicon`` runs per round: four to eight runs of a
+1k-word lexicon, two or three of a 3k-word one. Small lexicons build in a
+fraction of a second, so a fixed time rather than a fixed count gives their
+set-up median more samples."""
 CHILD_TIMEOUT_S = 150
 
 class BenchError(RuntimeError):
@@ -99,7 +104,7 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path, t
     start = time.perf_counter()
     while True:
         began = time.perf_counter()
-        for _ in range(SETUP_PER_ROUND):
+        while time.perf_counter() - began < SETUP_ROUND_S:
             setup.append(run_cli(workload.build_lexicon_args(files, lexicon), work, f"setup{len(setup)}",
                                  spans=setup_spans_path if trace else None))
             lexicon_hashes.add(_sha256(lexicon))
@@ -109,10 +114,12 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path, t
                          spans=spans_path if traced else None)
         reps.append((traced, result))
         outputs.append(out)
-        elapsed = time.perf_counter() - start
+        now = time.perf_counter()
         if trace and len(reps) < 2:
             continue
-        if elapsed + (time.perf_counter() - began) > seconds:
+        # Another round of the same length would end past ``seconds`` by
+        # more than half a round: stop, so runs end within half a round of it.
+        if now - start + (now - began) / 2 > seconds:
             break
 
     checks.require(len(lexicon_hashes) == 1, "build-lexicon wrote different lexicons for one input")

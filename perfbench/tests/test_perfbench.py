@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from perfbench import checks, run, tracing
+from perfbench import checks, jobs_scaling, run, tracing
 from perfbench.workloads import WORKLOADS
 from perfbench.world import write_world
 
@@ -52,8 +52,10 @@ def test_smoke_run_emits_every_named_metric(smoke_runs, name, trace):
         spans = (run.ROOT / figures["spans_file"]).read_text(encoding="utf-8").splitlines()
         assert spans[0].split("\t") == ["id", "parent", "name", "query_id", "thread", "start_s", "end_s"]
         assert len(spans) - 1 == figures["spans"]
-    else:
-        assert all(m["value"] > 0 for m in line["metrics"].values())
+    # A time of a layer the workload does not run would read 0 on every run;
+    # such times stay out of the JSON line.
+    timed = line["metrics"].values() if not trace else [m for m in line["metrics"].values() if m["unit"] == "s"]
+    assert all(m["value"] > 0 for m in timed)
 
 
 def test_traced_layers_match_the_workload(smoke_runs):
@@ -70,18 +72,8 @@ def test_traced_layers_match_the_workload(smoke_runs):
 
 
 def test_jobs_two_and_one_write_identical_reports(tmp_path):
-    workload = WORKLOADS["certify-bm25-jobs2"].smoke()
-    files = write_world(workload.world, 11, tmp_path / "inputs")
-    lexicon = tmp_path / "lexicon.json"
-    run.run_cli(workload.build_lexicon_args(files, lexicon), tmp_path, "setup")
-    outputs = []
-    for jobs in (2, 1):
-        out = tmp_path / f"reports-jobs{jobs}.jsonl"
-        args = workload.command_args(files, lexicon, out)
-        args[args.index("--jobs") + 1] = str(jobs)
-        run.run_cli(args, tmp_path, f"jobs{jobs}")
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1] and outputs[0]
+    walls = jobs_scaling.jobs_walls(WORKLOADS["certify-bm25-jobs2"].smoke(), 11, tmp_path, pairs=1)
+    assert len(walls[1]) == len(walls[2]) == 1
 
 
 def test_tracer_rebinds_every_name_and_uninstalls():

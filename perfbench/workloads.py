@@ -19,6 +19,9 @@ from pathlib import Path
 
 from perfbench.world import J, TAU, WorldFiles, WorldSpec
 
+ALPHA = 0.05
+"""Significance level passed as ``--alpha`` to every ``certify`` and ``attack`` command."""
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -32,7 +35,6 @@ class Workload:
     delta: float
     budget: int = 0
     max_attacked: int = 0
-    alpha: float = 0.05
 
     def __post_init__(self) -> None:
         # The attack budget stays within floor(delta * M) for every document,
@@ -50,7 +52,7 @@ class Workload:
                 "--run", str(files.run), "--lexicon", str(lexicon), "--model", str(files.model)]
         if self.world.model == "linear":
             args += ["--embeddings", str(files.embeddings)]
-        args += ["--n-samples", str(self.n_samples), "--alpha", str(self.alpha), "--seed", "0",
+        args += ["--n-samples", str(self.n_samples), "--alpha", str(ALPHA), "--seed", "0",
                  "--k", str(self.world.k), "--delta", str(self.delta), "--jobs", str(self.jobs)]
         if self.command == "attack":
             args += ["--budget", str(self.budget), "--target", "smoothed",
