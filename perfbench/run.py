@@ -10,7 +10,7 @@ names the CLI commands that run on them:
 1. rounds, for about ``--seconds`` seconds, each running the set-up command
    ``rankcert build-lexicon`` for ``SETUP_ROUND_S`` seconds and then the
    workload's ``certify`` or ``attack`` command once, every command in a
-   fresh process;
+   fresh process and followed by one pass of the calibration loop;
 2. checks on every output (``perfbench/checks.py``); every repetition must
    also write the same bytes.
 
@@ -18,7 +18,11 @@ With ``--trace 0`` nothing is traced and the last line of standard output is
 a JSON object whose metrics are the end-to-end ones: ``setup_s``
 (``build-lexicon`` wall time), ``queries_per_s`` (queries completed per second
 of command wall time, input loading included) and ``peak_rss_mb`` (peak RSS
-of the command process); each is the median over the repetitions. With
+of the command process); each is the median over the repetitions. The
+medians are scaled to a reference host speed by the median time of a
+calibration loop timed after every command
+(``perfbench/speed.py``), because the host's own speed drifts over minutes;
+the unscaled figures are printed as well. With
 ``--trace 1`` the repetitions alternate untraced and traced, and the metrics
 are per-layer ones from the traced repetitions (``perfbench/tracing.py``)
 plus ``trace.overhead_ratio``, traced over untraced median wall time.
@@ -49,11 +53,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
-SETUP_ROUND_S = 2.5
-"""Seconds of ``build-lexicon`` runs per round: four to eight runs of a
-1k-word lexicon, two or three of a 3k-word one. Small lexicons build in a
-fraction of a second, so a fixed time rather than a fixed count gives their
-set-up median more samples."""
+SETUP_ROUND_S = 0.8
+"""Seconds of ``build-lexicon`` runs per round: two or three runs of a
+1k-word lexicon, one of a 3k-word one. Small lexicons build in a fraction of
+a second, so a fixed time rather than a fixed count gives their set-up
+median more samples, while most of a round goes to the measured command."""
 CHILD_TIMEOUT_S = 150
 
 class BenchError(RuntimeError):
@@ -86,6 +90,7 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path, t
     """Set up, measure and check one workload in ``work``; returns every
     figure taken. Traced runs leave their spans in ``trace_dir``."""
     from perfbench import checks
+    from perfbench.speed import calibration_s, slowdown
     from perfbench.tracing import percentile, tail_percentile
     from perfbench.world import write_world
 
@@ -96,22 +101,28 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path, t
     setup_spans_path = trace_dir / f"{workload.name}.setup.spans.tsv"
 
     # Set-up and measurement interleave, so that both sample the machine over
-    # the whole run rather than set-up catching one moment of it.
+    # the whole run rather than set-up catching one moment of it. The
+    # calibration loop runs after every command, sampling the host's speed
+    # over the run as well (see speed.py).
     setup: list[dict] = []
     lexicon_hashes = set()
     reps: list[tuple[bool, dict]] = []
     outputs: list[Path] = []
+    calibration_s()  # warm-up
+    calibrations = [calibration_s()]
     start = time.perf_counter()
     while True:
         began = time.perf_counter()
         while time.perf_counter() - began < SETUP_ROUND_S:
             setup.append(run_cli(workload.build_lexicon_args(files, lexicon), work, f"setup{len(setup)}",
                                  spans=setup_spans_path if trace else None))
+            calibrations.append(calibration_s())
             lexicon_hashes.add(_sha256(lexicon))
         traced = trace and len(reps) % 2 == 1
         out = work / f"out{len(reps)}.jsonl"
         result = run_cli(workload.command_args(files, lexicon, out), work, f"rep{len(reps)}",
                          spans=spans_path if traced else None)
+        calibrations.append(calibration_s())
         reps.append((traced, result))
         outputs.append(out)
         now = time.perf_counter()
@@ -137,6 +148,9 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path, t
 
     plain = [r for t, r in reps if not t]
     plain_wall = statistics.median(r["wall_s"] for r in plain)
+    slow = slowdown(calibrations)
+    raw_setup = statistics.median(r["wall_s"] for r in setup)
+    raw_queries_per_s = statistics.median(queries_done / r["wall_s"] for r in plain)
     figures = {
         "workload": workload.name,
         "seed": seed,
@@ -154,9 +168,13 @@ def run_workload(workload, seed: int, seconds: float, trace: bool, work: Path, t
         "command_wall_s": plain_wall,
         "command_walls_s": [r["wall_s"] for r in plain],
         "setup_walls_s": [r["wall_s"] for r in setup],
-        "setup_s": statistics.median(r["wall_s"] for r in setup),
-        "queries_per_s": statistics.median(queries_done / r["wall_s"] for r in plain),
-        "attacked_docs_per_s": statistics.median(docs_done / r["wall_s"] for r in plain),
+        "calibrations_s": calibrations,
+        "slowdown": slow,
+        "setup_s": raw_setup / slow,
+        "queries_per_s": raw_queries_per_s * slow,
+        "attacked_docs_per_s": statistics.median(docs_done / r["wall_s"] for r in plain) * slow,
+        "raw_setup_s": raw_setup,
+        "raw_queries_per_s": raw_queries_per_s,
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in plain),
     }
     if trace:
@@ -198,6 +216,10 @@ def _print_human(figures: dict) -> None:
         ("setup_s", figures["setup_s"], f"s  median of {figures['setup_repetitions']} build-lexicon runs"),
         ("queries_per_s", figures["queries_per_s"], "1/s"),
         ("peak_rss_mb", figures["peak_rss_mb"], "MB"),
+        ("raw setup_s", figures["raw_setup_s"], "s  as measured, not scaled to the reference speed"),
+        ("raw queries_per_s", figures["raw_queries_per_s"], "1/s  as measured, not scaled"),
+        ("slowdown", figures["slowdown"], f"  median of {len(figures['calibrations_s'])} calibration passes"
+                                          " over the reference time"),
         ("failed_ratio", figures["failed_ratio"], f"  ({figures['failed']}/{figures['attempted']})"),
     ]
     if figures["attacked_docs_per_s"]:

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from perfbench import checks, jobs_scaling, run, tracing
+from perfbench import checks, jobs_scaling, run, speed, tracing
 from perfbench.workloads import WORKLOADS
 from perfbench.world import write_world
 
@@ -69,6 +69,12 @@ def test_traced_layers_match_the_workload(smoke_runs):
     assert attack["attack.trials"] > 0 and attack["certify.topk_s"] == 0
     assert 0 < attack["smoothing.memo_hit_ratio"] < 1
     assert linear["smoothing.unique_estimate_ratio"] < 1
+
+
+def test_slowdown_is_the_median_calibration_over_the_reference():
+    assert speed.slowdown([speed.REFERENCE_S] * 3) == 1.0
+    assert speed.slowdown([speed.REFERENCE_S, 2 * speed.REFERENCE_S, 9.0]) == 2.0
+    assert speed.calibration_s() > 0
 
 
 def test_jobs_two_and_one_write_identical_reports(tmp_path):

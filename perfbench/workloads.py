@@ -78,7 +78,7 @@ WORKLOADS = {
                 "certify with the embedding scorer: base scoring is about half of smoothing "
                 "time, so a faster or batched scorer shows here first"
             ),
-            world=WorldSpec(n_tight=110, n_loose=40, n_single=360, n_queries=3, candidates=20,
+            world=WorldSpec(n_tight=110, n_loose=40, n_single=360, n_queries=2, candidates=20,
                             k=5, doc_len=(50, 100)),
             command="certify", n_samples=1000, jobs=1, delta=0.1,
         ),
@@ -93,7 +93,7 @@ WORKLOADS = {
                 "certify with cheap BM25 at --jobs 2 on long documents over a 3k-word lexicon: "
                 "stream derivation, sampling and the thread pool dominate"
             ),
-            world=WorldSpec(n_tight=330, n_loose=120, n_single=1080, n_queries=4, candidates=20,
+            world=WorldSpec(n_tight=330, n_loose=120, n_single=1080, n_queries=2, candidates=20,
                             k=5, doc_len=(100, 200), extra_docs=1500, model="bm25"),
             command="certify", n_samples=500, jobs=2, delta=0.1,
         ),
@@ -110,7 +110,7 @@ WORKLOADS = {
                 "greedy attack on the smoothed ranker: each step smooths many near-duplicate "
                 "documents through SmoothedModel; the certificate path does not run"
             ),
-            world=WorldSpec(n_tight=110, n_loose=40, n_single=360, n_queries=4, candidates=20,
+            world=WorldSpec(n_tight=110, n_loose=40, n_single=360, n_queries=2, candidates=20,
                             k=5, doc_len=(20, 40), attack_surface=True, cosine_weight=0.0),
             command="attack", n_samples=32, jobs=1, delta=0.15, budget=3, max_attacked=3,
         ),
