@@ -53,12 +53,11 @@ from .smoothing import (
     SmoothedScore,
     hoeffding_radius,
     perturbation_prob,
-    sample_perturbed,
     smooth_rank,
     smoothed_score_exact,
     smoothed_score_mc,
 )
-from .training import TrainConfig, TrainingTriple, TrainResult, gen_noised_doc, load_triples, train
+from .training import TrainConfig, TrainingTriple, TrainResult, load_triples, train
 
 __version__ = "0.1.0"
 
@@ -98,7 +97,6 @@ __all__ = [
     "enumerate_sd",
     "excess_mass_by_enumeration",
     "excess_mass_closed_form",
-    "gen_noised_doc",
     "greedy_attack",
     "hoeffding_radius",
     "load_corpus",
@@ -113,7 +111,6 @@ __all__ = [
     "overlap_table",
     "perturbation_prob",
     "rank",
-    "sample_perturbed",
     "sd_size",
     "smooth_rank",
     "smoothed_score_exact",

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import click
 
@@ -24,30 +23,36 @@ from . import metrics as metrics_mod
 from . import training as train_mod
 from .corpus import Document, Query, RankedList
 from .lexicon import EmbeddingTable, Lexicon
-from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel
+from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
 from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echoed into output sidecars so every artifact records its inputs."""
-
-    subcommand: str
-    paths: Mapping[str, str] = field(default_factory=dict)
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {"subcommand": self.subcommand, "paths": dict(self.paths), "params": dict(self.params)}
+_SCORING_INPUTS = ("corpus", "queries", "run", "lexicon", "model")
 
 
-def _write_meta(out: Path, cfg: RunConfig, extra: Mapping[str, object] | None = None) -> None:
-    payload = cfg.to_json_dict()
-    if extra:
-        payload.update(extra)
-    meta_path = out.with_name(out.name + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
+def _write_meta(
+    out_path: str,
+    params: Mapping[str, object],
+    paths: Mapping[str, str] | None = None,
+    **extra: object,
+) -> None:
+    """Write ``<out>.meta.json`` echoing the running subcommand, its input
+    paths (by default the five inputs of a scoring command), ``out``, its
+    hyperparameters and any ``extra`` keys, so every artifact records its
+    inputs."""
+    ctx = click.get_current_context()
+    if paths is None:
+        paths = {name: ctx.params[f"{name}_path"] for name in _SCORING_INPUTS}
+    payload = {
+        "subcommand": ctx.command.name,
+        "paths": {**paths, "out": out_path},
+        "params": dict(params),
+        **extra,
+    }
+    out = Path(out_path)
+    with open(out.with_name(out.name + ".meta.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -112,11 +117,43 @@ def _candidates(
     return [corpus[e.doc_id] for e in ranked.entries]
 
 
-def _fail(exc: Exception) -> click.ClickException:
-    return click.ClickException(str(exc))
+def _skipped_queries(
+    run: Mapping[str, RankedList], queries: Mapping[str, Query], k: int | None = None
+) -> dict[str, str]:
+    """Queries a scoring command passes over, with the reason: no query text,
+    or (when ``k`` is given) a list too short to have a rank K+1."""
+    skipped = {}
+    for qid, ranked in run.items():
+        if qid not in queries:
+            skipped[qid] = "query text missing"
+        elif k is not None and k >= len(ranked):
+            skipped[qid] = f"K = {k} >= list length {len(ranked)}"
+    return skipped
 
 
-@click.group()
+def _map_queries(work: Callable, qids: list[str], jobs: int) -> dict:
+    """``work(qid)`` for every query id on ``jobs`` threads, keyed by query id
+    in the order of ``qids``."""
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        return dict(zip(qids, pool.map(work, qids)))
+
+
+class _Main(click.Group):
+    """Reports any error that is not a Click exception as a runtime failure:
+    its message on stderr and exit code 1. The traceback goes to the debug
+    log (``--verbose``)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            logger.debug("%s failed", ctx.invoked_subcommand, exc_info=True)
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose: bool) -> None:
     """Certify and attack the top-K robustness of text ranking models."""
@@ -130,25 +167,16 @@ def main(verbose: bool) -> None:
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_build_lexicon(embeddings_path: str, tau: float, j: int, out_path: str) -> None:
     """Build the synonym/perturbation lexicon from an embedding file."""
-    try:
-        emb = EmbeddingTable.load(embeddings_path)
-        lexicon = Lexicon.build(emb, tau=tau, j=j)
-        problems = lexicon.validate()
-        if problems:
-            for p in problems:
-                click.echo(f"violation: {p}", err=True)
-            raise click.ClickException(f"lexicon fails validation with {len(problems)} violation(s)")
-        out = Path(out_path)
-        lexicon.save(out)
-        _write_meta(out, RunConfig(
-            subcommand="build-lexicon",
-            paths={"embeddings": embeddings_path, "out": out_path},
-            params={"tau": tau, "j": j},
-        ), extra={"vocab": len(lexicon.vocab)})
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise _fail(exc)
+    emb = EmbeddingTable.load(embeddings_path)
+    lexicon = Lexicon.build(emb, tau=tau, j=j)
+    problems = lexicon.validate()
+    if problems:
+        for p in problems:
+            click.echo(f"violation: {p}", err=True)
+        raise click.ClickException(f"lexicon fails validation with {len(problems)} violation(s)")
+    lexicon.save(out_path)
+    _write_meta(out_path, {"tau": tau, "j": j}, {"embeddings": embeddings_path},
+                vocab=len(lexicon.vocab))
     click.echo(f"lexicon with {len(lexicon.vocab)} words written to {out_path}")
 
 
@@ -173,37 +201,32 @@ def cmd_train(
     no_noise: bool, static_noise: bool, warm_start: bool, out_path: str, trace_path: str | None,
 ) -> None:
     """Train the linear embedding scorer with noise data augmentation."""
-    try:
-        corpus = corpus_mod.load_corpus(corpus_path)
-        queries = corpus_mod.load_queries(queries_path)
-        triples = train_mod.load_triples(triples_path)
-        emb = EmbeddingTable.load(embeddings_path)
-        lexicon = Lexicon.load(lexicon_path)
-        if init_model_path:
-            with open(init_model_path, encoding="utf-8") as fh:
-                model = LinearEmbedScorer.from_json_dict(json.load(fh), emb)
-        else:
-            model = LinearEmbedScorer.initial(emb)
-        cfg = train_mod.TrainConfig(
-            epochs=epochs, learning_rate=lr, seed=seed,
-            noise_enabled=not no_noise, static_noise=static_noise, warm_start=warm_start,
-        )
-        result = train_mod.train(model, triples, corpus, queries, lexicon, cfg)
-        out = Path(out_path)
-        result.model.save(out)
-        if trace_path:
-            train_mod.write_loss_trace(result.losses, trace_path)
-        _write_meta(out, RunConfig(
-            subcommand="train",
-            paths={"corpus": corpus_path, "queries": queries_path, "triples": triples_path,
-                   "embeddings": embeddings_path, "lexicon": lexicon_path, "out": out_path},
-            params={"epochs": epochs, "lr": lr, "seed": seed, "noise": not no_noise,
-                    "static_noise": static_noise, "warm_start": warm_start},
-        ), extra={"final_loss": result.losses[-1]})
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise _fail(exc)
+    corpus = corpus_mod.load_corpus(corpus_path)
+    queries = corpus_mod.load_queries(queries_path)
+    triples = train_mod.load_triples(triples_path)
+    emb = EmbeddingTable.load(embeddings_path)
+    lexicon = Lexicon.load(lexicon_path)
+    if init_model_path:
+        with open(init_model_path, encoding="utf-8") as fh:
+            model = LinearEmbedScorer.from_json_dict(json.load(fh), emb)
+    else:
+        model = LinearEmbedScorer.initial(emb)
+    cfg = train_mod.TrainConfig(
+        epochs=epochs, learning_rate=lr, seed=seed,
+        noise_enabled=not no_noise, static_noise=static_noise, warm_start=warm_start,
+    )
+    result = train_mod.train(model, triples, corpus, queries, lexicon, cfg)
+    result.model.save(out_path)
+    if trace_path:
+        train_mod.write_loss_trace(result.losses, trace_path)
+    _write_meta(
+        out_path,
+        {"epochs": epochs, "lr": lr, "seed": seed, "noise": not no_noise,
+         "static_noise": static_noise, "warm_start": warm_start},
+        {"corpus": corpus_path, "queries": queries_path, "triples": triples_path,
+         "embeddings": embeddings_path, "lexicon": lexicon_path},
+        final_loss=result.losses[-1],
+    )
     click.echo(f"trained model written to {out_path} (final loss {result.losses[-1]:.4f})")
 
 
@@ -247,29 +270,18 @@ def cmd_smooth_rank(
     n_samples, alpha, seed, out_path, jobs,
 ) -> None:
     """Re-rank every query's candidates by Monte Carlo smoothed score."""
-    try:
-        corpus, queries, run, lexicon, model = _load_scoring_inputs(
-            corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
+    corpus, queries, run, lexicon, model = _load_scoring_inputs(
+        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
+    skipped = _skipped_queries(run, queries)
 
-        def work(qid: str) -> RankedList:
-            return smooth_rank(model, queries[qid], _candidates(run[qid], corpus),
-                               lexicon, n=n_samples, alpha=alpha, root_seed=seed)
+    def work(qid: str) -> RankedList:
+        return smooth_rank(model, queries[qid], _candidates(run[qid], corpus),
+                           lexicon, n=n_samples, alpha=alpha, root_seed=seed)
 
-        qids = sorted(q for q in run if q in queries)
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            results = dict(zip(qids, pool.map(work, qids)))
-        out = Path(out_path)
-        corpus_mod.write_run(results, out, tag="smoothed")
-        _write_meta(out, RunConfig(
-            subcommand="smooth-rank",
-            paths={"corpus": corpus_path, "queries": queries_path, "run": run_path,
-                   "lexicon": lexicon_path, "model": model_path, "out": out_path},
-            params={"n_samples": n_samples, "alpha": alpha, "seed": seed, "jobs": jobs},
-        ))
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise _fail(exc)
+    results = _map_queries(work, sorted(q for q in run if q not in skipped), jobs)
+    corpus_mod.write_run(results, out_path, tag="smoothed")
+    _write_meta(out_path, {"n_samples": n_samples, "alpha": alpha, "seed": seed, "jobs": jobs},
+                skipped=skipped)
     click.echo(f"smoothed run for {len(results)} queries written to {out_path}")
 
 
@@ -284,56 +296,33 @@ def cmd_certify(
     n_samples, alpha, seed, k, delta, jobs, out_path,
 ) -> None:
     """Certify top-K robustness per query; writes report JSONL, prints CRQ."""
-    try:
-        corpus, queries, run, lexicon, model = _load_scoring_inputs(
-            corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
+    corpus, queries, run, lexicon, model = _load_scoring_inputs(
+        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
+    skipped = _skipped_queries(run, queries, k)
 
-        skipped: dict[str, str] = {}
+    def work(qid: str) -> certify_mod.CertificateReport | None:
+        try:
+            smoothed = smooth_rank(model, queries[qid], _candidates(run[qid], corpus), lexicon,
+                                   n=n_samples, alpha=alpha, root_seed=seed)
+            return certify_mod.certify_topk(
+                model, queries[qid], smoothed, corpus, k, delta, lexicon,
+                n=n_samples, alpha=alpha, root_seed=seed)
+        except (KeyError, ValueError) as exc:  # bad input for this query: record, keep going
+            skipped[qid] = str(exc)
+            return None
 
-        def work(qid: str) -> certify_mod.CertificateReport | None:
-            if qid not in queries:
-                skipped[qid] = "query text missing"
-                return None
-            ranked = run[qid]
-            if k >= len(ranked):
-                skipped[qid] = f"K = {k} >= list length {len(ranked)}"
-                return None
-            try:
-                candidates = _candidates(ranked, corpus)
-                smoothed = smooth_rank(model, queries[qid], candidates, lexicon,
-                                       n=n_samples, alpha=alpha, root_seed=seed)
-                return certify_mod.certify_topk(
-                    model, queries[qid], smoothed, corpus, k, delta, lexicon,
-                    n=n_samples, alpha=alpha, root_seed=seed)
-            except Exception as exc:  # per-query failure: record, keep going
-                skipped[qid] = str(exc)
-                return None
-
-        qids = sorted(run)
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            results = dict(zip(qids, pool.map(work, qids)))
-
-        reports = [results[qid] for qid in qids if results[qid] is not None]
-        if not reports and skipped:
-            raise click.ClickException(
-                "no query could be certified: " + "; ".join(f"{q}: {r}" for q, r in sorted(skipped.items())))
-        out = Path(out_path)
-        with open(out, "w", encoding="utf-8") as fh:
-            for report in reports:
-                fh.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-        _write_meta(out, RunConfig(
-            subcommand="certify",
-            paths={"corpus": corpus_path, "queries": queries_path, "run": run_path,
-                   "lexicon": lexicon_path, "model": model_path, "out": out_path},
-            params={"k": k, "delta": delta, "n_samples": n_samples, "alpha": alpha,
-                    "seed": seed, "jobs": jobs},
-        ), extra={"skipped": dict(sorted(skipped.items()))})
-        for qid, reason in sorted(skipped.items()):
-            click.echo(f"skipped {qid}: {reason}", err=True)
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise _fail(exc)
+    results = _map_queries(work, sorted(q for q in run if q not in skipped), jobs)
+    reports = [r for r in results.values() if r is not None]
+    if not reports and skipped:
+        raise click.ClickException(
+            "no query could be certified: " + "; ".join(f"{q}: {r}" for q, r in sorted(skipped.items())))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for report in reports:
+            fh.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+    _write_meta(out_path, {"k": k, "delta": delta, "n_samples": n_samples, "alpha": alpha,
+                           "seed": seed, "jobs": jobs}, skipped=skipped)
+    for qid, reason in sorted(skipped.items()):
+        click.echo(f"skipped {qid}: {reason}", err=True)
     value = metrics_mod.crq(reports)
     click.echo(f"radius per estimate: {hoeffding_radius(n_samples, alpha):.6f}")
     click.echo(f"CRQ: {value:.2f}% ({sum(1 for r in reports if r.certified)}/{len(reports)} queries)")
@@ -352,52 +341,44 @@ def cmd_attack(
     corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path,
     n_samples, alpha, seed, k, delta, budget, target, max_attacked, jobs, out_path,
 ) -> None:
-    """Greedy synonym-substitution attack on documents beyond rank K."""
-    try:
-        if budget < 1:
-            raise click.BadParameter("budget must be >= 1", param_hint="--budget")
-        corpus, queries, run, lexicon, model = _load_scoring_inputs(
-            corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
+    """Greedy synonym-substitution attack on documents beyond rank K.
 
-        def work(qid: str) -> list[attack_mod.AttackOutcome]:
-            query = queries[qid]
-            candidates = _candidates(run[qid], corpus)
-            if target == "smoothed":
-                scorer: ScoreModel = SmoothedModel(model, lexicon, n=n_samples, alpha=alpha, root_seed=seed)
-                ranked = smooth_rank(model, query, candidates, lexicon,
-                                     n=n_samples, alpha=alpha, root_seed=seed)
-            else:
-                scorer = model
-                ranked = corpus_mod.make_ranked(qid, [(d.id, model.score(query, d)) for d in candidates])
-            targets = [e.doc_id for e in ranked.tail(k)]
-            if max_attacked is not None:
-                targets = targets[:max_attacked]
-            return [
-                attack_mod.greedy_attack(scorer, query, corpus[doc_id], ranked, budget, lexicon)
-                for doc_id in targets
-            ]
+    Each document's budget is capped at the number of words the certificate
+    lets an attacker substitute at ``--delta``; a document with none is
+    reported unchanged.
+    """
+    if budget < 1:
+        raise click.BadParameter("budget must be >= 1", param_hint="--budget")
+    corpus, queries, run, lexicon, model = _load_scoring_inputs(
+        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
+    skipped = _skipped_queries(run, queries, k)
 
-        qids = sorted(q for q in run if q in queries and k < len(run[q]))
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            results = dict(zip(qids, pool.map(work, qids)))
+    def attack_doc(
+        scorer: ScoreModel, query: Query, doc: Document, ranked: RankedList
+    ) -> attack_mod.AttackOutcome:
+        cap = min(budget, certify_mod.attackable_count(doc, lexicon, delta))
+        if cap == 0:
+            rank_now = ranked.rank_of(doc.id)
+            return attack_mod.AttackOutcome(
+                query.id, doc.id, rank_now, rank_now, doc, scorer.score(query, doc), False, ())
+        return attack_mod.greedy_attack(scorer, query, doc, ranked, cap, lexicon)
 
-        out = Path(out_path)
-        outcomes = [o for qid in qids for o in results[qid]]
-        with open(out, "w", encoding="utf-8") as fh:
-            for o in outcomes:
-                fh.write(json.dumps(o.to_json_dict(), sort_keys=True) + "\n")
-        _write_meta(out, RunConfig(
-            subcommand="attack",
-            paths={"corpus": corpus_path, "queries": queries_path, "run": run_path,
-                   "lexicon": lexicon_path, "model": model_path, "out": out_path},
-            params={"k": k, "delta": delta, "budget": budget, "target": target,
-                    "max_attacked": max_attacked, "n_samples": n_samples,
-                    "alpha": alpha, "seed": seed, "jobs": jobs},
-        ))
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise _fail(exc)
+    def work(qid: str) -> list[attack_mod.AttackOutcome]:
+        query = queries[qid]
+        scorer = (SmoothedModel(model, lexicon, n=n_samples, alpha=alpha, root_seed=seed)
+                  if target == "smoothed" else model)
+        ranked = rank(scorer, query, _candidates(run[qid], corpus))
+        return [attack_doc(scorer, query, corpus[e.doc_id], ranked)
+                for e in ranked.tail(k)[:max_attacked]]
+
+    results = _map_queries(work, sorted(q for q in run if q not in skipped), jobs)
+    outcomes = [o for per_query in results.values() for o in per_query]
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for o in outcomes:
+            fh.write(json.dumps(o.to_json_dict(), sort_keys=True) + "\n")
+    _write_meta(out_path, {"k": k, "delta": delta, "budget": budget, "target": target,
+                           "max_attacked": max_attacked, "n_samples": n_samples,
+                           "alpha": alpha, "seed": seed, "jobs": jobs}, skipped=skipped)
     if outcomes:
         click.echo(f"SR: {metrics_mod.sr(outcomes):.2f}% over {len(outcomes)} attacked documents")
     else:
@@ -413,42 +394,33 @@ def cmd_attack(
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_evaluate(reports_path, outcomes_path, run_path, qrels_path, cutoffs, out_path) -> None:
     """Aggregate CRQ / SR / CondSR (and MRR when run + qrels are given)."""
-    try:
-        reports = []
-        with open(reports_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    reports.append(certify_mod.CertificateReport.from_json_dict(json.loads(line)))
-        outcomes = []
-        with open(outcomes_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    outcomes.append(attack_mod.AttackOutcome.from_json_dict(json.loads(line)))
+    reports = []
+    with open(reports_path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                reports.append(certify_mod.CertificateReport.from_json_dict(json.loads(line)))
+    outcomes = []
+    with open(outcomes_path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                outcomes.append(attack_mod.AttackOutcome.from_json_dict(json.loads(line)))
 
-        report_qids = {r.query_id for r in reports}
-        outcome_qids = {o.query_id for o in outcomes}
-        unmatched = sorted(outcome_qids - report_qids)
-        if unmatched:
-            raise click.ClickException(
-                f"attack outcomes reference queries with no certification report: {unmatched}")
+    report_qids = {r.query_id for r in reports}
+    outcome_qids = {o.query_id for o in outcomes}
+    unmatched = sorted(outcome_qids - report_qids)
+    if unmatched:
+        raise click.ClickException(
+            f"attack outcomes reference queries with no certification report: {unmatched}")
 
-        run = corpus_mod.load_run(run_path) if run_path else None
-        qrels = corpus_mod.load_qrels(qrels_path) if qrels_path else None
-        summary = metrics_mod.summarize(reports, outcomes, run, qrels, cutoffs=cutoffs)
-        out = Path(out_path)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_meta(out, RunConfig(
-            subcommand="evaluate",
-            paths={"reports": reports_path, "outcomes": outcomes_path,
-                   "run": run_path or "", "qrels": qrels_path or "", "out": out_path},
-            params={"cutoffs": list(cutoffs)},
-        ))
-    except click.ClickException:
-        raise
-    except Exception as exc:
-        raise _fail(exc)
+    run = corpus_mod.load_run(run_path) if run_path else None
+    qrels = corpus_mod.load_qrels(qrels_path) if qrels_path else None
+    summary = metrics_mod.summarize(reports, outcomes, run, qrels, cutoffs=cutoffs)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _write_meta(out_path, {"cutoffs": list(cutoffs)},
+                {"reports": reports_path, "outcomes": outcomes_path,
+                 "run": run_path or "", "qrels": qrels_path or ""})
     click.echo(metrics_mod.format_summary_table(summary))
 
 

@@ -23,9 +23,9 @@ from typing import Iterator, MutableMapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, Query, RankedList, make_ranked
+from .corpus import Document, Query, RankedList
 from .lexicon import Lexicon
-from .rankers import ScoreModel
+from .rankers import ScoreModel, rank
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -104,11 +104,6 @@ class PerturbationSampler:
         return doc.with_tokens(s[i] for s, i in zip(sets, picks))
 
 
-def sample_perturbed(doc: Document, lexicon: Lexicon, rng: np.random.Generator) -> Document:
-    """One draw from the perturbation distribution around ``doc``."""
-    return PerturbationSampler(lexicon).sample(doc, rng)
-
-
 def perturbation_prob(doc: Document, perturbed: Document, lexicon: Lexicon) -> float:
     """Probability of drawing ``perturbed`` from the distribution around
     ``doc``: the product over positions of ``1/|T_{w_i}|`` when the token is
@@ -127,15 +122,11 @@ def perturbation_prob(doc: Document, perturbed: Document, lexicon: Lexicon) -> f
     return prob
 
 
-def perturbation_space_size(doc: Document, lexicon: Lexicon) -> int:
-    return lexicon.space_size(doc.tokens)
-
-
 def enumerate_perturbations(
     doc: Document, lexicon: Lexicon, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[tuple[str, ...]]:
     """All joint perturbations of ``doc`` as token tuples, in a fixed order."""
-    size = perturbation_space_size(doc, lexicon)
+    size = lexicon.space_size(doc.tokens)
     if size > cap:
         raise ValueError(
             f"perturbation space of {doc.id!r} has {size} outcomes, above the cap "
@@ -208,16 +199,7 @@ def smooth_rank(
 ) -> RankedList:
     """Rank candidates by smoothed score (Monte Carlo, or exact if ``n`` is
     None). Ties break by doc id ascending."""
-    if not docs:
-        raise ValueError("cannot rank an empty candidate list")
-    scored: list[tuple[str, float]] = []
-    for doc in docs:
-        if n is None:
-            mean = smoothed_score_exact(model, query, doc, lexicon, cap)
-        else:
-            mean = smoothed_score_mc(model, query, doc, lexicon, n, alpha, root_seed).mean
-        scored.append((doc.id, mean))
-    return make_ranked(query.id, scored)
+    return rank(SmoothedModel(model, lexicon, n, alpha, root_seed, cap), query, docs)
 
 
 class SmoothedModel(ScoreModel):
@@ -225,8 +207,9 @@ class SmoothedModel(ScoreModel):
 
     With ``n=None`` the expectation is computed exactly by enumeration
     (bounded by ``cap``); otherwise by Monte Carlo with per-document derived
-    streams. Results are memoized by (query id, token tuple); concurrent
-    readers may race on the memo but always write identical values.
+    streams. Results are memoized by (query id, doc id, token tuple), the
+    same inputs the Monte Carlo streams derive from; concurrent readers may
+    race on the memo but always write identical values.
     """
 
     def __init__(
@@ -244,11 +227,11 @@ class SmoothedModel(ScoreModel):
         self.alpha = alpha
         self.root_seed = root_seed
         self.cap = cap
-        self._memo: dict[tuple[str, tuple[str, ...]], float] = {}
+        self._memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
         self._base_scores: dict[tuple[str, tuple[str, ...]], float] = {}
 
     def score(self, query: Query, doc: Document) -> float:
-        key = (query.id, doc.tokens)
+        key = (query.id, doc.id, doc.tokens)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -267,3 +250,4 @@ class SmoothedModel(ScoreModel):
         if self.n is None:
             return SmoothedScore.exact(self.score(query, doc))
         return SmoothedScore.from_mc(self.score(query, doc), self.n, self.alpha)
+

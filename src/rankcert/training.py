@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import Document, Query
 from .lexicon import Lexicon
 from .rankers import LinearEmbedScorer, sigmoid
-from .smoothing import _entropy, sample_perturbed
+from .smoothing import PerturbationSampler, _entropy
 
 logger = logging.getLogger(__name__)
 
@@ -77,11 +77,6 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-def gen_noised_doc(doc: Document, lexicon: Lexicon, rng: np.random.Generator) -> Document:
-    """One perturbed training copy of ``doc``."""
-    return sample_perturbed(doc, lexicon, rng)
-
-
 def hinge_loss(pos_score: float, neg_score: float, margin: float = 1.0) -> float:
     return max(0.0, margin - pos_score + neg_score)
 
@@ -115,6 +110,7 @@ def train(
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & ((1 << 64) - 1)]))
 
+    sampler = PerturbationSampler(lexicon)
     static_copies: dict[str, Document] = {}
     if cfg.noise_enabled and cfg.static_noise:
         doc_ids = sorted({d for t in triples for d in (t.pos_id, t.neg_id)})
@@ -122,7 +118,7 @@ def train(
             doc_rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), _entropy(doc_id)])
             )
-            static_copies[doc_id] = gen_noised_doc(corpus[doc_id], lexicon, doc_rng)
+            static_copies[doc_id] = sampler.sample(corpus[doc_id], doc_rng)
 
     def resolve(doc_id: str) -> Document:
         doc = corpus[doc_id]
@@ -130,7 +126,7 @@ def train(
             return doc
         if cfg.static_noise:
             return static_copies[doc_id]
-        return gen_noised_doc(doc, lexicon, rng)
+        return sampler.sample(doc, rng)
 
     current = model.with_params(weights, bias)
     losses: list[float] = []

@@ -111,6 +111,38 @@ def certify_args(pipeline_dir, built_lexicon, trained_model, out, **over):
     return args
 
 
+def scoring_args(command, pipeline_dir, built_lexicon, trained_model, out, *extra,
+                 corpus=None, run=None):
+    """Arguments of a scoring command on the toy pipeline, optionally with
+    another corpus or run file."""
+    return [
+        command,
+        "--corpus", corpus or pipeline_dir / "corpus.jsonl",
+        "--queries", pipeline_dir / "queries.tsv",
+        "--run", run or pipeline_dir / "run.txt",
+        "--lexicon", built_lexicon,
+        "--model", trained_model,
+        "--embeddings", pipeline_dir / "embeddings.txt",
+        "--n-samples", "100", "--seed", "1",
+        *extra,
+        "--out", out,
+    ]
+
+
+def read_meta(out: Path) -> dict:
+    return json.loads(Path(str(out) + ".meta.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def run_with_textless_query(pipeline_dir) -> Path:
+    """The toy run plus a query that has no text in the queries file."""
+    path = pipeline_dir / "run_textless.txt"
+    extra = "".join(f"qnotext Q0 {d} {i + 1} {1.0 - i / 10:.3f} init\n"
+                    for i, d in enumerate(["d1", "d2", "d3"]))
+    path.write_text((pipeline_dir / "run.txt").read_text() + extra)
+    return path
+
+
 class TestBuildLexicon:
     def test_produces_valid_lexicon(self, built_lexicon):
         lexicon = Lexicon.load(built_lexicon)
@@ -171,6 +203,29 @@ class TestSmoothRank:
         assert set(smoothed) == {"q1", "q2", "qshort"}
         assert all(0.0 <= e.score <= 1.0 for rl in smoothed.values() for e in rl.entries)
 
+    def test_sidecar_records_skipped_queries(
+        self, pipeline_dir, built_lexicon, trained_model, run_with_textless_query, tmp_path
+    ):
+        out = tmp_path / "smoothed.txt"
+        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon, trained_model,
+                                       out, run=run_with_textless_query))
+        assert result.exit_code == 0, result.output
+        from rankcert import load_run
+
+        assert set(load_run(out)) == {"q1", "q2", "qshort"}
+        assert read_meta(out)["skipped"] == {"qnotext": "query text missing"}
+
+    def test_malformed_corpus_line_fails_with_its_location(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+    ):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "d1", "text": "h h"}\n{"id": "d2", "text": \n')
+        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon, trained_model,
+                                       tmp_path / "smoothed.txt", corpus=corpus))
+        assert result.exit_code == 1
+        assert f"{corpus}:2: malformed JSON" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestCertify:
     def test_reports_radius_and_skips_short_lists(self, pipeline_dir, built_lexicon, trained_model):
@@ -200,6 +255,39 @@ class TestCertify:
         run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out_1, jobs=1))
         run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out_8, jobs=8))
         assert out_1.read_bytes() == out_8.read_bytes()
+
+    def test_document_missing_from_corpus_is_skipped(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+    ):
+        run = tmp_path / "run.txt"
+        run.write_text((pipeline_dir / "run.txt").read_text().replace("q1 Q0 d3 ", "q1 Q0 dgone "))
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, trained_model,
+                                       out, "--k", "2", run=run))
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line)["query_id"] for line in out.read_text().splitlines()] == ["q2"]
+        skipped = read_meta(out)["skipped"]
+        assert set(skipped) == {"q1", "qshort"}
+        assert "dgone" in skipped["q1"]
+
+    def test_programming_error_fails_the_command(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, monkeypatch
+    ):
+        import rankcert.certify
+
+        original = rankcert.certify.certify_topk
+
+        def broken(model, query, *args, **kwargs):
+            if query.id == "q2":
+                raise TypeError("broken for q2")
+            return original(model, query, *args, **kwargs)
+
+        monkeypatch.setattr(rankcert.certify, "certify_topk", broken)
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out))
+        assert result.exit_code == 1
+        assert "broken for q2" in result.output
+        assert "Traceback" not in result.output
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +321,34 @@ class TestAttackAndEvaluate:
         for o in outcomes:
             assert o.original_rank > 2  # only tail documents are attacked
             assert o.success == (o.best_rank_after < o.original_rank)
+
+    def test_delta_caps_the_substitution_budget(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+    ):
+        # floor(0.5 * 2) = 1 word of each 2-token document may change, below
+        # --budget 2; documents with no perturbable word come back unchanged.
+        out = tmp_path / "outcomes.jsonl"
+        result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", "--delta", "0.5", "--budget", "2"))
+        assert result.exit_code == 0, result.output
+        outcomes = [json.loads(line) for line in out.read_text().splitlines()]
+        assert {o["query_id"] for o in outcomes} == {"q1", "q2"}
+        assert len(outcomes) == 6
+        assert all(len(o["substitutions"]) <= 1 for o in outcomes)
+        for o in outcomes:
+            if not o["substitutions"]:
+                assert not o["success"] and o["best_rank_after"] == o["original_rank"]
+
+    def test_sidecar_records_skipped_queries(
+        self, pipeline_dir, built_lexicon, trained_model, run_with_textless_query, tmp_path
+    ):
+        out = tmp_path / "outcomes.jsonl"
+        result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", run=run_with_textless_query))
+        assert result.exit_code == 0, result.output
+        assert {json.loads(line)["query_id"] for line in out.read_text().splitlines()} == {"q1", "q2"}
+        assert read_meta(out)["skipped"] == {
+            "qnotext": "query text missing", "qshort": "K = 2 >= list length 1"}
 
     def test_evaluate_produces_summary(self, pipeline_dir, built_lexicon, trained_model, attack_out):
         reports = pipeline_dir / "reports.jsonl"

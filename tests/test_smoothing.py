@@ -9,10 +9,10 @@ import pytest
 
 from rankcert import (
     Document,
+    PerturbationSampler,
     SmoothedModel,
     hoeffding_radius,
     perturbation_prob,
-    sample_perturbed,
     smooth_rank,
     smoothed_score_exact,
     smoothed_score_mc,
@@ -53,7 +53,7 @@ class TestSamplePerturbed:
         doc = make_doc("d", "only words")
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert sample_perturbed(doc, lex, rng).tokens == doc.tokens
+            assert PerturbationSampler(lex).sample(doc, rng).tokens == doc.tokens
 
     def test_joint_outcomes_are_uniform(self, two_by_three_lexicon):
         # 2 x 3 = 6 outcomes; each should appear with frequency 1/6 within
@@ -62,7 +62,7 @@ class TestSamplePerturbed:
         rng = np.random.default_rng(20240817)
         n = 60000
         counts = Counter(
-            sample_perturbed(doc, two_by_three_lexicon, rng).tokens for _ in range(n)
+            PerturbationSampler(two_by_three_lexicon).sample(doc, rng).tokens for _ in range(n)
         )
         assert len(counts) == 6
         p = 1.0 / 6.0
@@ -72,15 +72,15 @@ class TestSamplePerturbed:
 
     def test_fixed_seed_reproduces_output(self, two_by_three_lexicon):
         doc = Document("d", ("p", "q"))
-        a = sample_perturbed(doc, two_by_three_lexicon, np.random.default_rng(7))
-        b = sample_perturbed(doc, two_by_three_lexicon, np.random.default_rng(7))
+        a = PerturbationSampler(two_by_three_lexicon).sample(doc, np.random.default_rng(7))
+        b = PerturbationSampler(two_by_three_lexicon).sample(doc, np.random.default_rng(7))
         assert a.tokens == b.tokens
 
     def test_samples_stay_in_perturbation_sets(self, two_by_three_lexicon):
         doc = Document("d", ("q", "p", "q"))
         rng = np.random.default_rng(3)
         for _ in range(100):
-            out = sample_perturbed(doc, two_by_three_lexicon, rng)
+            out = PerturbationSampler(two_by_three_lexicon).sample(doc, rng)
             assert out.length == doc.length
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in two_by_three_lexicon.perturb_set(w)
@@ -274,6 +274,23 @@ class TestSmoothRankAndModel:
         smoothed = SmoothedModel(model, world.lexicon, n=64, alpha=0.05, root_seed=17)
         expected = smoothed_score_mc(model, q, doc, world.lexicon, n=64, alpha=0.05, root_seed=17)
         assert smoothed.score(q, doc) == expected.mean
+
+    def test_smoothed_model_mc_memo_keeps_doc_ids_apart(self):
+        # Same tokens under two ids draw from different streams, so they get
+        # different estimates; the memo must not hand one id's to the other.
+        rng = np.random.default_rng(33)
+        world = random_world(rng, regime="mixed")
+        doc = random_doc(rng, world, "d0")
+        twin = Document("d1", doc.tokens)
+        model = random_token_model(rng, world, [doc])
+        q = make_query("q1", "whatever")
+        smoothed = SmoothedModel(model, world.lexicon, n=64, alpha=0.05, root_seed=17)
+        expected = [
+            smoothed_score_mc(model, q, d, world.lexicon, n=64, alpha=0.05, root_seed=17).mean
+            for d in (doc, twin)
+        ]
+        assert expected[0] != expected[1]
+        assert [smoothed.score(q, d) for d in (doc, twin)] == expected
 
 
 def test_enumerate_perturbations_covers_product_space(two_by_three_lexicon):

@@ -7,10 +7,10 @@ from rankcert import (
     Document,
     EmbeddingTable,
     LinearEmbedScorer,
+    PerturbationSampler,
     Query,
     TrainConfig,
     TrainingTriple,
-    gen_noised_doc,
     load_triples,
     train,
 )
@@ -171,12 +171,13 @@ class TestNoise:
             j=2,
         )
 
-    def test_gen_noised_doc_stays_in_perturbation_sets(self, noisy_lexicon):
+    def test_noised_copies_stay_in_perturbation_sets(self, noisy_lexicon):
         doc = Document("d", ("a", "n0", "b"))
         rng = np.random.default_rng(0)
+        sampler = PerturbationSampler(noisy_lexicon)
         seen = set()
         for _ in range(50):
-            out = gen_noised_doc(doc, noisy_lexicon, rng)
+            out = sampler.sample(doc, rng)
             seen.add(out.tokens)
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in noisy_lexicon.perturb_set(w)
