@@ -90,21 +90,21 @@ def _bm25_from_payload(payload: Mapping, corpus: Mapping[str, Document]) -> Bm25
     k1 = float(payload.get("k1", 0.9))
     b = float(payload.get("b", 0.4))
     cache_path = payload.get("cache")
+    if not cache_path:
+        return Bm25Model.from_corpus(corpus, k1=k1, b=b)
     fingerprint = corpus_mod.corpus_fingerprint(corpus)
-    if cache_path:
-        cache = Path(cache_path)
-        if cache.exists():
-            with open(cache, encoding="utf-8") as fh:
-                cached = json.load(fh)
-            try:
-                return Bm25Model.from_cache_dict(cached, fingerprint)
-            except ValueError:
-                logger.warning("BM25 cache %s is stale; rebuilding", cache)
+    cache = Path(cache_path)
+    if cache.exists():
+        with open(cache, encoding="utf-8") as fh:
+            cached = json.load(fh)
+        try:
+            return Bm25Model.from_cache_dict(cached, fingerprint)
+        except ValueError:
+            logger.warning("BM25 cache %s is stale; rebuilding", cache)
     model = Bm25Model.from_corpus(corpus, k1=k1, b=b)
-    if cache_path:
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(model.to_cache_dict(fingerprint), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(cache, "w", encoding="utf-8") as fh:
+        json.dump(model.to_cache_dict(fingerprint), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return model
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -102,6 +103,14 @@ class EmbeddingTable:
     @property
     def tokens(self) -> tuple[str, ...]:
         return tuple(sorted(self.vectors))
+
+    @cached_property
+    def rows(self) -> tuple[dict[str, int], np.ndarray]:
+        """(token -> row index, stacked read-only vectors), built on first use."""
+        index = {t: i for i, t in enumerate(self.vectors)}
+        matrix = np.stack(list(self.vectors.values()))
+        matrix.setflags(write=False)
+        return index, matrix
 
 
 def _all_ints(parts: list[str]) -> bool:

@@ -6,7 +6,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -93,11 +93,10 @@ class Bm25Model(ScoreModel):
     def raw_score(self, query: Query, doc: Document) -> float:
         if self.n_docs <= 0 or self.avg_len <= 0:
             raise RuntimeError("BM25 statistics not initialized; build from a corpus first")
-        tf = Counter(doc.tokens)
         norm = self.k1 * (1.0 - self.b + self.b * doc.length / self.avg_len)
         total = 0.0
         for term in sorted(set(query.tokens)):
-            f = tf.get(term, 0)
+            f = doc.tokens.count(term)
             if f == 0:
                 continue
             total += self.idf(term) * f * (self.k1 + 1.0) / (f + norm)
@@ -144,6 +143,11 @@ class Bm25Model(ScoreModel):
         )
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real vector, without its dispatch."""
+    return math.sqrt(float(np.dot(v, v)))
+
+
 FEATURE_NAMES = ("embedding_cosine", "query_coverage", "match_density")
 
 
@@ -153,12 +157,16 @@ class LinearEmbedScorer(ScoreModel):
 
     Features: cosine of mean-pooled query/document embeddings, fraction of
     distinct query terms present in the document, and fraction of document
-    tokens that are query terms.
+    tokens that are query terms. The query side (pooled vector, its norm and
+    the term set) is computed once per query token tuple.
     """
 
     weights: np.ndarray
     bias: float
     embeddings: EmbeddingTable
+    _queries: dict[tuple[str, ...], tuple[np.ndarray, float, frozenset[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -174,20 +182,28 @@ class LinearEmbedScorer(ScoreModel):
         return cls(weights=np.zeros(len(FEATURE_NAMES)), bias=0.0, embeddings=embeddings)
 
     def _pool(self, tokens: Sequence[str]) -> np.ndarray:
-        vecs = [self.embeddings[t] for t in tokens if t in self.embeddings]
-        if not vecs:
+        """Mean of the in-vocabulary tokens' vectors; zeros if there are none."""
+        index, matrix = self.embeddings.rows
+        rows = [index[t] for t in tokens if t in index]
+        if not rows:
             return np.zeros(self.embeddings.dim)
-        return np.mean(vecs, axis=0)
+        return np.add.reduce(matrix.take(rows, axis=0), axis=0) / len(rows)
+
+    def _query_side(self, query: Query) -> tuple[np.ndarray, float, frozenset[str]]:
+        side = self._queries.get(query.tokens)
+        if side is None:
+            qv = self._pool(query.tokens)
+            qv.setflags(write=False)
+            side = self._queries[query.tokens] = (qv, _norm(qv), frozenset(query.tokens))
+        return side
 
     def features(self, query: Query, doc: Document) -> np.ndarray:
-        qv = self._pool(query.tokens)
+        qv, qn, q_terms = self._query_side(query)
         dv = self._pool(doc.tokens)
-        qn = float(np.linalg.norm(qv))
-        dn = float(np.linalg.norm(dv))
+        dn = _norm(dv)
         cos = float(np.dot(qv, dv) / (qn * dn)) if qn > 0 and dn > 0 else 0.0
-        q_terms = set(query.tokens)
         coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
-        density = sum(1 for t in doc.tokens if t in q_terms) / doc.length
+        density = sum(map(q_terms.__contains__, doc.tokens)) / doc.length
         return np.array([cos, coverage, density])
 
     def decision(self, query: Query, doc: Document) -> float:

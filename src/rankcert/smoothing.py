@@ -8,9 +8,13 @@ either exactly (full enumeration of small spaces) or by Monte Carlo with a
 Hoeffding confidence radius per estimate.
 
 Randomness is derived, never shared: a root seed plus hashes of the query
-id, document id, and token sequence feed a seed sequence that is split into
-one child stream per sample. Estimates are therefore reproducible and safe
-to compute concurrently across queries and documents.
+id, document id, and token sequence seed one generator per estimate, which
+draws the estimate's samples in order. An estimate runs on one thread, so
+estimates are reproducible and safe to compute concurrently across queries
+and documents.
+
+Base scores must lie in [0, 1], the range the Hoeffding radius assumes; both
+estimators reject a score outside it, NaN included, with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, MutableMapping, Sequence
 
 import numpy as np
@@ -77,31 +81,52 @@ def token_fingerprint(tokens: Sequence[str]) -> int:
 
 
 def derive_streams(
-    root_seed: int, query_id: str, doc_id: str, tokens: Sequence[str], n: int
-) -> list[np.random.Generator]:
-    """One independent generator per sample index, reproducible from the
-    (root seed, query id, doc id, token sequence) tuple."""
-    ss = np.random.SeedSequence(
-        [root_seed & _SEED_MASK, _entropy(query_id), _entropy(doc_id), token_fingerprint(tokens)]
+    root_seed: int, query_id: str, doc_id: str, tokens: Sequence[str]
+) -> np.random.Generator:
+    """The generator of one estimate, reproducible from the (root seed,
+    query id, doc id, token sequence) tuple; the estimate draws all its
+    samples from it in order."""
+    return np.random.default_rng(
+        np.random.SeedSequence(
+            [root_seed & _SEED_MASK, _entropy(query_id), _entropy(doc_id), token_fingerprint(tokens)]
+        )
     )
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
 @dataclass(frozen=True)
 class PerturbationSampler:
-    """Draws documents from the product perturbation distribution."""
+    """Draws documents from the product perturbation distribution.
+
+    The perturbation sets of a token sequence are looked up once and kept,
+    flattened, with their sizes and offsets, so a draw is one ``integers``
+    call and one gather.
+    """
 
     lexicon: Lexicon
     root_seed: int = 0
+    _tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def streams(self, query_id: str, doc: Document, n: int) -> list[np.random.Generator]:
-        return derive_streams(self.root_seed, query_id, doc.id, doc.tokens, n)
+    def stream(self, query_id: str, doc: Document) -> np.random.Generator:
+        return derive_streams(self.root_seed, query_id, doc.id, doc.tokens)
+
+    def _table(self, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(all members of every ``T_w`` in order, set sizes, set offsets)."""
+        table = self._tables.get(tokens)
+        if table is None:
+            sets = [self.lexicon.perturb_set(w) for w in tokens]
+            sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+            members = np.empty(int(sizes.sum()), dtype=object)
+            members[:] = [w for s in sets for w in s]
+            offsets = np.cumsum(sizes) - sizes
+            table = self._tables[tokens] = (members, sizes, offsets)
+        return table
 
     def sample(self, doc: Document, rng: np.random.Generator) -> Document:
-        sets = [self.lexicon.perturb_set(w) for w in doc.tokens]
-        sizes = np.fromiter((len(s) for s in sets), dtype=np.int64, count=len(sets))
+        members, sizes, offsets = self._table(doc.tokens)
         picks = rng.integers(0, sizes)
-        return doc.with_tokens(s[i] for s, i in zip(sets, picks))
+        return doc.with_tokens(members[offsets + picks].tolist())
 
 
 def perturbation_prob(doc: Document, perturbed: Document, lexicon: Lexicon) -> float:
@@ -144,17 +169,28 @@ def smoothed_score_mc(
     alpha: float = 0.05,
     root_seed: int = 0,
 ) -> SmoothedScore:
-    """Monte Carlo estimate of the smoothed score from ``n`` i.i.d. draws.
+    """Monte Carlo estimate of the smoothed score from ``n`` i.i.d. draws,
+    taken in order from the estimate's one derived stream.
 
     The sample scores are reduced in a fixed order, so the result is
     bit-stable regardless of how callers parallelize across documents.
     """
     sampler = PerturbationSampler(lexicon, root_seed)
-    streams = sampler.streams(query.id, doc, n)
+    rng = sampler.stream(query.id, doc)
     scores = np.empty(n, dtype=float)
-    for i, rng in enumerate(streams):
+    for i in range(n):
         scores[i] = model.score(query, sampler.sample(doc, rng))
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise _out_of_range(float(scores[outside][0]), query, doc)
     return SmoothedScore.from_mc(float(scores.mean()), n, alpha)
+
+
+def _out_of_range(score: float, query: Query, doc: Document) -> ValueError:
+    return ValueError(
+        f"base score {score!r} for query {query.id!r}, document {doc.id!r} is outside "
+        "[0, 1]; the smoothed score and its confidence bound need scores in [0, 1]"
+    )
 
 
 def smoothed_score_exact(
@@ -182,6 +218,8 @@ def smoothed_score_exact(
             if s is None:
                 s = model.score(query, Document(doc.id, tokens))
                 _cache[key] = s
+        if not 0.0 <= s <= 1.0:
+            raise _out_of_range(s, query, doc)
         total += s
         count += 1
     return total / count

@@ -428,3 +428,126 @@ class TestAttackAndEvaluate:
         )
         assert result.exit_code == 1
         assert "q2" in result.output
+
+
+class TestJobsByteIdentity:
+    """Query-side caches and the embedding rows are shared by worker threads;
+    the outputs must not depend on how many there are."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("smooth-rank", ()),
+            ("attack", ("--target", "smoothed", "--k", "2", "--budget", "2")),
+        ],
+        ids=["smooth-rank", "attack-smoothed"],
+    )
+    def test_one_and_four_workers_are_byte_identical(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, command, extra
+    ):
+        outs = []
+        for jobs in (1, 4):
+            out = tmp_path / f"{command}-j{jobs}.out"
+            result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model,
+                                           out, *extra, "--jobs", jobs))
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] and outs[0] == outs[1]
+
+
+class TestBm25Cache:
+    @staticmethod
+    def _model(tmp_path, cache=None) -> Path:
+        payload = {"type": "bm25", "k1": 0.9, "b": 0.4}
+        if cache is not None:
+            payload["cache"] = str(cache)
+        path = tmp_path / "bm25.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @staticmethod
+    def _smooth_rank(pipeline_dir, built_lexicon, model, out):
+        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon, model, out))
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    def test_no_cache_computes_no_fingerprint(
+        self, pipeline_dir, built_lexicon, tmp_path, monkeypatch
+    ):
+        import rankcert.corpus
+
+        def refuse(corpus):
+            raise AssertionError("fingerprint computed without a cache")
+
+        monkeypatch.setattr(rankcert.corpus, "corpus_fingerprint", refuse)
+        out = tmp_path / "run.txt"
+        assert self._smooth_rank(pipeline_dir, built_lexicon, self._model(tmp_path), out)
+
+    def test_cache_is_written_then_reused(
+        self, pipeline_dir, built_lexicon, tmp_path, monkeypatch
+    ):
+        from rankcert import Bm25Model
+        from rankcert.corpus import corpus_fingerprint, load_corpus
+
+        cache = tmp_path / "bm25-cache.json"
+        model = self._model(tmp_path, cache)
+        first = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "a.txt")
+        written = json.loads(cache.read_text())
+        assert written["corpus_hash"] == corpus_fingerprint(
+            load_corpus(pipeline_dir / "corpus.jsonl"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("BM25 statistics refit despite a valid cache")
+
+        monkeypatch.setattr(Bm25Model, "from_corpus", classmethod(refuse))
+        second = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "b.txt")
+        assert second == first
+        assert json.loads(cache.read_text()) == written
+
+    def test_stale_cache_is_rebuilt_with_a_warning(
+        self, pipeline_dir, built_lexicon, tmp_path, caplog
+    ):
+        cache = tmp_path / "bm25-cache.json"
+        model = self._model(tmp_path, cache)
+        fresh = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "a.txt")
+        written = json.loads(cache.read_text())
+        cache.write_text(json.dumps({**written, "corpus_hash": "stale", "n_docs": 1}))
+        with caplog.at_level("WARNING", logger="rankcert.cli"):
+            rebuilt = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "b.txt")
+        assert "stale" in caplog.text
+        assert rebuilt == fresh
+        assert json.loads(cache.read_text()) == written
+
+
+class TestBaseScoresOutsideUnitInterval:
+    @pytest.fixture
+    def broken_scorer(self, monkeypatch):
+        """The linear scorer returns 1.5 for query q1 only."""
+        from rankcert import LinearEmbedScorer
+
+        original = LinearEmbedScorer.score
+
+        def score(self, query, doc):
+            return 1.5 if query.id == "q1" else original(self, query, doc)
+
+        monkeypatch.setattr(LinearEmbedScorer, "score", score)
+
+    def test_certify_records_the_query_as_skipped(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, broken_scorer
+    ):
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out))
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line)["query_id"] for line in out.read_text().splitlines()] == ["q2"]
+        skipped = read_meta(out)["skipped"]
+        assert set(skipped) == {"q1", "qshort"}
+        assert "outside [0, 1]" in skipped["q1"] and "'q1'" in skipped["q1"]
+
+    def test_smooth_rank_fails(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, broken_scorer
+    ):
+        out = tmp_path / "run.txt"
+        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon,
+                                       trained_model, out))
+        assert result.exit_code == 1
+        assert "outside [0, 1]" in result.output

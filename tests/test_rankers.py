@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankcert import Bm25Model, EmbeddingTable, LinearEmbedScorer, rank
+from rankcert import (
+    Bm25Model,
+    Document,
+    EmbeddingTable,
+    LinearEmbedScorer,
+    PerturbationSampler,
+    Query,
+    rank,
+)
+from rankcert.rankers import sigmoid
 
 from conftest import make_doc, make_query, random_linear_model, random_world
 
@@ -176,6 +185,113 @@ class TestLinearEmbedScorer:
         assert loaded.bias == model.bias
 
 
+# -- bit-identity against the original per-call formulas ----------------------
+
+
+def _reference_linear_score(model: LinearEmbedScorer, query: Query, doc: Document) -> float:
+    """The linear scorer as first written: list-of-vectors mean pooling and
+    both sides recomputed on every call."""
+    emb = model.embeddings
+
+    def pool(tokens):
+        vecs = [emb[t] for t in tokens if t in emb]
+        if not vecs:
+            return np.zeros(emb.dim)
+        return np.mean(vecs, axis=0)
+
+    qv = pool(query.tokens)
+    dv = pool(doc.tokens)
+    qn = float(np.linalg.norm(qv))
+    dn = float(np.linalg.norm(dv))
+    cos = float(np.dot(qv, dv) / (qn * dn)) if qn > 0 and dn > 0 else 0.0
+    q_terms = set(query.tokens)
+    coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
+    density = sum(1 for t in doc.tokens if t in q_terms) / doc.length
+    features = np.array([cos, coverage, density])
+    return sigmoid(float(np.dot(model.weights, features)) + model.bias)
+
+
+def _reference_bm25_score(model: Bm25Model, query: Query, doc: Document) -> float:
+    """BM25 as first written: a Counter of the whole document."""
+    from collections import Counter
+
+    tf = Counter(doc.tokens)
+    norm = model.k1 * (1.0 - model.b + model.b * doc.length / model.avg_len)
+    total = 0.0
+    for term in sorted(set(query.tokens)):
+        f = tf.get(term, 0)
+        if f == 0:
+            continue
+        df = model.doc_freq.get(term, 0)
+        idf = math.log(1.0 + (model.n_docs - df + 0.5) / (df + 0.5))
+        total += idf * f * (model.k1 + 1.0) / (f + norm)
+    return total / (total + model.squash_c)
+
+
+def _identity_cases(seed: int):
+    """Queries and perturbed documents over a random world: repeated and
+    out-of-vocabulary query terms, documents with OOV tokens and one made of
+    OOV tokens only."""
+    rng = np.random.default_rng(seed)
+    world = random_world(rng, max_vocab=40)
+    vocab = list(world.vocab)
+    queries = [
+        Query("q1", (vocab[0], vocab[1], vocab[0], "oov-q")),
+        Query("q2", tuple(str(t) for t in rng.choice(vocab, size=3))),
+    ]
+    sampler = PerturbationSampler(world.lexicon)
+    docs = [Document("oov", ("oov-a", "oov-b", "oov-a"))]
+    for i in range(12):
+        tokens = [str(t) for t in rng.choice(vocab, size=int(rng.integers(3, 40)))]
+        if i % 3 == 0:
+            tokens.insert(int(rng.integers(0, len(tokens))), "oov-d")
+        doc = Document(f"d{i}", tuple(tokens))
+        docs.append(doc)
+        docs.extend(sampler.sample(doc, rng) for _ in range(3))
+    docs.append(Document("q1-verbatim", queries[0].tokens))
+    return rng, world, queries, docs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_linear_scores_are_bit_identical_to_reference(seed):
+    rng, world, queries, docs = _identity_cases(seed)
+    model = random_linear_model(rng, world.emb)
+    retrained = model.with_params(rng.normal(0.0, 3.0, size=3), float(rng.normal()))
+    # Interleave the two queries and both scorers over every document.
+    for doc in docs:
+        for scorer in (model, retrained):
+            for query in queries:
+                assert scorer.score(query, doc) == _reference_linear_score(scorer, query, doc)
+    oov_doc = docs[0]
+    assert model.features(queries[0], oov_doc)[0] == 0.0
+
+
+def test_linear_scores_are_bit_identical_on_wide_embeddings():
+    rng = np.random.default_rng(44)
+    emb = EmbeddingTable.from_pairs(
+        (f"t{i}", rng.normal(size=32)) for i in range(300)
+    )
+    vocab = [f"t{i}" for i in range(300)]
+    model = random_linear_model(rng, emb)
+    queries = [Query(f"q{i}", tuple(rng.choice(vocab, size=4).tolist())) for i in range(3)]
+    for i in range(40):
+        doc = Document(f"d{i}", tuple(rng.choice(vocab, size=int(rng.integers(50, 101))).tolist()))
+        for query in queries:
+            assert model.score(query, doc) == _reference_linear_score(model, query, doc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_bm25_scores_are_bit_identical_to_reference(seed):
+    _, _, queries, docs = _identity_cases(seed)
+    corpus = {d.id: d for d in docs[::4]}
+    model = Bm25Model.from_corpus(corpus).calibrated(
+        [(q, d) for q in queries for d in corpus.values()]
+    )
+    for doc in docs:
+        for query in queries:
+            assert model.score(query, doc) == _reference_bm25_score(model, query, doc)
+
+
 @given(seed=st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_rank_positions_are_score_sorted(seed):
@@ -191,3 +307,25 @@ def test_rank_positions_are_score_sorted(seed):
     scores = [e.score for e in ranked.entries]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
     assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+def test_shared_scorer_caches_give_the_same_scores_under_thread_contention():
+    # The lazily built embedding rows and the query-side cache are filled
+    # by whichever thread needs them first; every thread must still see the
+    # single-threaded scores.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng, world, queries, docs = _identity_cases(5)
+    shared = random_linear_model(rng, world.emb)
+    expected = [_reference_linear_score(shared, q, d) for d in docs for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: [shared.score(q, d) for d in docs for q in queries])
+                       for _ in range(16)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected for r in results)

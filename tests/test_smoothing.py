@@ -221,22 +221,93 @@ class TestSmoothedMc:
         assert medians[0] >= medians[1] >= medians[2]
 
 
-class TestStreams:
-    def test_streams_differ_per_sample_and_per_document(self):
-        a = derive_streams(0, "q1", "d1", ("x",), 3)
-        b = derive_streams(0, "q1", "d1", ("x",), 3)
-        c = derive_streams(0, "q1", "d2", ("x",), 3)
-        draws_a = [g.integers(0, 1 << 30) for g in a]
-        draws_b = [g.integers(0, 1 << 30) for g in b]
-        draws_c = [g.integers(0, 1 << 30) for g in c]
-        assert draws_a == draws_b
-        assert draws_a != draws_c
-        assert len(set(draws_a)) == 3
+def _draws(gen: np.random.Generator, count: int = 8) -> list[int]:
+    return [int(gen.integers(0, 1 << 30)) for _ in range(count)]
 
-    def test_token_change_changes_stream(self):
-        a = derive_streams(0, "q1", "d1", ("x",), 1)[0].integers(0, 1 << 30)
-        b = derive_streams(0, "q1", "d1", ("y",), 1)[0].integers(0, 1 << 30)
-        assert a != b
+
+class TestStreams:
+    BASE = (0, "q1", "d1", ("x", "y"))
+
+    def test_same_inputs_give_the_same_draws(self):
+        a = derive_streams(*self.BASE)
+        b = derive_streams(*self.BASE)
+        assert isinstance(a, np.random.Generator)
+        assert _draws(a) == _draws(b)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            (0, "q1", "d2", ("x", "y")),
+            (0, "q1", "d1", ("x", "z")),
+            (0, "q1", "d1", ("y", "x")),
+            (0, "q2", "d1", ("x", "y")),
+            (1, "q1", "d1", ("x", "y")),
+        ],
+        ids=["doc-id", "token", "token-order", "query-id", "root-seed"],
+    )
+    def test_each_input_changes_the_draws(self, changed):
+        assert _draws(derive_streams(*changed)) != _draws(derive_streams(*self.BASE))
+
+    def test_sampler_stream_is_derived_from_query_and_document(self, two_by_three_lexicon):
+        sampler = PerturbationSampler(two_by_three_lexicon, root_seed=5)
+        doc = Document("d1", ("p", "q"))
+        expected = _draws(derive_streams(5, "q1", "d1", doc.tokens))
+        assert _draws(sampler.stream("q1", doc)) == expected
+
+    def test_mc_draws_its_samples_from_one_stream_in_order(self, two_by_three_lexicon):
+        doc = Document("d1", ("p", "q"))
+        outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
+        model = TokenTableModel({t: i / 5 for i, t in enumerate(outcomes)})
+        q = make_query("q1", "x")
+        sampler = PerturbationSampler(two_by_three_lexicon, root_seed=3)
+        rng = derive_streams(3, "q1", "d1", doc.tokens)
+        expected = np.mean([model.score(q, sampler.sample(doc, rng)) for _ in range(50)])
+        est = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=50, root_seed=3)
+        assert est.mean == expected
+
+    def test_sampler_memo_keeps_documents_apart(self, two_by_three_lexicon):
+        # One sampler alternating between documents, as noise training uses
+        # it, must draw each document from that document's own sets only.
+        sampler = PerturbationSampler(two_by_three_lexicon)
+        first = Document("a", ("p", "q", "p"))
+        second = Document("b", ("q", "q"))
+        rng = np.random.default_rng(11)
+        seen = {first.id: set(), second.id: set()}
+        for _ in range(200):
+            for doc in (first, second):
+                out = sampler.sample(doc, rng)
+                assert out.id == doc.id and out.length == doc.length
+                for w, r in zip(doc.tokens, out.tokens):
+                    assert r in two_by_three_lexicon.perturb_set(w)
+                seen[doc.id].add(out.tokens)
+        assert len(seen[first.id]) == 2 * 3 * 2
+        assert len(seen[second.id]) == 3 * 3
+
+
+class TestBaseScoreRange:
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_mc_rejects_scores_outside_unit_interval(self, two_by_three_lexicon, bad):
+        doc = Document("d7", ("p", "q"))
+        model = TokenTableModel({("p2", "q3"): bad}, default=0.5)
+        with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
+            smoothed_score_mc(model, make_query("q9", "x"), doc, two_by_three_lexicon, n=200)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_exact_rejects_scores_outside_unit_interval(self, two_by_three_lexicon, bad):
+        doc = Document("d7", ("p", "q"))
+        model = TokenTableModel({("p2", "q3"): bad}, default=0.5)
+        q = make_query("q9", "x")
+        with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
+            smoothed_score_exact(model, q, doc, two_by_three_lexicon)
+        with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
+            SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc)
+
+    def test_unit_interval_endpoints_are_accepted(self, two_by_three_lexicon):
+        doc = Document("d7", ("p", "q"))
+        model = TokenTableModel({("p2", "q3"): 1.0}, default=0.0)
+        q = make_query("q9", "x")
+        assert smoothed_score_exact(model, q, doc, two_by_three_lexicon) == 1 / 6
+        assert 0.0 <= smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=100).mean <= 1.0
 
 
 class TestSmoothRankAndModel:
