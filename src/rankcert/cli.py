@@ -24,7 +24,7 @@ from . import training as train_mod
 from .corpus import Document, Query, RankedList
 from .lexicon import EmbeddingTable, Lexicon
 from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
-from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
+from .smoothing import BaseScoreError, SmoothedModel, hoeffding_radius, smooth_rank
 
 logger = logging.getLogger(__name__)
 
@@ -307,6 +307,8 @@ def cmd_certify(
             return certify_mod.certify_topk(
                 model, queries[qid], smoothed, corpus, k, delta, lexicon,
                 n=n_samples, alpha=alpha, root_seed=seed)
+        except BaseScoreError:  # the model is at fault, not this query: stop the command
+            raise
         except (KeyError, ValueError) as exc:  # bad input for this query: record, keep going
             skipped[qid] = str(exc)
             return None

@@ -168,13 +168,24 @@ class PerturbDict:
 
 OverlapTable = dict[str, float]
 
+# Similarities computed at once by the synonym search: 2**20 float64 values
+# (8 MB) per block of rows, whatever the vocabulary size.
+_BLOCK_SIMILARITIES = 1 << 20
+
 
 def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> SynonymDict:
     """Threshold the pairwise cosine-similarity graph at ``tau``.
 
-    ``S_w = {w} union {w' : cosine(emb[w], emb[w']) >= tau}``, followed by a
-    symmetric closure. Zero-norm vectors are rejected from similarity search
-    (their words keep the singleton set ``{w}``) and recorded on the result.
+    ``S_w = {w} union {w' : cosine(emb[w], emb[w']) >= tau}``. Zero-norm
+    vectors are rejected from similarity search (their words keep the
+    singleton set ``{w}``) and recorded on the result.
+
+    The search runs over blocks of rows of the unit-vector matrix: each
+    block is multiplied by the whole matrix and thresholded in numpy, and
+    only the pairs ``a < b`` it finds are read, each added to both sets.
+    That is O(V^2 * dim) arithmetic in all, but a block holds at most
+    ``_BLOCK_SIMILARITIES`` similarities (8 MB), so the V x V matrix is
+    never formed and memory beyond the vectors and the sets stays flat.
     """
     if not 0.0 < tau < 1.0:
         raise LexiconError(f"tau must be in (0, 1), got {tau}")
@@ -189,22 +200,17 @@ def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> SynonymDict:
         logger.warning("zero-norm embedding for %r; excluded from synonym search", t)
 
     sets: dict[str, set[str]] = {t: {t} for t in tokens}
-    valid = [i for i, n in enumerate(norms) if n > 0.0]
-    if valid:
+    valid = np.flatnonzero(norms > 0.0)
+    if valid.size:
         unit = mat[valid] / norms[valid, None]
-        sims = unit @ unit.T
-        for a in range(len(valid)):
-            for b in range(a + 1, len(valid)):
-                if sims[a, b] >= tau:
-                    wa, wb = tokens[valid[a]], tokens[valid[b]]
-                    sets[wa].add(wb)
-                    sets[wb].add(wa)
-
-    # Symmetric closure; a no-op for threshold graphs but kept so the
-    # invariant does not rest on the construction path.
-    for w, s in list(sets.items()):
-        for w2 in s:
-            sets[w2].add(w)
+        rows = max(1, _BLOCK_SIMILARITIES // len(valid))
+        for start in range(0, len(valid), rows):
+            hits_a, hits_b = np.nonzero(unit[start:start + rows] @ unit.T >= tau)
+            hits_a += start
+            upper = hits_a < hits_b
+            for a, b in zip(valid[hits_a[upper]].tolist(), valid[hits_b[upper]].tolist()):
+                sets[tokens[a]].add(tokens[b])
+                sets[tokens[b]].add(tokens[a])
 
     return SynonymDict(
         sets={w: frozenset(s) for w, s in sets.items()},

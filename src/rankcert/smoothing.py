@@ -14,7 +14,8 @@ estimates are reproducible and safe to compute concurrently across queries
 and documents.
 
 Base scores must lie in [0, 1], the range the Hoeffding radius assumes; both
-estimators reject a score outside it, NaN included, with ``ValueError``.
+estimators reject a score outside it, NaN included, with
+:class:`BaseScoreError` (a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -186,8 +187,13 @@ def smoothed_score_mc(
     return SmoothedScore.from_mc(float(scores.mean()), n, alpha)
 
 
-def _out_of_range(score: float, query: Query, doc: Document) -> ValueError:
-    return ValueError(
+class BaseScoreError(ValueError):
+    """A base model returned a score outside [0, 1] or NaN: a fault of the
+    model rather than of one query's input."""
+
+
+def _out_of_range(score: float, query: Query, doc: Document) -> BaseScoreError:
+    return BaseScoreError(
         f"base score {score!r} for query {query.id!r}, document {doc.id!r} is outside "
         "[0, 1]; the smoothed score and its confidence bound need scores in [0, 1]"
     )

@@ -532,16 +532,14 @@ class TestBaseScoresOutsideUnitInterval:
 
         monkeypatch.setattr(LinearEmbedScorer, "score", score)
 
-    def test_certify_records_the_query_as_skipped(
-        self, pipeline_dir, built_lexicon, trained_model, tmp_path, broken_scorer
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_certify_fails(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, broken_scorer, jobs
     ):
         out = tmp_path / "reports.jsonl"
-        result = run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out))
-        assert result.exit_code == 0, result.output
-        assert [json.loads(line)["query_id"] for line in out.read_text().splitlines()] == ["q2"]
-        skipped = read_meta(out)["skipped"]
-        assert set(skipped) == {"q1", "qshort"}
-        assert "outside [0, 1]" in skipped["q1"] and "'q1'" in skipped["q1"]
+        result = run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out, jobs=jobs))
+        assert result.exit_code == 1
+        assert "outside [0, 1]" in result.output and "'q1'" in result.output
 
     def test_smooth_rank_fails(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, broken_scorer

@@ -1,6 +1,7 @@
 """Lexicon construction, overlap computation, and validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rankcert import (
     overlap,
     validate_lexicon,
 )
+from rankcert import lexicon as lexicon_mod
 from rankcert.lexicon import LexiconError, cosine
 
 from conftest import hand_lexicon, random_world
@@ -110,6 +112,81 @@ class TestBuildSynonymDict:
             build_synonym_dict(emb, tau=1.5)
         with pytest.raises(LexiconError):
             EmbeddingTable.from_pairs([])
+
+
+def _pairwise_synonym_dict(emb, tau):
+    """The earlier full-matrix, pair-by-pair synonym search, kept as the
+    oracle of the blocked one."""
+    tokens = sorted(emb.vectors)
+    mat = np.stack([emb.vectors[t] for t in tokens])
+    norms = np.linalg.norm(mat, axis=1)
+    rejected = tuple(t for t, n in zip(tokens, norms) if n == 0.0)
+    sets = {t: {t} for t in tokens}
+    valid = [i for i, n in enumerate(norms) if n > 0.0]
+    if valid:
+        unit = mat[valid] / norms[valid, None]
+        sims = unit @ unit.T
+        for a in range(len(valid)):
+            for b in range(a + 1, len(valid)):
+                if sims[a, b] >= tau:
+                    wa, wb = tokens[valid[a]], tokens[valid[b]]
+                    sets[wa].add(wb)
+                    sets[wb].add(wa)
+    return SynonymDict(sets={w: frozenset(s) for w, s in sets.items()}, rejected=rejected)
+
+
+def _clustered_table(seed, size, dim=32):
+    """Seeded clusters of 1-6 words whose within-cluster cosines spread over
+    about 0.25-0.99, plus zero-norm rows that sort into the middle of the
+    vocabulary, exact duplicate vectors, and a pair at cosine exactly 0.5."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < size:
+        centre = rng.normal(size=dim)
+        centre /= np.linalg.norm(centre)
+        sigma = rng.choice([0.02, 0.1, 0.2, 0.3])
+        for _ in range(int(rng.integers(1, 7))):
+            pairs.append((f"w{len(pairs):04d}", centre + rng.normal(scale=sigma, size=dim)))
+    middle = len(pairs) // 2
+    zero = np.zeros(dim)
+    pairs += [(f"w{middle:04d}z", zero), (f"w{middle + 3:04d}z", zero)]
+    pairs += [(f"{name}dup", vec.copy()) for name, vec in pairs[5:400:37]]
+    pairs += [("tie0", np.eye(dim)[0]), ("tie1", np.r_[np.ones(4), np.zeros(dim - 4)])]
+    return EmbeddingTable.from_pairs(pairs)
+
+
+class TestBlockedSynonymSearch:
+    @pytest.mark.parametrize("tau", [0.5, 0.8])
+    def test_matches_pairwise_search_for_any_block_size(self, monkeypatch, tau):
+        emb = _clustered_table(seed=int(tau * 10), size=1500)
+        expected = _pairwise_synonym_dict(emb, tau)
+        n_valid = len(emb) - len(expected.rejected)
+        assert expected.rejected and n_valid % 7 != 0  # the last 7-row block is ragged
+        assert ("tie1" in expected.sets["tie0"]) == (tau == 0.5)  # >= keeps the tie
+        assert sum(len(s) > 1 for s in expected.sets.values()) > len(emb) // 4
+        for rows in (1, 7, None):
+            if rows is not None:
+                monkeypatch.setattr(lexicon_mod, "_BLOCK_SIMILARITIES", rows * n_valid)
+            assert build_synonym_dict(emb, tau) == expected, f"{rows}-row blocks"
+
+    def test_lexicon_matches_the_pairwise_search_lexicon(self, monkeypatch):
+        emb = _clustered_table(seed=3, size=1200)
+        expected = Lexicon.from_parts(
+            syn := _pairwise_synonym_dict(emb, 0.8), build_perturb_dict(syn, emb, 4)
+        ).to_json_dict()
+        monkeypatch.setattr(lexicon_mod, "_BLOCK_SIMILARITIES", 7 * (len(emb) - len(syn.rejected)))
+        assert Lexicon.build(emb, tau=0.8, j=4).to_json_dict() == expected
+
+    def test_memory_stays_below_half_the_similarity_matrix(self):
+        emb = _clustered_table(seed=5, size=3000, dim=48)
+        full_matrix = len(emb) ** 2 * 8
+        tracemalloc.start()
+        try:
+            build_synonym_dict(emb, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix / 2
 
 
 class TestBuildPerturbDict:
