@@ -37,13 +37,8 @@ from .corpus import (
 from .lexicon import (
     EmbeddingTable,
     Lexicon,
-    PerturbDict,
-    SynonymDict,
     build_perturb_dict,
     build_synonym_dict,
-    overlap,
-    overlap_table,
-    validate_lexicon,
 )
 from .metrics import EvalSummary, cond_sr, crq, mrr, sr, summarize
 from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
@@ -72,7 +67,6 @@ __all__ = [
     "EvalSummary",
     "Lexicon",
     "LinearEmbedScorer",
-    "PerturbDict",
     "PerturbationSampler",
     "Query",
     "RankEntry",
@@ -80,7 +74,6 @@ __all__ = [
     "ScoreModel",
     "SmoothedModel",
     "SmoothedScore",
-    "SynonymDict",
     "TrainConfig",
     "TrainResult",
     "TrainingTriple",
@@ -107,8 +100,6 @@ __all__ = [
     "make_ranked",
     "mrr",
     "optimal_adversary",
-    "overlap",
-    "overlap_table",
     "perturbation_prob",
     "rank",
     "sd_size",
@@ -119,6 +110,5 @@ __all__ = [
     "summarize",
     "tokenize",
     "train",
-    "validate_lexicon",
     "write_run",
 ]

@@ -225,7 +225,7 @@ def excess_mass_closed_form(
     q = 1.0
     for i in _changed_positions(doc, adv):
         w, w2 = doc.tokens[i], adv.tokens[i]
-        if w2 not in lexicon.synonyms.synonyms(w):
+        if w2 not in lexicon.synonym_set(w):
             raise ValueError(f"{w2!r} is not a synonym of {w!r} (position {i})")
         t_w = set(lexicon.perturb_set(w))
         t_2 = lexicon.perturb_set(w2)

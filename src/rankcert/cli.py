@@ -72,7 +72,8 @@ def _load_model(
             raise click.ClickException("--embeddings is required for a linear scorer model")
         return LinearEmbedScorer.from_json_dict(payload, embeddings)
     if kind == "bm25":
-        model = _bm25_from_payload(payload, corpus)
+        model = Bm25Model.from_corpus(
+            corpus, k1=float(payload.get("k1", 0.9)), b=float(payload.get("b", 0.4)))
         pairs = [
             (queries[qid], corpus[e.doc_id])
             for qid, ranked in sorted(run.items())
@@ -84,28 +85,6 @@ def _load_model(
             raise click.ClickException("cannot calibrate BM25: no (query, document) pairs resolve")
         return model.calibrated(pairs)
     raise click.ClickException(f"unknown model type {kind!r} in {model_path}")
-
-
-def _bm25_from_payload(payload: Mapping, corpus: Mapping[str, Document]) -> Bm25Model:
-    k1 = float(payload.get("k1", 0.9))
-    b = float(payload.get("b", 0.4))
-    cache_path = payload.get("cache")
-    if not cache_path:
-        return Bm25Model.from_corpus(corpus, k1=k1, b=b)
-    fingerprint = corpus_mod.corpus_fingerprint(corpus)
-    cache = Path(cache_path)
-    if cache.exists():
-        with open(cache, encoding="utf-8") as fh:
-            cached = json.load(fh)
-        try:
-            return Bm25Model.from_cache_dict(cached, fingerprint)
-        except ValueError:
-            logger.warning("BM25 cache %s is stale; rebuilding", cache)
-    model = Bm25Model.from_corpus(corpus, k1=k1, b=b)
-    with open(cache, "w", encoding="utf-8") as fh:
-        json.dump(model.to_cache_dict(fingerprint), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return model
 
 
 def _candidates(
@@ -186,19 +165,18 @@ def cmd_build_lexicon(embeddings_path: str, tau: float, j: int, out_path: str) -
 @click.option("--triples", "triples_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--embeddings", "embeddings_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lexicon", "lexicon_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--init-model", "init_model_path", type=click.Path(exists=True, dir_okay=False), help="Starting parameters (used with --warm-start).")
+@click.option("--init-model", "init_model_path", type=click.Path(exists=True, dir_okay=False), help="Parameters to start from (default: zeros).")
 @click.option("--epochs", default=20, show_default=True, type=int)
 @click.option("--lr", default=0.5, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--no-noise", is_flag=True, help="Train on clean documents instead of perturbed ones.")
 @click.option("--static-noise", is_flag=True, help="Freeze one perturbed copy per document instead of resampling.")
-@click.option("--warm-start/--cold-start", default=False, show_default=True, help="Start from --init-model parameters or from zeros.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--loss-trace", "trace_path", type=click.Path(dir_okay=False), help="Optional CSV of per-epoch loss.")
 def cmd_train(
     corpus_path: str, queries_path: str, triples_path: str, embeddings_path: str,
     lexicon_path: str, init_model_path: str | None, epochs: int, lr: float, seed: int,
-    no_noise: bool, static_noise: bool, warm_start: bool, out_path: str, trace_path: str | None,
+    no_noise: bool, static_noise: bool, out_path: str, trace_path: str | None,
 ) -> None:
     """Train the linear embedding scorer with noise data augmentation."""
     corpus = corpus_mod.load_corpus(corpus_path)
@@ -213,7 +191,7 @@ def cmd_train(
         model = LinearEmbedScorer.initial(emb)
     cfg = train_mod.TrainConfig(
         epochs=epochs, learning_rate=lr, seed=seed,
-        noise_enabled=not no_noise, static_noise=static_noise, warm_start=warm_start,
+        noise_enabled=not no_noise, static_noise=static_noise,
     )
     result = train_mod.train(model, triples, corpus, queries, lexicon, cfg)
     result.model.save(out_path)
@@ -222,9 +200,10 @@ def cmd_train(
     _write_meta(
         out_path,
         {"epochs": epochs, "lr": lr, "seed": seed, "noise": not no_noise,
-         "static_noise": static_noise, "warm_start": warm_start},
+         "static_noise": static_noise},
         {"corpus": corpus_path, "queries": queries_path, "triples": triples_path,
-         "embeddings": embeddings_path, "lexicon": lexicon_path},
+         "embeddings": embeddings_path, "lexicon": lexicon_path,
+         "init_model": init_model_path or ""},
         final_loss=result.losses[-1],
     )
     click.echo(f"trained model written to {out_path} (final loss {result.losses[-1]:.4f})")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -35,10 +34,14 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Token to dense-vector table with one fixed dimension."""
+    """Token to dense-vector table with one fixed dimension.
 
-    vectors: Mapping[str, np.ndarray]
-    dim: int
+    The vectors are held once, as the rows of a read-only ``matrix`` in
+    sorted-token order, with ``index`` mapping each token to its row.
+    """
+
+    index: Mapping[str, int]
+    matrix: np.ndarray = field(repr=False)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[float]]]) -> "EmbeddingTable":
@@ -58,11 +61,13 @@ class EmbeddingTable:
                 raise LexiconError(f"embedding for {token!r} has non-finite values")
             if token in vectors:
                 raise LexiconError(f"duplicate embedding token {token!r}")
-            arr.setflags(write=False)
             vectors[token] = arr
         if not vectors:
             raise LexiconError("embedding table is empty")
-        return cls(vectors=vectors, dim=dim)
+        tokens = sorted(vectors)
+        matrix = np.stack([vectors[t] for t in tokens])
+        matrix.setflags(write=False)
+        return cls(index={t: i for i, t in enumerate(tokens)}, matrix=matrix)
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
@@ -92,25 +97,21 @@ class EmbeddingTable:
             raise LexiconError(f"{path}: {exc}") from exc
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.index
 
     def __getitem__(self, token: str) -> np.ndarray:
-        return self.vectors[token]
+        return self.matrix[self.index[token]]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     @property
     def tokens(self) -> tuple[str, ...]:
-        return tuple(sorted(self.vectors))
-
-    @cached_property
-    def rows(self) -> tuple[dict[str, int], np.ndarray]:
-        """(token -> row index, stacked read-only vectors), built on first use."""
-        index = {t: i for i, t in enumerate(self.vectors)}
-        matrix = np.stack(list(self.vectors.values()))
-        matrix.setflags(write=False)
-        return index, matrix
+        return tuple(self.index)
 
 
 def _all_ints(parts: list[str]) -> bool:
@@ -131,54 +132,20 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-@dataclass(frozen=True)
-class SynonymDict:
-    """Word to synonym-set map ``S_w``; symmetric and self-inclusive."""
-
-    sets: Mapping[str, frozenset[str]]
-    rejected: tuple[str, ...] = ()
-
-    def synonyms(self, word: str) -> frozenset[str]:
-        return self.sets.get(word, frozenset((word,)))
-
-    @property
-    def vocab(self) -> tuple[str, ...]:
-        return tuple(sorted(self.sets))
-
-
-@dataclass(frozen=True)
-class PerturbDict:
-    """Word to perturbation-set map ``T_w``.
-
-    ``sets[w]`` is ordered nearest-first and always starts with ``w`` when
-    built by :func:`build_perturb_dict`. ``perturbable[w]`` is False for
-    words whose perturbation set collapsed to the singleton ``{w}``.
-    """
-
-    sets: Mapping[str, tuple[str, ...]]
-    j_size: int
-    perturbable: Mapping[str, bool]
-
-    def perturb_set(self, word: str) -> tuple[str, ...]:
-        return self.sets.get(word, (word,))
-
-    def is_perturbable(self, word: str) -> bool:
-        return self.perturbable.get(word, False)
-
-
-OverlapTable = dict[str, float]
-
 # Similarities computed at once by the synonym search: 2**20 float64 values
 # (8 MB) per block of rows, whatever the vocabulary size.
 _BLOCK_SIMILARITIES = 1 << 20
 
+# Violations named in the message of a lexicon file that fails to load.
+_SHOWN_PROBLEMS = 10
 
-def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> SynonymDict:
+
+def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> dict[str, frozenset[str]]:
     """Threshold the pairwise cosine-similarity graph at ``tau``.
 
-    ``S_w = {w} union {w' : cosine(emb[w], emb[w']) >= tau}``. Zero-norm
-    vectors are rejected from similarity search (their words keep the
-    singleton set ``{w}``) and recorded on the result.
+    ``S_w = {w} union {w' : cosine(emb[w], emb[w']) >= tau}``, symmetric and
+    self-inclusive. Zero-norm vectors are excluded from similarity search
+    with a warning; their words keep the singleton set ``{w}``.
 
     The search runs over blocks of rows of the unit-vector matrix: each
     block is multiplied by the whole matrix and thresholded in numpy, and
@@ -189,20 +156,17 @@ def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> SynonymDict:
     """
     if not 0.0 < tau < 1.0:
         raise LexiconError(f"tau must be in (0, 1), got {tau}")
-    if len(emb) == 0:
-        raise LexiconError("cannot build synonyms from an empty embedding table")
 
-    tokens = sorted(emb.vectors)
-    mat = np.stack([emb.vectors[t] for t in tokens])
-    norms = np.linalg.norm(mat, axis=1)
-    rejected = tuple(t for t, n in zip(tokens, norms) if n == 0.0)
-    for t in rejected:
-        logger.warning("zero-norm embedding for %r; excluded from synonym search", t)
+    tokens = emb.tokens
+    norms = np.linalg.norm(emb.matrix, axis=1)
+    for t, n in zip(tokens, norms):
+        if n == 0.0:
+            logger.warning("zero-norm embedding for %r; excluded from synonym search", t)
 
     sets: dict[str, set[str]] = {t: {t} for t in tokens}
     valid = np.flatnonzero(norms > 0.0)
     if valid.size:
-        unit = mat[valid] / norms[valid, None]
+        unit = emb.matrix[valid] / norms[valid, None]
         rows = max(1, _BLOCK_SIMILARITIES // len(valid))
         for start in range(0, len(valid), rows):
             hits_a, hits_b = np.nonzero(unit[start:start + rows] @ unit.T >= tau)
@@ -211,21 +175,20 @@ def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> SynonymDict:
             for a, b in zip(valid[hits_a[upper]].tolist(), valid[hits_b[upper]].tolist()):
                 sets[tokens[a]].add(tokens[b])
                 sets[tokens[b]].add(tokens[a])
-
-    return SynonymDict(
-        sets={w: frozenset(s) for w, s in sets.items()},
-        rejected=rejected,
-    )
+    return {w: frozenset(s) for w, s in sets.items()}
 
 
-def build_perturb_dict(syn: SynonymDict, emb: EmbeddingTable, j: int) -> PerturbDict:
+def build_perturb_dict(
+    synonyms: Mapping[str, frozenset[str]], emb: EmbeddingTable, j: int
+) -> dict[str, tuple[str, ...]]:
     """Keep the ``j`` nearest synonyms of each word as its perturbation set.
 
-    ``w`` itself counts as the nearest member (similarity 1), so ``w`` is in
-    ``T_w`` whenever the word is perturbable. Words with fewer than ``j``
-    synonyms become non-perturbable singletons, and a fixpoint pass demotes
-    any word whose perturbation-set size disagrees with one of its synonyms
-    until the equal-size invariant holds.
+    ``w`` itself counts as the nearest member (similarity 1), so every set
+    starts with ``w``. Words with fewer than ``j`` synonyms become
+    non-perturbable singletons, and a fixpoint pass demotes any perturbable
+    word whose perturbation-set size disagrees with one of its synonyms
+    until the equal-size invariant holds. Singletons admit only the identity
+    perturbation, so ``j == 1`` makes every word non-perturbable.
 
     Ties in cosine similarity are broken by lexicographic token order.
     """
@@ -233,8 +196,8 @@ def build_perturb_dict(syn: SynonymDict, emb: EmbeddingTable, j: int) -> Perturb
         raise LexiconError(f"j must be >= 1, got {j}")
 
     sets: dict[str, tuple[str, ...]] = {}
-    for w in sorted(syn.sets):
-        members = syn.sets[w]
+    for w in sorted(synonyms):
+        members = synonyms[w]
         if len(members) >= j:
             others = sorted(
                 (m for m in members if m != w),
@@ -244,123 +207,56 @@ def build_perturb_dict(syn: SynonymDict, emb: EmbeddingTable, j: int) -> Perturb
         else:
             sets[w] = (w,)
 
-    # Singleton sets admit only the identity perturbation, so they are not
-    # perturbable regardless of how they arose (covers j == 1 uniformly).
-    perturbable = {w: len(t) >= 2 for w, t in sets.items()}
-
     for _ in range(len(sets) + 1):
         changed = False
         for w in sorted(sets):
-            if not perturbable[w]:
-                continue
             size = len(sets[w])
-            for w2 in syn.sets[w]:
-                if len(sets.get(w2, (w2,))) != size:
-                    sets[w] = (w,)
-                    perturbable[w] = False
-                    changed = True
-                    break
+            if size >= 2 and any(len(sets.get(w2, (w2,))) != size for w2 in synonyms[w]):
+                sets[w] = (w,)
+                changed = True
         if not changed:
             break
-
-    return PerturbDict(sets=sets, j_size=j, perturbable=perturbable)
-
-
-def overlap(pert: PerturbDict, syn: SynonymDict, word: str) -> float:
-    """Minimum perturbation-set overlap of ``word`` with its synonyms.
-
-    Returns ``min over w' in S_w of |T_w intersect T_w'| / |T_w|``;
-    non-perturbable words score 1 (they contribute no slack).
-    """
-    if word not in pert.sets:
-        raise LexiconError(f"unknown word {word!r}")
-    if not pert.is_perturbable(word):
-        return 1.0
-    t_w = pert.sets[word]
-    t_set = set(t_w)
-    best = 1.0
-    for w2 in sorted(syn.synonyms(word)):
-        t_2 = pert.perturb_set(w2)
-        ratio = len(t_set.intersection(t_2)) / len(t_w)
-        if ratio < best:
-            best = ratio
-    return best
-
-
-def overlap_table(pert: PerturbDict, syn: SynonymDict) -> OverlapTable:
-    return {w: overlap(pert, syn, w) for w in pert.sets}
-
-
-def validate_lexicon(pert: PerturbDict, syn: SynonymDict) -> list[str]:
-    """Report every violated lexicon invariant; an empty list means the
-    lexicon is admissible for certification."""
-    problems: list[str] = []
-    for w in sorted(syn.sets):
-        members = syn.sets[w]
-        if w not in members:
-            problems.append(f"missing-self: {w!r} not in its own synonym set")
-        for w2 in sorted(members):
-            if w2 not in syn.sets:
-                problems.append(f"unknown-member: {w2!r} in synonyms of {w!r} is not in vocabulary")
-            elif w not in syn.sets[w2]:
-                problems.append(f"asymmetry: {w2!r} in synonyms of {w!r} but not conversely")
-
-    for w in sorted(pert.sets):
-        t_w = pert.sets[w]
-        if w not in t_w:
-            problems.append(f"missing-self: {w!r} not in its own perturbation set")
-        if len(set(t_w)) != len(t_w):
-            problems.append(f"duplicate-member: perturbation set of {w!r} repeats tokens")
-        extra = set(t_w) - set(syn.synonyms(w))
-        if extra:
-            problems.append(
-                f"not-a-synonym: perturbation set of {w!r} contains {sorted(extra)!r} "
-                "outside its synonym set"
-            )
-        if pert.is_perturbable(w):
-            for w2 in sorted(syn.synonyms(w)):
-                if len(pert.perturb_set(w2)) != len(t_w):
-                    problems.append(
-                        f"size-mismatch: |T_{w}| = {len(t_w)} but |T_{w2}| = "
-                        f"{len(pert.perturb_set(w2))} for synonym {w2!r}"
-                    )
-        elif t_w != (w,):
-            problems.append(f"bad-singleton: non-perturbable {w!r} has T = {t_w!r}")
-    return problems
+    return sets
 
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Validated bundle of synonym sets, perturbation sets, and overlaps."""
+    """Synonym sets ``S_w``, perturbation sets ``T_w`` built for size ``j``,
+    and the overlaps ``o_w``, computed once from the two.
 
-    synonyms: SynonymDict
-    perturb: PerturbDict
-    overlaps: Mapping[str, float] = field(repr=False)
+    A word is perturbable when ``|T_w| >= 2``. Words outside the vocabulary
+    get ``S_w = {w}`` and ``T_w = (w,)``. The constructor does not check the
+    invariants the certificate relies on; :meth:`validate` lists their
+    violations and :meth:`load` refuses a file that has any.
+    """
+
+    synonyms: Mapping[str, frozenset[str]]
+    perturb: Mapping[str, tuple[str, ...]]
+    j: int
+    overlaps: Mapping[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "overlaps", {w: self._overlap(w) for w in self.perturb})
 
     @classmethod
     def build(cls, emb: EmbeddingTable, tau: float = 0.8, j: int = 4) -> "Lexicon":
-        syn = build_synonym_dict(emb, tau)
-        pert = build_perturb_dict(syn, emb, j)
-        return cls.from_parts(syn, pert)
-
-    @classmethod
-    def from_parts(cls, syn: SynonymDict, pert: PerturbDict) -> "Lexicon":
-        return cls(synonyms=syn, perturb=pert, overlaps=overlap_table(pert, syn))
-
-    @property
-    def j_size(self) -> int:
-        return self.perturb.j_size
+        synonyms = build_synonym_dict(emb, tau)
+        return cls(synonyms=synonyms, perturb=build_perturb_dict(synonyms, emb, j), j=j)
 
     @property
     def vocab(self) -> tuple[str, ...]:
-        return tuple(sorted(self.perturb.sets))
+        return tuple(sorted(self.perturb))
+
+    def synonym_set(self, word: str) -> frozenset[str]:
+        """``S_w``; out-of-vocabulary words get the singleton ``{w}``."""
+        return self.synonyms.get(word, frozenset((word,)))
 
     def perturb_set(self, word: str) -> tuple[str, ...]:
         """``T_w``; out-of-vocabulary words get the singleton ``(w,)``."""
-        return self.perturb.perturb_set(word)
+        return self.perturb.get(word, (word,))
 
     def is_perturbable(self, word: str) -> bool:
-        return self.perturb.is_perturbable(word)
+        return len(self.perturb_set(word)) >= 2
 
     def attack_set(self, word: str) -> tuple[str, ...]:
         """Words an attacker may substitute for ``word`` (includes ``word``).
@@ -368,9 +264,20 @@ class Lexicon:
         Non-perturbable and out-of-vocabulary words are unattackable
         singletons, matching the assumption the certificate relies on.
         """
-        if not self.perturb.is_perturbable(word):
+        if not self.is_perturbable(word):
             return (word,)
-        return tuple(sorted(self.synonyms.synonyms(word)))
+        return tuple(sorted(self.synonym_set(word)))
+
+    def _overlap(self, word: str) -> float:
+        """``min over w' in S_w of |T_w intersect T_w'| / |T_w|``; 1.0 for
+        non-perturbable words (they contribute no slack)."""
+        t_w = self.perturb_set(word)
+        if len(t_w) < 2:
+            return 1.0
+        t_set = set(t_w)
+        ratios = (len(t_set.intersection(self.perturb_set(w2))) / len(t_w)
+                  for w2 in self.synonym_set(word))
+        return min(ratios, default=1.0)
 
     def overlap_of(self, word: str) -> float:
         """``o_w``; 1.0 for non-perturbable and out-of-vocabulary words."""
@@ -384,25 +291,54 @@ class Lexicon:
         return size
 
     def validate(self) -> list[str]:
-        return validate_lexicon(self.perturb, self.synonyms)
+        """Report every violated lexicon invariant; an empty list means the
+        lexicon is admissible for certification."""
+        problems: list[str] = []
+        for w in sorted(self.synonyms):
+            members = self.synonyms[w]
+            if w not in members:
+                problems.append(f"missing-self: {w!r} not in its own synonym set")
+            for w2 in sorted(members):
+                if w2 not in self.synonyms:
+                    problems.append(f"unknown-member: {w2!r} in synonyms of {w!r} is not in vocabulary")
+                elif w not in self.synonyms[w2]:
+                    problems.append(f"asymmetry: {w2!r} in synonyms of {w!r} but not conversely")
+
+        for w in sorted(self.perturb):
+            t_w = self.perturb[w]
+            if w not in t_w:
+                problems.append(f"missing-self: {w!r} not in its own perturbation set")
+            if len(set(t_w)) != len(t_w):
+                problems.append(f"duplicate-member: perturbation set of {w!r} repeats tokens")
+            extra = set(t_w) - self.synonym_set(w)
+            if extra:
+                problems.append(
+                    f"not-a-synonym: perturbation set of {w!r} contains {sorted(extra)!r} "
+                    "outside its synonym set"
+                )
+            if len(t_w) >= 2:
+                for w2 in sorted(self.synonym_set(w)):
+                    if len(self.perturb_set(w2)) != len(t_w):
+                        problems.append(
+                            f"size-mismatch: |T_{w}| = {len(t_w)} but |T_{w2}| = "
+                            f"{len(self.perturb_set(w2))} for synonym {w2!r}"
+                        )
+        return problems
 
     def to_json_dict(self) -> dict:
         return {
-            "J": self.perturb.j_size,
-            "synonyms": {w: sorted(s) for w, s in sorted(self.synonyms.sets.items())},
-            "perturb": {w: list(t) for w, t in sorted(self.perturb.sets.items())},
-            "perturbable": {w: bool(b) for w, b in sorted(self.perturb.perturbable.items())},
+            "J": self.j,
+            "synonyms": {w: sorted(s) for w, s in sorted(self.synonyms.items())},
+            "perturb": {w: list(t) for w, t in sorted(self.perturb.items())},
         }
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Lexicon":
-        syn = SynonymDict(sets={w: frozenset(s) for w, s in payload["synonyms"].items()})
-        pert = PerturbDict(
-            sets={w: tuple(t) for w, t in payload["perturb"].items()},
-            j_size=int(payload["J"]),
-            perturbable={w: bool(b) for w, b in payload["perturbable"].items()},
+        return cls(
+            synonyms={w: frozenset(s) for w, s in payload["synonyms"].items()},
+            perturb={w: tuple(t) for w, t in payload["perturb"].items()},
+            j=int(payload["J"]),
         )
-        return cls.from_parts(syn, pert)
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -411,5 +347,31 @@ class Lexicon:
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
+        """Read a lexicon file and validate it.
+
+        Raises :class:`LexiconError` when a key is missing or malformed,
+        and one listing the violations when the file breaks an invariant or
+        carries the older ``perturbable`` flags and one of them disagrees
+        with ``|T_w| >= 2``.
+        """
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            payload = json.load(fh)
+        try:
+            lexicon = cls.from_json_dict(payload)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise LexiconError(f"{path}: malformed lexicon file: {exc!r}") from exc
+        problems = lexicon.validate()
+        for w, flag in sorted(payload.get("perturbable", {}).items()):
+            if bool(flag) != lexicon.is_perturbable(w):
+                problems.append(
+                    f"perturbable-flag: {w!r} is marked {bool(flag)} but "
+                    f"|T_{w}| = {len(lexicon.perturb_set(w))}"
+                )
+        if problems:
+            shown = "; ".join(problems[:_SHOWN_PROBLEMS])
+            more = len(problems) - _SHOWN_PROBLEMS
+            raise LexiconError(
+                f"{path}: lexicon fails validation with {len(problems)} violation(s): {shown}"
+                + (f"; and {more} more" if more > 0 else "")
+            )
+        return lexicon

@@ -119,29 +119,6 @@ class Bm25Model(ScoreModel):
         c = sum(raws) / len(raws)
         return replace(self, squash_c=c if c > 0 else 1.0)
 
-    def to_cache_dict(self, corpus_hash: str) -> dict:
-        return {
-            "type": "bm25-cache",
-            "corpus_hash": corpus_hash,
-            "k1": self.k1,
-            "b": self.b,
-            "n_docs": self.n_docs,
-            "avg_len": self.avg_len,
-            "doc_freq": dict(sorted(self.doc_freq.items())),
-        }
-
-    @classmethod
-    def from_cache_dict(cls, payload: Mapping, corpus_hash: str) -> "Bm25Model":
-        if payload.get("corpus_hash") != corpus_hash:
-            raise ValueError("BM25 cache was built from a different corpus")
-        return cls(
-            k1=float(payload["k1"]),
-            b=float(payload["b"]),
-            doc_freq={k: int(v) for k, v in payload["doc_freq"].items()},
-            n_docs=int(payload["n_docs"]),
-            avg_len=float(payload["avg_len"]),
-        )
-
 
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm`` of a real vector, without its dispatch."""
@@ -183,11 +160,11 @@ class LinearEmbedScorer(ScoreModel):
 
     def _pool(self, tokens: Sequence[str]) -> np.ndarray:
         """Mean of the in-vocabulary tokens' vectors; zeros if there are none."""
-        index, matrix = self.embeddings.rows
+        index = self.embeddings.index
         rows = [index[t] for t in tokens if t in index]
         if not rows:
             return np.zeros(self.embeddings.dim)
-        return np.add.reduce(matrix.take(rows, axis=0), axis=0) / len(rows)
+        return np.add.reduce(self.embeddings.matrix.take(rows, axis=0), axis=0) / len(rows)
 
     def _query_side(self, query: Query) -> tuple[np.ndarray, float, frozenset[str]]:
         side = self._queries.get(query.tokens)

@@ -62,7 +62,6 @@ class TrainConfig:
     seed: int = 0
     noise_enabled: bool = True
     static_noise: bool = False
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -90,8 +89,9 @@ def train(
     cfg: TrainConfig,
 ) -> TrainResult:
     """Subgradient descent on the pairwise hinge over (possibly noised)
-    triples. Returns a new model and the mean loss per epoch; the input
-    model is never mutated. Deterministic given ``cfg.seed``.
+    triples, starting from ``model``'s parameters. Returns a new model and
+    the mean loss per epoch; the input model is never mutated. Deterministic
+    given ``cfg.seed``.
     """
     if not triples:
         raise ValueError("no training triples given")
@@ -104,9 +104,6 @@ def train(
 
     weights = np.array(model.weights, dtype=float)
     bias = float(model.bias)
-    if not cfg.warm_start:
-        weights = np.zeros_like(weights)
-        bias = 0.0
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & ((1 << 64) - 1)]))
 

@@ -13,10 +13,8 @@ from rankcert import (
     EmbeddingTable,
     Lexicon,
     LinearEmbedScorer,
-    PerturbDict,
     Query,
     ScoreModel,
-    SynonymDict,
     tokenize,
 )
 
@@ -44,10 +42,21 @@ def hand_lexicon(
     synonyms: dict[str, set[str]], perturb: dict[str, tuple[str, ...]], j: int
 ) -> Lexicon:
     """Lexicon from explicit synonym / perturbation sets, no embedding pass."""
-    perturbable = {w: len(t) >= 2 for w, t in perturb.items()}
-    return Lexicon.from_parts(
-        SynonymDict(sets={w: frozenset(s) for w, s in synonyms.items()}),
-        PerturbDict(sets=dict(perturb), j_size=j, perturbable=perturbable),
+    return Lexicon(
+        synonyms={w: frozenset(s) for w, s in synonyms.items()}, perturb=dict(perturb), j=j
+    )
+
+
+def size_mismatch_lexicon() -> Lexicon:
+    """An invalid lexicon: ``S = {a, b, c, d}`` for each of a-d plus the
+    singleton u, with ``|T_a| = |T_c| = 2`` but ``|T_b| = |T_d| = 3``. Its
+    certificate for a tail document ``(a,)`` is unsound (see test_lexicon)."""
+    clique = {"a", "b", "c", "d"}
+    return hand_lexicon(
+        {**{w: clique for w in clique}, "u": {"u"}},
+        {"a": ("a", "c"), "b": ("b", "c", "d"), "c": ("c", "a"), "d": ("d", "c", "a"),
+         "u": ("u",)},
+        j=2,
     )
 
 

@@ -335,13 +335,11 @@ def test_noise_training_preserves_smoothed_ranking_quality():
     for seed in range(10):
         noised = train(
             init, triples, corpus, queries, lexicon,
-            TrainConfig(epochs=30, learning_rate=0.5, seed=seed,
-                        noise_enabled=True, warm_start=False),
+            TrainConfig(epochs=30, learning_rate=0.5, seed=seed, noise_enabled=True),
         ).model
         clean = train(
             init, triples, corpus, queries, lexicon,
-            TrainConfig(epochs=30, learning_rate=0.5, seed=seed,
-                        noise_enabled=False, warm_start=False),
+            TrainConfig(epochs=30, learning_rate=0.5, seed=seed, noise_enabled=False),
         ).model
         m_noise = smoothed_mrr(noised)
         m_clean = smoothed_mrr(clean)

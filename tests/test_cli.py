@@ -10,6 +10,8 @@ from click.testing import CliRunner
 from rankcert import Lexicon, hoeffding_radius
 from rankcert.cli import main
 
+from conftest import size_mismatch_lexicon
+
 
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory) -> Path:
@@ -75,19 +77,26 @@ def built_lexicon(pipeline_dir) -> Path:
     return out
 
 
-@pytest.fixture(scope="module")
-def trained_model(pipeline_dir, built_lexicon) -> Path:
-    out = pipeline_dir / "model.json"
-    result = run_cli(
+def train_args(pipeline_dir, lexicon, out, *extra):
+    return [
         "train",
         "--corpus", pipeline_dir / "corpus.jsonl",
         "--queries", pipeline_dir / "queries.tsv",
         "--triples", pipeline_dir / "triples.tsv",
         "--embeddings", pipeline_dir / "embeddings.txt",
-        "--lexicon", built_lexicon,
-        "--epochs", "40", "--lr", "0.5", "--seed", "0",
-        "--out", out, "--loss-trace", pipeline_dir / "loss.csv",
-    )
+        "--lexicon", lexicon,
+        *extra,
+        "--out", out,
+    ]
+
+
+@pytest.fixture(scope="module")
+def trained_model(pipeline_dir, built_lexicon) -> Path:
+    out = pipeline_dir / "model.json"
+    result = run_cli(*train_args(
+        pipeline_dir, built_lexicon, out,
+        "--epochs", "40", "--lr", "0.5", "--seed", "0", "--loss-trace", pipeline_dir / "loss.csv",
+    ))
     assert result.exit_code == 0, result.output
     return out
 
@@ -147,7 +156,7 @@ class TestBuildLexicon:
     def test_produces_valid_lexicon(self, built_lexicon):
         lexicon = Lexicon.load(built_lexicon)
         assert lexicon.validate() == []
-        assert set(lexicon.synonyms.synonyms("g0")) == {"g0", "g1", "g2", "g3"}
+        assert set(lexicon.synonym_set("g0")) == {"g0", "g1", "g2", "g3"}
         assert len(lexicon.perturb_set("g0")) == 4
         assert lexicon.overlap_of("g0") == 1.0  # whole cluster is the set
         meta = json.loads(Path(str(built_lexicon) + ".meta.json").read_text())
@@ -180,6 +189,16 @@ class TestTrain:
         trace = (pipeline_dir / "loss.csv").read_text().splitlines()
         assert trace[0] == "epoch,loss"
         assert len(trace) == 41
+
+    def test_init_model_is_the_starting_point(self, pipeline_dir, built_lexicon, tmp_path):
+        init, out = tmp_path / "init.json", tmp_path / "model.json"
+        init.write_text(json.dumps({"type": "linear", "weights": [0.5, -1.25, 2.0], "bias": 0.75}))
+        result = run_cli(*train_args(pipeline_dir, built_lexicon, out,
+                                     "--init-model", init, "--epochs", "2", "--lr", "0"))
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        assert payload["weights"] == [0.5, -1.25, 2.0] and payload["bias"] == 0.75
+        assert read_meta(out)["paths"]["init_model"] == str(init)
 
 
 class TestSmoothRank:
@@ -455,68 +474,22 @@ class TestJobsByteIdentity:
         assert outs[0] and outs[0] == outs[1]
 
 
-class TestBm25Cache:
-    @staticmethod
-    def _model(tmp_path, cache=None) -> Path:
-        payload = {"type": "bm25", "k1": 0.9, "b": 0.4}
-        if cache is not None:
-            payload["cache"] = str(cache)
-        path = tmp_path / "bm25.json"
-        path.write_text(json.dumps(payload))
-        return path
-
-    @staticmethod
-    def _smooth_rank(pipeline_dir, built_lexicon, model, out):
-        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon, model, out))
-        assert result.exit_code == 0, result.output
-        return out.read_bytes()
-
-    def test_no_cache_computes_no_fingerprint(
-        self, pipeline_dir, built_lexicon, tmp_path, monkeypatch
+class TestInvalidLexicon:
+    @pytest.mark.parametrize("command", ["certify", "smooth-rank", "attack", "train"])
+    def test_size_mismatch_fails_the_command(
+        self, pipeline_dir, trained_model, tmp_path, command
     ):
-        import rankcert.corpus
-
-        def refuse(corpus):
-            raise AssertionError("fingerprint computed without a cache")
-
-        monkeypatch.setattr(rankcert.corpus, "corpus_fingerprint", refuse)
-        out = tmp_path / "run.txt"
-        assert self._smooth_rank(pipeline_dir, built_lexicon, self._model(tmp_path), out)
-
-    def test_cache_is_written_then_reused(
-        self, pipeline_dir, built_lexicon, tmp_path, monkeypatch
-    ):
-        from rankcert import Bm25Model
-        from rankcert.corpus import corpus_fingerprint, load_corpus
-
-        cache = tmp_path / "bm25-cache.json"
-        model = self._model(tmp_path, cache)
-        first = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "a.txt")
-        written = json.loads(cache.read_text())
-        assert written["corpus_hash"] == corpus_fingerprint(
-            load_corpus(pipeline_dir / "corpus.jsonl"))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("BM25 statistics refit despite a valid cache")
-
-        monkeypatch.setattr(Bm25Model, "from_corpus", classmethod(refuse))
-        second = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "b.txt")
-        assert second == first
-        assert json.loads(cache.read_text()) == written
-
-    def test_stale_cache_is_rebuilt_with_a_warning(
-        self, pipeline_dir, built_lexicon, tmp_path, caplog
-    ):
-        cache = tmp_path / "bm25-cache.json"
-        model = self._model(tmp_path, cache)
-        fresh = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "a.txt")
-        written = json.loads(cache.read_text())
-        cache.write_text(json.dumps({**written, "corpus_hash": "stale", "n_docs": 1}))
-        with caplog.at_level("WARNING", logger="rankcert.cli"):
-            rebuilt = self._smooth_rank(pipeline_dir, built_lexicon, model, tmp_path / "b.txt")
-        assert "stale" in caplog.text
-        assert rebuilt == fresh
-        assert json.loads(cache.read_text()) == written
+        lexicon, out = tmp_path / "lexicon.json", tmp_path / "out"
+        size_mismatch_lexicon().save(lexicon)
+        if command == "train":
+            args = train_args(pipeline_dir, lexicon, out)
+        else:
+            extra = () if command == "smooth-rank" else ("--k", "2")
+            args = scoring_args(command, pipeline_dir, lexicon, trained_model, out, *extra)
+        result = run_cli(*args)
+        assert result.exit_code == 1
+        assert "size-mismatch" in result.output
+        assert not out.exists()
 
 
 class TestBaseScoresOutsideUnitInterval:

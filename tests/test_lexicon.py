@@ -1,5 +1,6 @@
 """Lexicon construction, overlap computation, and validation."""
 
+import json
 import math
 import tracemalloc
 
@@ -9,19 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankcert import (
+    Document,
     EmbeddingTable,
     Lexicon,
-    PerturbDict,
-    SynonymDict,
+    Query,
     build_perturb_dict,
     build_synonym_dict,
-    overlap,
-    validate_lexicon,
+    certify_topk,
+    smooth_rank,
 )
 from rankcert import lexicon as lexicon_mod
-from rankcert.lexicon import LexiconError, cosine
+from rankcert.lexicon import LexiconError
 
-from conftest import hand_lexicon, random_world
+from conftest import TokenTableModel, hand_lexicon, random_world, size_mismatch_lexicon
 
 
 def _cos(u, v):
@@ -58,6 +59,16 @@ class TestEmbeddingTable:
         with pytest.raises(LexiconError, match=":2"):
             EmbeddingTable.load(bad)
 
+    def test_vectors_are_one_read_only_matrix_in_token_order(self):
+        emb = EmbeddingTable.from_pairs([("dog", [0.25, -1.0]), ("cat", [1.0, 0.5])])
+        assert emb.tokens == ("cat", "dog")
+        assert emb.index == {"cat": 0, "dog": 1}
+        assert np.array_equal(emb.matrix, [[1.0, 0.5], [0.25, -1.0]])
+        assert emb.dim == 2 and len(emb) == 2 and "dog" in emb and "cow" not in emb
+        assert np.array_equal(emb["dog"], [0.25, -1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            emb.matrix[0, 0] = 2.0
+
 
 class TestBuildSynonymDict:
     def test_identical_vectors_are_mutual_synonyms(self):
@@ -65,15 +76,12 @@ class TestBuildSynonymDict:
             [("a", [1.0, 2.0]), ("b", [1.0, 2.0]), ("c", [-2.0, 1.0])]
         )
         syn = build_synonym_dict(emb, tau=0.8)
-        assert syn.sets["a"] == frozenset({"a", "b"})
-        assert syn.sets["b"] == frozenset({"a", "b"})
-        assert syn.sets["c"] == frozenset({"c"})
+        assert syn == {"a": frozenset({"a", "b"}), "b": frozenset({"a", "b"}), "c": frozenset({"c"})}
 
     def test_orthogonal_vectors_are_singletons(self):
         emb = EmbeddingTable.from_pairs([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
         syn = build_synonym_dict(emb, tau=0.5)
-        assert syn.sets["a"] == frozenset({"a"})
-        assert syn.sets["b"] == frozenset({"b"})
+        assert syn == {"a": frozenset({"a"}), "b": frozenset({"b"})}
 
     def test_five_word_table_matches_pairwise_enumeration(self):
         vectors = {
@@ -92,19 +100,21 @@ class TestBuildSynonymDict:
                     expected[w1].add(w2)
 
         syn = build_synonym_dict(EmbeddingTable.from_pairs(vectors.items()), tau=tau)
-        assert {w: set(s) for w, s in syn.sets.items()} == expected
+        assert {w: set(s) for w, s in syn.items()} == expected
         # The fixture is only meaningful if it has a non-trivial cluster.
         assert expected["ant"] == {"ant", "bee"}
         assert expected["cat"] == {"cat", "dog"}
 
-    def test_zero_norm_vector_rejected_with_warning_record(self):
+    def test_zero_norm_vector_rejected_with_warning_record(self, caplog):
         emb = EmbeddingTable.from_pairs(
             [("a", [1.0, 0.0]), ("b", [1.0, 0.0]), ("z", [0.0, 0.0])]
         )
-        syn = build_synonym_dict(emb, tau=0.8)
-        assert syn.rejected == ("z",)
-        assert syn.sets["z"] == frozenset({"z"})
-        assert all("z" not in syn.sets[w] for w in ("a", "b"))
+        with caplog.at_level("WARNING", logger="rankcert.lexicon"):
+            syn = build_synonym_dict(emb, tau=0.8)
+        assert [r.getMessage() for r in caplog.records] == [
+            "zero-norm embedding for 'z'; excluded from synonym search"]
+        assert syn["z"] == frozenset({"z"})
+        assert all("z" not in syn[w] for w in ("a", "b"))
 
     def test_empty_table_and_bad_tau_rejected(self):
         emb = EmbeddingTable.from_pairs([("a", [1.0])])
@@ -117,10 +127,9 @@ class TestBuildSynonymDict:
 def _pairwise_synonym_dict(emb, tau):
     """The earlier full-matrix, pair-by-pair synonym search, kept as the
     oracle of the blocked one."""
-    tokens = sorted(emb.vectors)
-    mat = np.stack([emb.vectors[t] for t in tokens])
+    tokens = sorted(emb.tokens)
+    mat = np.stack([emb[t] for t in tokens])
     norms = np.linalg.norm(mat, axis=1)
-    rejected = tuple(t for t, n in zip(tokens, norms) if n == 0.0)
     sets = {t: {t} for t in tokens}
     valid = [i for i, n in enumerate(norms) if n > 0.0]
     if valid:
@@ -132,7 +141,11 @@ def _pairwise_synonym_dict(emb, tau):
                     wa, wb = tokens[valid[a]], tokens[valid[b]]
                     sets[wa].add(wb)
                     sets[wb].add(wa)
-    return SynonymDict(sets={w: frozenset(s) for w, s in sets.items()}, rejected=rejected)
+    return {w: frozenset(s) for w, s in sets.items()}
+
+
+def _nonzero_rows(emb):
+    return sum(np.linalg.norm(emb[t]) > 0.0 for t in emb.tokens)
 
 
 def _clustered_table(seed, size, dim=32):
@@ -160,10 +173,10 @@ class TestBlockedSynonymSearch:
     def test_matches_pairwise_search_for_any_block_size(self, monkeypatch, tau):
         emb = _clustered_table(seed=int(tau * 10), size=1500)
         expected = _pairwise_synonym_dict(emb, tau)
-        n_valid = len(emb) - len(expected.rejected)
-        assert expected.rejected and n_valid % 7 != 0  # the last 7-row block is ragged
-        assert ("tie1" in expected.sets["tie0"]) == (tau == 0.5)  # >= keeps the tie
-        assert sum(len(s) > 1 for s in expected.sets.values()) > len(emb) // 4
+        n_valid = _nonzero_rows(emb)
+        assert n_valid < len(emb) and n_valid % 7 != 0  # the last 7-row block is ragged
+        assert ("tie1" in expected["tie0"]) == (tau == 0.5)  # >= keeps the tie
+        assert sum(len(s) > 1 for s in expected.values()) > len(emb) // 4
         for rows in (1, 7, None):
             if rows is not None:
                 monkeypatch.setattr(lexicon_mod, "_BLOCK_SIMILARITIES", rows * n_valid)
@@ -171,10 +184,9 @@ class TestBlockedSynonymSearch:
 
     def test_lexicon_matches_the_pairwise_search_lexicon(self, monkeypatch):
         emb = _clustered_table(seed=3, size=1200)
-        expected = Lexicon.from_parts(
-            syn := _pairwise_synonym_dict(emb, 0.8), build_perturb_dict(syn, emb, 4)
-        ).to_json_dict()
-        monkeypatch.setattr(lexicon_mod, "_BLOCK_SIMILARITIES", 7 * (len(emb) - len(syn.rejected)))
+        syn = _pairwise_synonym_dict(emb, 0.8)
+        expected = Lexicon(synonyms=syn, perturb=build_perturb_dict(syn, emb, 4), j=4).to_json_dict()
+        monkeypatch.setattr(lexicon_mod, "_BLOCK_SIMILARITIES", 7 * _nonzero_rows(emb))
         assert Lexicon.build(emb, tau=0.8, j=4).to_json_dict() == expected
 
     def test_memory_stays_below_half_the_similarity_matrix(self):
@@ -194,8 +206,8 @@ class TestBuildPerturbDict:
         emb = EmbeddingTable.from_pairs([("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
         syn = build_synonym_dict(emb, tau=0.5)
         pert = build_perturb_dict(syn, emb, j=3)
-        assert pert.sets["a"] == ("a",)
-        assert not pert.is_perturbable("a")
+        assert pert["a"] == ("a",)
+        assert not Lexicon(synonyms=syn, perturb=pert, j=3).is_perturbable("a")
 
     def test_uniform_clique_truncates_to_j(self):
         # Ten near-identical words form one clique; J=4 keeps 4 everywhere.
@@ -205,11 +217,11 @@ class TestBuildPerturbDict:
             [(f"t{i}", base + rng.normal(scale=1e-3, size=3)) for i in range(10)]
         )
         syn = build_synonym_dict(emb, tau=0.9)
-        assert all(len(s) == 10 for s in syn.sets.values())
+        assert all(len(s) == 10 for s in syn.values())
         pert = build_perturb_dict(syn, emb, j=4)
-        assert all(len(t) == 4 for t in pert.sets.values())
-        assert all(pert.is_perturbable(w) for w in syn.sets)
-        assert all(w == pert.sets[w][0] for w in syn.sets)
+        assert all(len(t) == 4 for t in pert.values())
+        assert all(Lexicon(synonyms=syn, perturb=pert, j=4).is_perturbable(w) for w in syn)
+        assert all(w == pert[w][0] for w in syn)
 
     def test_chain_demotes_to_fixpoint(self):
         # Chain a-b-c: cos(a,b) = cos(b,c) = cos(30deg) >= tau, cos(a,c) =
@@ -223,20 +235,19 @@ class TestBuildPerturbDict:
             ]
         )
         syn = build_synonym_dict(emb, tau=0.82)
-        assert set(syn.sets["b"]) == {"a", "b", "c"}
-        assert set(syn.sets["a"]) == {"a", "b"}
+        assert set(syn["b"]) == {"a", "b", "c"}
+        assert set(syn["a"]) == {"a", "b"}
         pert = build_perturb_dict(syn, emb, j=3)
-        assert pert.sets == {"a": ("a",), "b": ("b",), "c": ("c",)}
-        assert not any(pert.perturbable.values())
+        assert pert == {"a": ("a",), "b": ("b",), "c": ("c",)}
 
     def test_j_one_means_identity_noise_only(self):
         emb = EmbeddingTable.from_pairs([("a", [1.0, 0.1]), ("b", [1.0, 0.11])])
         syn = build_synonym_dict(emb, tau=0.9)
-        assert set(syn.sets["a"]) == {"a", "b"}
+        assert set(syn["a"]) == {"a", "b"}
         pert = build_perturb_dict(syn, emb, j=1)
-        assert pert.sets["a"] == ("a",)
-        assert not pert.is_perturbable("a")
-        lex = Lexicon.from_parts(syn, pert)
+        assert pert["a"] == ("a",)
+        lex = Lexicon(synonyms=syn, perturb=pert, j=1)
+        assert not lex.is_perturbable("a")
         assert lex.overlap_of("a") == 1.0
         assert lex.overlap_of("b") == 1.0
 
@@ -263,19 +274,18 @@ class TestOverlap:
     def test_half_overlap_by_set_enumeration(self):
         # T_a = {a, c}, T_b = {b, c}: the only shared member is c, so
         # o_a = |{c}| / |T_a| = 1/2.
-        syn = SynonymDict(sets={"a": frozenset({"a", "b"}), "b": frozenset({"a", "b"})})
-        pert = PerturbDict(
-            sets={"a": ("a", "c"), "b": ("b", "c")},
-            j_size=2,
-            perturbable={"a": True, "b": True},
+        lex = hand_lexicon(
+            {"a": {"a", "b"}, "b": {"a", "b"}}, {"a": ("a", "c"), "b": ("b", "c")}, j=2
         )
-        assert overlap(pert, syn, "a") == 0.5
+        assert lex.overlap_of("a") == 0.5
+        assert lex.overlaps == {"a": 0.5, "b": 0.5}
 
-    def test_unknown_word_is_an_error(self):
-        syn = SynonymDict(sets={"a": frozenset({"a"})})
-        pert = PerturbDict(sets={"a": ("a",)}, j_size=2, perturbable={"a": False})
-        with pytest.raises(LexiconError, match="unknown"):
-            overlap(pert, syn, "zzz")
+    def test_out_of_vocabulary_word_is_an_unperturbable_singleton(self):
+        lex = hand_lexicon({"a": {"a"}}, {"a": ("a",)}, j=2)
+        assert lex.perturb_set("zzz") == ("zzz",)
+        assert lex.attack_set("zzz") == ("zzz",)
+        assert not lex.is_perturbable("zzz")
+        assert lex.overlap_of("zzz") == 1.0
 
 
 class TestValidateLexicon:
@@ -284,30 +294,27 @@ class TestValidateLexicon:
         assert world.lexicon.validate() == []
 
     def test_size_mismatch_reported(self):
-        syn = SynonymDict(sets={"a": frozenset({"a", "b"}), "b": frozenset({"a", "b"})})
-        pert = PerturbDict(
-            sets={"a": ("a", "b"), "b": ("b", "a", "c")},
-            j_size=2,
-            perturbable={"a": True, "b": True},
+        lex = hand_lexicon(
+            {"a": {"a", "b"}, "b": {"a", "b"}}, {"a": ("a", "b"), "b": ("b", "a", "c")}, j=2
         )
-        report = validate_lexicon(pert, syn)
-        assert sum(1 for p in report if p.startswith("size-mismatch")) >= 1
+        assert sum(1 for p in lex.validate() if p.startswith("size-mismatch")) >= 1
 
     def test_asymmetry_reported(self):
-        syn = SynonymDict(sets={"a": frozenset({"a", "b"}), "b": frozenset({"b"})})
-        pert = PerturbDict(
-            sets={"a": ("a",), "b": ("b",)}, j_size=2, perturbable={"a": False, "b": False}
-        )
-        report = validate_lexicon(pert, syn)
-        assert any(p.startswith("asymmetry") for p in report)
+        lex = hand_lexicon({"a": {"a", "b"}, "b": {"b"}}, {"a": ("a",), "b": ("b",)}, j=2)
+        assert any(p.startswith("asymmetry") for p in lex.validate())
 
     def test_missing_self_reported(self):
-        syn = SynonymDict(sets={"a": frozenset({"b"}), "b": frozenset({"a", "b"})})
-        pert = PerturbDict(
-            sets={"a": ("a",), "b": ("b",)}, j_size=2, perturbable={"a": False, "b": False}
+        lex = hand_lexicon({"a": {"b"}, "b": {"a", "b"}}, {"a": ("a",), "b": ("b",)}, j=2)
+        assert any(p.startswith("missing-self") for p in lex.validate())
+
+    def test_perturbable_means_two_or_more_members(self):
+        lex = hand_lexicon(
+            {"a": {"a", "b"}, "b": {"a", "b"}, "c": {"c"}},
+            {"a": ("a", "b"), "b": ("b", "a"), "c": ("c",)},
+            j=2,
         )
-        report = validate_lexicon(pert, syn)
-        assert any(p.startswith("missing-self") for p in report)
+        assert [lex.is_perturbable(w) for w in ("a", "b", "c")] == [True, True, False]
+        assert lex.attack_set("a") == ("a", "b") and lex.attack_set("c") == ("c",)
 
 
 class TestLexiconJson:
@@ -316,10 +323,50 @@ class TestLexiconJson:
         path = tmp_path / "lexicon.json"
         world.lexicon.save(path)
         loaded = Lexicon.load(path)
-        assert loaded.synonyms.sets == world.lexicon.synonyms.sets
-        assert loaded.perturb.sets == world.lexicon.perturb.sets
-        assert loaded.perturb.perturbable == world.lexicon.perturb.perturbable
+        assert loaded == world.lexicon
         assert loaded.overlaps == world.lexicon.overlaps
+        assert set(json.loads(path.read_text())) == {"J", "synonyms", "perturb"}
+
+    def test_size_mismatch_certifies_unsoundly(self):
+        # Why load validates: with |T_a| = 2 but |T_b| = 3, o_a = 1/2 makes
+        # the tail document (a,) look certifiably below the top one (u,) ...
+        lex = size_mismatch_lexicon()
+        model = TokenTableModel({("u",): 0.55, ("b",): 1.0, ("d",): 1.0})
+        query = Query("q", ("q",))
+        top, tail = Document("top", ("u",)), Document("tail", ("a",))
+        ranked = smooth_rank(model, query, [top, tail], lex, n=None)
+        report = certify_topk(model, query, ranked, {"top": top, "tail": tail}, 1, 1.0, lex,
+                              exact=True)
+        assert report.certified and report.delta_lq == pytest.approx(0.05, abs=1e-12)
+        # ... yet substituting a -> b lifts it to 2/3, above the top's 0.55.
+        attacked = smooth_rank(model, query, [top, Document("tail", ("b",))], lex, n=None)
+        assert attacked.entries[0].doc_id == "tail"
+        assert attacked.entries[0].score == pytest.approx(2 / 3)
+
+    def test_load_rejects_a_lexicon_that_fails_validation(self, tmp_path):
+        path = tmp_path / "lexicon.json"
+        size_mismatch_lexicon().save(path)
+        with pytest.raises(LexiconError, match="violation.*size-mismatch: [|]T_a[|] = 2"):
+            Lexicon.load(path)
+
+    @pytest.mark.parametrize("payload", [{"J": 2, "perturb": {}}, {"J": 2, "synonyms": [], "perturb": {}}])
+    def test_load_rejects_a_malformed_file(self, tmp_path, payload):
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LexiconError, match="malformed lexicon file"):
+            Lexicon.load(path)
+
+    def test_load_checks_legacy_perturbable_flags(self, tmp_path):
+        world = random_world(np.random.default_rng(11), regime="mixed")
+        payload = world.lexicon.to_json_dict()
+        flags = {w: world.lexicon.is_perturbable(w) for w in world.lexicon.vocab}
+        path = tmp_path / "lexicon.json"
+        path.write_text(json.dumps({**payload, "perturbable": flags}))
+        assert Lexicon.load(path) == world.lexicon
+        flipped = next(w for w, flag in flags.items() if not flag)
+        path.write_text(json.dumps({**payload, "perturbable": {**flags, flipped: True}}))
+        with pytest.raises(LexiconError, match=f"perturbable-flag: '{flipped}' is marked True"):
+            Lexicon.load(path)
 
 
 @given(seed=st.integers(0, 10**6))
@@ -328,16 +375,16 @@ def test_random_worlds_satisfy_symmetry_and_equal_size(seed):
     world = random_world(np.random.default_rng(seed))
     syn = world.lexicon.synonyms
     pert = world.lexicon.perturb
-    for w, members in syn.sets.items():
+    for w, members in syn.items():
         assert w in members
         for w2 in members:
-            assert w in syn.sets[w2], f"asymmetric pair ({w}, {w2})"
-    for w in pert.sets:
-        if pert.is_perturbable(w):
-            for w2 in syn.sets[w]:
-                assert len(pert.sets[w2]) == len(pert.sets[w])
+            assert w in syn[w2], f"asymmetric pair ({w}, {w2})"
+    for w in pert:
+        if world.lexicon.is_perturbable(w):
+            for w2 in syn[w]:
+                assert len(pert[w2]) == len(pert[w])
         else:
-            assert pert.sets[w] == (w,)
+            assert pert[w] == (w,)
     assert world.lexicon.validate() == []
 
 
@@ -353,7 +400,7 @@ def test_overlap_matches_brute_force_scan(seed):
         t_w = set(lex.perturb_set(w))
         brute = min(
             len(t_w.intersection(lex.perturb_set(w2))) / len(t_w)
-            for w2 in lex.synonyms.synonyms(w)
+            for w2 in lex.synonym_set(w)
         )
         assert lex.overlap_of(w) == pytest.approx(brute, abs=0)
 
@@ -364,12 +411,12 @@ def test_cosine_tie_break_is_lexicographic():
         [("a", [1.0, 0.0]), ("b", [0.9, 0.2]), ("c", [0.9, -0.2]), ("d", [0.95, 0.0])]
     )
     syn = build_synonym_dict(emb, tau=0.9)
-    assert set(syn.sets["a"]) == {"a", "b", "c", "d"}
+    assert set(syn["a"]) == {"a", "b", "c", "d"}
     pert = build_perturb_dict(syn, emb, j=2)
     # d has strictly higher cosine to a than b or c, so it wins; among the
     # b/c tie lexicographic order applies when J allows a third member.
-    assert pert.sets["a"] == ("a", "d")
+    assert pert["a"] == ("a", "d")
     pert3 = build_perturb_dict(syn, emb, j=3)
-    assert pert3.sets["a"][0] == "a"
-    assert pert3.sets["a"][1] == "d"
-    assert pert3.sets["a"][2] == "b"
+    assert pert3["a"][0] == "a"
+    assert pert3["a"][1] == "d"
+    assert pert3["a"][2] == "b"

@@ -102,18 +102,6 @@ class TestBm25:
         with pytest.raises(ValueError):
             Bm25Model.from_corpus(toy_corpus, b=1.5)
 
-    def test_cache_round_trip_checks_corpus_hash(self, toy_corpus):
-        from rankcert.corpus import corpus_fingerprint
-
-        model = Bm25Model.from_corpus(toy_corpus, k1=0.9, b=0.4)
-        fp = corpus_fingerprint(toy_corpus)
-        payload = json.loads(json.dumps(model.to_cache_dict(fp)))
-        again = Bm25Model.from_cache_dict(payload, fp)
-        assert again.doc_freq == model.doc_freq
-        assert again.avg_len == model.avg_len
-        with pytest.raises(ValueError, match="different corpus"):
-            Bm25Model.from_cache_dict(payload, "someotherhash")
-
 
 class TestRank:
     def test_single_candidate_is_rank_one(self, toy_corpus):

@@ -96,14 +96,10 @@ class TestTrain:
     def test_warm_start_uses_given_parameters(self, separable_setup):
         model, triples, corpus, queries, lexicon = separable_setup
         seeded = model.with_params(np.array([5.0, 5.0, 5.0]), 2.0)
-        cfg = TrainConfig(epochs=1, learning_rate=0.0, seed=0, warm_start=True)
+        cfg = TrainConfig(epochs=1, learning_rate=0.0, seed=0)
         warm = train(seeded, triples, corpus, queries, lexicon, cfg).model
         assert np.array_equal(warm.weights, seeded.weights)
-        cold = train(
-            seeded, triples, corpus, queries, lexicon,
-            TrainConfig(epochs=1, learning_rate=0.0, seed=0, warm_start=False),
-        ).model
-        assert np.array_equal(cold.weights, np.zeros(3))
+        assert warm.bias == seeded.bias
 
     def test_non_finite_loss_aborts_with_diagnostic(self, separable_setup, monkeypatch):
         model, triples, corpus, queries, lexicon = separable_setup
