@@ -216,8 +216,9 @@ _shared_scoring_options = [
     click.option("--lexicon", "lexicon_path", required=True, type=click.Path(exists=True, dir_okay=False)),
     click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False)),
     click.option("--embeddings", "embeddings_path", type=click.Path(exists=True, dir_okay=False), help="Required for linear scorer models."),
-    click.option("--n-samples", default=1000, show_default=True, type=int),
-    click.option("--alpha", default=0.05, show_default=True, type=float),
+    click.option("--n-samples", default=1000, show_default=True, type=click.IntRange(min=1)),
+    click.option("--alpha", default=0.05, show_default=True,
+                 type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True)),
     click.option("--seed", default=0, show_default=True, type=int),
 ]
 
@@ -264,10 +265,14 @@ def cmd_smooth_rank(
     click.echo(f"smoothed run for {len(results)} queries written to {out_path}")
 
 
+_K = click.IntRange(min=1)
+_DELTA = click.FloatRange(0.0, 1.0, min_open=True)
+
+
 @main.command("certify")
 @_with_options(_shared_scoring_options)
-@click.option("--k", default=10, show_default=True, type=int)
-@click.option("--delta", default=1.0, show_default=True, type=float)
+@click.option("--k", default=10, show_default=True, type=_K)
+@click.option("--delta", default=1.0, show_default=True, type=_DELTA)
 @click.option("--jobs", default=1, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_certify(
@@ -311,11 +316,11 @@ def cmd_certify(
 
 @main.command("attack")
 @_with_options(_shared_scoring_options)
-@click.option("--k", default=10, show_default=True, type=int)
-@click.option("--delta", default=1.0, show_default=True, type=float)
-@click.option("--budget", default=3, show_default=True, type=int, help="Greedy substitution budget.")
+@click.option("--k", default=10, show_default=True, type=_K)
+@click.option("--delta", default=1.0, show_default=True, type=_DELTA)
+@click.option("--budget", default=3, show_default=True, type=click.IntRange(min=1), help="Greedy substitution budget.")
 @click.option("--target", type=click.Choice(["smoothed", "base"]), default="smoothed", show_default=True)
-@click.option("--max-attacked", default=None, type=int, help="Attack at most this many tail documents per query.")
+@click.option("--max-attacked", default=None, type=click.IntRange(min=0), help="Attack at most this many tail documents per query.")
 @click.option("--jobs", default=1, show_default=True, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def cmd_attack(
@@ -328,8 +333,6 @@ def cmd_attack(
     lets an attacker substitute at ``--delta``; a document with none is
     reported unchanged.
     """
-    if budget < 1:
-        raise click.BadParameter("budget must be >= 1", param_hint="--budget")
     corpus, queries, run, lexicon, model = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
     skipped = _skipped_queries(run, queries, k)

@@ -50,7 +50,8 @@ class Bm25Model(ScoreModel):
     so raw scores stay >= 0 and the squash stays in range. Repeated query
     terms are counted once. The squash constant ``c`` is the mean raw score
     over a calibration pool (see :meth:`calibrated`); scoring before
-    calibration raises.
+    calibration raises. The sorted distinct terms of a query, with their
+    idf, are computed once per query token tuple.
     """
 
     k1: float
@@ -59,6 +60,9 @@ class Bm25Model(ScoreModel):
     n_docs: int
     avg_len: float
     squash_c: float | None = None
+    _queries: dict[tuple[str, ...], tuple[tuple[str, float], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.k1 <= 0:
@@ -76,8 +80,7 @@ class Bm25Model(ScoreModel):
         total_len = 0
         for doc in corpus.values():
             total_len += doc.length
-            for term in set(doc.tokens):
-                df[term] += 1
+            df.update(set(doc.tokens))
         return cls(
             k1=k1,
             b=b,
@@ -93,13 +96,17 @@ class Bm25Model(ScoreModel):
     def raw_score(self, query: Query, doc: Document) -> float:
         if self.n_docs <= 0 or self.avg_len <= 0:
             raise RuntimeError("BM25 statistics not initialized; build from a corpus first")
+        terms = self._queries.get(query.tokens)
+        if terms is None:
+            terms = self._queries[query.tokens] = tuple(
+                (term, self.idf(term)) for term in sorted(set(query.tokens)))
         norm = self.k1 * (1.0 - self.b + self.b * doc.length / self.avg_len)
         total = 0.0
-        for term in sorted(set(query.tokens)):
+        for term, idf in terms:
             f = doc.tokens.count(term)
             if f == 0:
                 continue
-            total += self.idf(term) * f * (self.k1 + 1.0) / (f + norm)
+            total += idf * f * (self.k1 + 1.0) / (f + norm)
         return total
 
     def score(self, query: Query, doc: Document) -> float:

@@ -8,10 +8,12 @@ either exactly (full enumeration of small spaces) or by Monte Carlo with a
 Hoeffding confidence radius per estimate.
 
 Randomness is derived, never shared: a root seed plus hashes of the query
-id, document id, and token sequence seed one generator per estimate, which
-draws the estimate's samples in order. An estimate runs on one thread, so
-estimates are reproducible and safe to compute concurrently across queries
-and documents.
+id, document id, and token sequence seed one generator per estimate. The
+estimate draws its ``n`` samples from it with one ``integers`` call, as an
+``(n, M)`` matrix of picks; that call gives the same values, and leaves the
+generator in the same state, as ``n`` one-row draws in order. An estimate
+runs on one thread, so estimates are reproducible and safe to compute
+concurrently across queries and documents.
 
 Base scores must lie in [0, 1], the range the Hoeffding radius assumes; both
 estimators reject a score outside it, NaN included, with
@@ -99,8 +101,9 @@ class PerturbationSampler:
     """Draws documents from the product perturbation distribution.
 
     The perturbation sets of a token sequence are looked up once and kept,
-    flattened, with their sizes and offsets, so a draw is one ``integers``
-    call and one gather.
+    flattened, with their sizes and offsets. :meth:`picks` draws many
+    samples as rows of flat member indices with one ``integers`` call, and
+    :meth:`sample` turns one row into a document.
     """
 
     lexicon: Lexicon
@@ -124,10 +127,19 @@ class PerturbationSampler:
             table = self._tables[tokens] = (members, sizes, offsets)
         return table
 
-    def sample(self, doc: Document, rng: np.random.Generator) -> Document:
-        members, sizes, offsets = self._table(doc.tokens)
-        picks = rng.integers(0, sizes)
-        return doc.with_tokens(members[offsets + picks].tolist())
+    def picks(self, doc: Document, rng: np.random.Generator, n: int) -> np.ndarray:
+        """An ``(n, M)`` int32 matrix whose row ``i`` holds the flat member
+        indices of draw ``i``. Its values, and the state it leaves ``rng``
+        in, are those of ``n`` calls to ``rng.integers(0, sizes)`` in order."""
+        _, sizes, offsets = self._table(doc.tokens)
+        picks = rng.integers(0, sizes, size=(n, len(sizes)), dtype=np.int32)
+        picks += offsets
+        return picks
+
+    def sample(self, doc: Document, row: np.ndarray) -> Document:
+        """The document that one row of :meth:`picks` for ``doc`` names."""
+        members, _, _ = self._table(doc.tokens)
+        return doc.with_tokens(members[row].tolist())
 
 
 def perturbation_prob(doc: Document, perturbed: Document, lexicon: Lexicon) -> float:
@@ -171,20 +183,21 @@ def smoothed_score_mc(
     root_seed: int = 0,
 ) -> SmoothedScore:
     """Monte Carlo estimate of the smoothed score from ``n`` i.i.d. draws,
-    taken in order from the estimate's one derived stream.
+    taken as one pick matrix from the estimate's one derived stream.
 
-    The sample scores are reduced in a fixed order, so the result is
-    bit-stable regardless of how callers parallelize across documents.
+    ``n`` and ``alpha`` are checked before anything is drawn. The sample
+    scores are reduced in a fixed order, so the result is bit-stable
+    regardless of how callers parallelize across documents.
     """
+    radius = hoeffding_radius(n, alpha)
     sampler = PerturbationSampler(lexicon, root_seed)
-    rng = sampler.stream(query.id, doc)
     scores = np.empty(n, dtype=float)
-    for i in range(n):
-        scores[i] = model.score(query, sampler.sample(doc, rng))
+    for i, row in enumerate(sampler.picks(doc, sampler.stream(query.id, doc), n)):
+        scores[i] = model.score(query, sampler.sample(doc, row))
     outside = ~((scores >= 0.0) & (scores <= 1.0))
     if outside.any():
         raise _out_of_range(float(scores[outside][0]), query, doc)
-    return SmoothedScore.from_mc(float(scores.mean()), n, alpha)
+    return SmoothedScore(mean=float(scores.mean()), n=n, alpha=alpha, radius=radius)
 
 
 class BaseScoreError(ValueError):

@@ -115,7 +115,8 @@ def train(
             doc_rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), _entropy(doc_id)])
             )
-            static_copies[doc_id] = sampler.sample(corpus[doc_id], doc_rng)
+            doc = corpus[doc_id]
+            static_copies[doc_id] = sampler.sample(doc, sampler.picks(doc, doc_rng, 1)[0])
 
     def resolve(doc_id: str) -> Document:
         doc = corpus[doc_id]
@@ -123,7 +124,7 @@ def train(
             return doc
         if cfg.static_noise:
             return static_copies[doc_id]
-        return sampler.sample(doc, rng)
+        return sampler.sample(doc, sampler.picks(doc, rng, 1)[0])
 
     current = model.with_params(weights, bias)
     losses: list[float] = []

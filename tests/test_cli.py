@@ -474,6 +474,51 @@ class TestJobsByteIdentity:
         assert outs[0] and outs[0] == outs[1]
 
 
+class TestOptionRanges:
+    @pytest.fixture
+    def refuse_loading(self, monkeypatch):
+        import rankcert.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inputs loaded before the options were checked")
+
+        monkeypatch.setattr(rankcert.cli, "_load_scoring_inputs", refuse)
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("certify", "--n-samples", "0"),
+        ("certify", "--alpha", "0"),
+        ("certify", "--alpha", "1"),
+        ("certify", "--delta", "0"),
+        ("certify", "--delta", "1.5"),
+        ("certify", "--k", "0"),
+        ("smooth-rank", "--n-samples", "0"),
+        ("smooth-rank", "--alpha", "1.5"),
+        ("attack", "--n-samples", "-1"),
+        ("attack", "--delta", "0"),
+        ("attack", "--k", "0"),
+        ("attack", "--budget", "0"),
+        ("attack", "--max-attacked", "-1"),
+    ])
+    def test_out_of_range_is_a_usage_error_before_loading(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, refuse_loading,
+        command, option, value,
+    ):
+        out = tmp_path / "out"
+        result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model, out,
+                                       option, value))
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert not out.exists()
+
+    def test_max_attacked_limits_the_tail(self, pipeline_dir, built_lexicon, trained_model, tmp_path):
+        out = tmp_path / "outcomes.jsonl"
+        result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", "--budget", "1", "--max-attacked", "1"))
+        assert result.exit_code == 0, result.output
+        outcomes = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(o["query_id"], o["original_rank"]) for o in outcomes] == [("q1", 3), ("q2", 3)]
+
+
 class TestInvalidLexicon:
     @pytest.mark.parametrize("command", ["certify", "smooth-rank", "attack", "train"])
     def test_size_mismatch_fails_the_command(

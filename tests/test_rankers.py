@@ -235,7 +235,7 @@ def _identity_cases(seed: int):
             tokens.insert(int(rng.integers(0, len(tokens))), "oov-d")
         doc = Document(f"d{i}", tuple(tokens))
         docs.append(doc)
-        docs.extend(sampler.sample(doc, rng) for _ in range(3))
+        docs.extend(sampler.sample(doc, row) for row in sampler.picks(doc, rng, 3))
     docs.append(Document("q1-verbatim", queries[0].tokens))
     return rng, world, queries, docs
 
@@ -278,6 +278,41 @@ def test_bm25_scores_are_bit_identical_to_reference(seed):
     for doc in docs:
         for query in queries:
             assert model.score(query, doc) == _reference_bm25_score(model, query, doc)
+
+
+def test_bm25_scores_keep_models_and_queries_apart():
+    # Two calibrated models over different corpora, each caching its own
+    # query terms and idf, scored in turn with interleaved queries.
+    _, _, queries, docs = _identity_cases(6)
+    models = []
+    for corpus_docs in (docs[::3], docs[1::2]):
+        corpus = {d.id: d for d in corpus_docs}
+        models.append(Bm25Model.from_corpus(corpus).calibrated(
+            [(q, d) for q in queries for d in corpus.values()]))
+    assert models[0].doc_freq != models[1].doc_freq
+    for doc in docs:
+        for model in models:
+            for query in queries:
+                assert model.score(query, doc) == _reference_bm25_score(model, query, doc)
+
+
+@given(seed=st.integers(0, 10**6))
+@settings(max_examples=50, deadline=None)
+def test_bm25_doc_freq_matches_a_per_term_count(seed):
+    rng = np.random.default_rng(seed)
+    vocab = [f"t{i}" for i in range(int(rng.integers(1, 12)))]
+    corpus = {}
+    for i in range(int(rng.integers(1, 15))):
+        length = 1 if i % 4 == 0 else int(rng.integers(1, 20))
+        corpus[f"d{i}"] = Document(f"d{i}", tuple(str(t) for t in rng.choice(vocab, size=length)))
+    expected = {}
+    for doc in corpus.values():
+        for term in set(doc.tokens):
+            expected[term] = expected.get(term, 0) + 1
+    model = Bm25Model.from_corpus(corpus)
+    assert model.doc_freq == expected
+    assert model.n_docs == len(corpus)
+    assert model.avg_len == sum(d.length for d in corpus.values()) / len(corpus)
 
 
 @given(seed=st.integers(0, 10**6))

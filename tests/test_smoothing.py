@@ -51,9 +51,9 @@ class TestSamplePerturbed:
     def test_singleton_sets_return_the_document(self):
         lex = singleton_lexicon(["only", "words"])
         doc = make_doc("d", "only words")
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert PerturbationSampler(lex).sample(doc, rng).tokens == doc.tokens
+        sampler = PerturbationSampler(lex)
+        for row in sampler.picks(doc, np.random.default_rng(0), 10):
+            assert sampler.sample(doc, row).tokens == doc.tokens
 
     def test_joint_outcomes_are_uniform(self, two_by_three_lexicon):
         # 2 x 3 = 6 outcomes; each should appear with frequency 1/6 within
@@ -61,9 +61,8 @@ class TestSamplePerturbed:
         doc = Document("d", ("p", "q"))
         rng = np.random.default_rng(20240817)
         n = 60000
-        counts = Counter(
-            PerturbationSampler(two_by_three_lexicon).sample(doc, rng).tokens for _ in range(n)
-        )
+        sampler = PerturbationSampler(two_by_three_lexicon)
+        counts = Counter(sampler.sample(doc, row).tokens for row in sampler.picks(doc, rng, n))
         assert len(counts) == 6
         p = 1.0 / 6.0
         bound = 3.0 * math.sqrt(p * (1 - p) / n)
@@ -72,18 +71,72 @@ class TestSamplePerturbed:
 
     def test_fixed_seed_reproduces_output(self, two_by_three_lexicon):
         doc = Document("d", ("p", "q"))
-        a = PerturbationSampler(two_by_three_lexicon).sample(doc, np.random.default_rng(7))
-        b = PerturbationSampler(two_by_three_lexicon).sample(doc, np.random.default_rng(7))
-        assert a.tokens == b.tokens
+        a, b = (
+            PerturbationSampler(two_by_three_lexicon).picks(doc, np.random.default_rng(7), 5)
+            for _ in range(2)
+        )
+        assert a.dtype == np.int32 and a.shape == (5, 2)
+        assert np.array_equal(a, b)
 
     def test_samples_stay_in_perturbation_sets(self, two_by_three_lexicon):
         doc = Document("d", ("q", "p", "q"))
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            out = PerturbationSampler(two_by_three_lexicon).sample(doc, rng)
+        sampler = PerturbationSampler(two_by_three_lexicon)
+        for row in sampler.picks(doc, np.random.default_rng(3), 100):
+            out = sampler.sample(doc, row)
             assert out.length == doc.length
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in two_by_three_lexicon.perturb_set(w)
+
+
+def _mixed_size_lexicon():
+    """One cluster per set size in {1, 2, 3, 4, 5, 7, 8}; sizes 3, 5 and 7
+    make the bounded integer draw reject and redraw."""
+    synonyms, perturb = {}, {}
+    for size in (1, 2, 3, 4, 5, 7, 8):
+        cluster = [f"s{size}_{i}" for i in range(size)]
+        for i, w in enumerate(cluster):
+            synonyms[w] = set(cluster)
+            perturb[w] = tuple(cluster[i:] + cluster[:i])
+    return hand_lexicon(synonyms, perturb, j=8)
+
+
+def _one_row_draws(doc, lexicon, rng, n):
+    """``n`` draws made with one ``integers`` call per row: the reference a
+    pick matrix must reproduce."""
+    sizes = np.array([len(lexicon.perturb_set(w)) for w in doc.tokens])
+    offsets = np.cumsum(sizes) - sizes
+    return np.stack([offsets + rng.integers(0, sizes) for _ in range(n)])
+
+
+class TestPickMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_one_row_draws_in_order(self, n, seed):
+        lexicon = _mixed_size_lexicon()
+        gen = np.random.default_rng(seed)
+        vocab = sorted(lexicon.perturb)
+        docs = [
+            Document("mixed", tuple(str(w) for w in gen.choice(vocab, size=int(gen.integers(1, 60))))),
+            Document("singletons", ("s1_0", "oov", "s1_0")),
+        ]
+        sampler = PerturbationSampler(lexicon)
+        for doc in docs:
+            ours, oracle = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            for _ in range(3):
+                picks = sampler.picks(doc, ours, n)
+                assert picks.shape == (n, doc.length)
+                assert np.array_equal(picks, _one_row_draws(doc, lexicon, oracle, n))
+                # Interleaved use of the generator, as training makes, stays in step.
+                assert np.array_equal(ours.permutation(7), oracle.permutation(7))
+            assert _draws(ours) == _draws(oracle)
+
+    def test_rows_name_the_sampled_documents(self, two_by_three_lexicon):
+        doc = Document("d", ("q", "p", "q"))
+        sampler = PerturbationSampler(two_by_three_lexicon)
+        picks = sampler.picks(doc, np.random.default_rng(4), 20)
+        members = [w for t in doc.tokens for w in two_by_three_lexicon.perturb_set(t)]
+        for row in picks:
+            assert sampler.sample(doc, row).tokens == tuple(members[i] for i in row)
 
 
 class TestPerturbationProb:
@@ -201,6 +254,30 @@ class TestSmoothedMc:
                 hits += 1
         assert hits / trials >= 0.95
 
+    def test_estimate_is_pinned(self, two_by_three_lexicon):
+        # Computed with one ``integers`` call per draw; any change to how the
+        # estimate consumes its stream moves it.
+        doc = Document("d1", ("p", "q", "p2", "q3"))
+        outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
+        model = TokenTableModel({t: i / (len(outcomes) - 1) for i, t in enumerate(outcomes)})
+        est = smoothed_score_mc(model, make_query("q1", "x"), doc, two_by_three_lexicon,
+                                n=257, root_seed=2024)
+        assert est.mean == float.fromhex("0x1.e92cc49a7b75fp-2")
+
+    @pytest.mark.parametrize("n,alpha", [(0, 0.05), (-3, 0.05), (5, 0.0), (5, 1.0)])
+    def test_bad_n_or_alpha_fails_before_any_draw(self, two_by_three_lexicon, n, alpha):
+        calls = []
+
+        class Counting(TokenTableModel):
+            def score(self, query, doc):
+                calls.append(doc)
+                return 0.5
+
+        with pytest.raises(ValueError, match="n must be|alpha must be"):
+            smoothed_score_mc(Counting({}), make_query("q1", "x"), Document("d", ("p", "q")),
+                              two_by_three_lexicon, n=n, alpha=alpha)
+        assert calls == []
+
     def test_error_shrinks_with_sample_count(self, two_by_three_lexicon):
         # Median |MC - exact| over 50 seeds must be non-increasing as n grows
         # by decades.
@@ -261,7 +338,9 @@ class TestStreams:
         q = make_query("q1", "x")
         sampler = PerturbationSampler(two_by_three_lexicon, root_seed=3)
         rng = derive_streams(3, "q1", "d1", doc.tokens)
-        expected = np.mean([model.score(q, sampler.sample(doc, rng)) for _ in range(50)])
+        expected = np.mean(
+            [model.score(q, sampler.sample(doc, sampler.picks(doc, rng, 1)[0])) for _ in range(50)]
+        )
         est = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=50, root_seed=3)
         assert est.mean == expected
 
@@ -275,7 +354,7 @@ class TestStreams:
         seen = {first.id: set(), second.id: set()}
         for _ in range(200):
             for doc in (first, second):
-                out = sampler.sample(doc, rng)
+                out = sampler.sample(doc, sampler.picks(doc, rng, 1)[0])
                 assert out.id == doc.id and out.length == doc.length
                 for w, r in zip(doc.tokens, out.tokens):
                     assert r in two_by_three_lexicon.perturb_set(w)

@@ -169,11 +169,10 @@ class TestNoise:
 
     def test_noised_copies_stay_in_perturbation_sets(self, noisy_lexicon):
         doc = Document("d", ("a", "n0", "b"))
-        rng = np.random.default_rng(0)
         sampler = PerturbationSampler(noisy_lexicon)
         seen = set()
-        for _ in range(50):
-            out = sampler.sample(doc, rng)
+        for row in sampler.picks(doc, np.random.default_rng(0), 50):
+            out = sampler.sample(doc, row)
             seen.add(out.tokens)
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in noisy_lexicon.perturb_set(w)
