@@ -16,8 +16,8 @@ runs on one thread, so estimates are reproducible and safe to compute
 concurrently across queries and documents.
 
 Base scores must lie in [0, 1], the range the Hoeffding radius assumes; both
-estimators reject a score outside it, NaN included, with
-:class:`BaseScoreError` (a ``ValueError``).
+estimators reject a score outside it, NaN included, with a ``ValueError``
+naming the query and the document.
 """
 
 from __future__ import annotations
@@ -200,13 +200,8 @@ def smoothed_score_mc(
     return SmoothedScore(mean=float(scores.mean()), n=n, alpha=alpha, radius=radius)
 
 
-class BaseScoreError(ValueError):
-    """A base model returned a score outside [0, 1] or NaN: a fault of the
-    model rather than of one query's input."""
-
-
-def _out_of_range(score: float, query: Query, doc: Document) -> BaseScoreError:
-    return BaseScoreError(
+def _out_of_range(score: float, query: Query, doc: Document) -> ValueError:
+    return ValueError(
         f"base score {score!r} for query {query.id!r}, document {doc.id!r} is outside "
         "[0, 1]; the smoothed score and its confidence bound need scores in [0, 1]"
     )

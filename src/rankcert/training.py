@@ -126,7 +126,6 @@ def train(
             return static_copies[doc_id]
         return sampler.sample(doc, sampler.picks(doc, rng, 1)[0])
 
-    current = model.with_params(weights, bias)
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(triples))
@@ -137,8 +136,10 @@ def train(
             pos = resolve(t.pos_id)
             neg = resolve(t.neg_id)
 
-            phi_pos = current.features(query, pos)
-            phi_neg = current.features(query, neg)
+            # Features do not depend on the parameters, so the input model's
+            # (and its cached query side) serve every update.
+            phi_pos = model.features(query, pos)
+            phi_neg = model.features(query, neg)
             z_pos = float(np.dot(weights, phi_pos)) + bias
             z_neg = float(np.dot(weights, phi_neg)) + bias
             s_pos = sigmoid(z_pos)
@@ -160,10 +161,9 @@ def train(
                 grad_b = -g_pos + g_neg
                 weights = weights - cfg.learning_rate * grad_w
                 bias = bias - cfg.learning_rate * grad_b
-                current = current.with_params(weights, bias)
         losses.append(epoch_loss / len(triples))
     logger.info("trained %d epochs; final mean loss %.4f", cfg.epochs, losses[-1])
-    return TrainResult(model=current, losses=tuple(losses))
+    return TrainResult(model=model.with_params(weights, bias), losses=tuple(losses))
 
 
 def write_loss_trace(losses: Sequence[float], path: str | Path) -> None:

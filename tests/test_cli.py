@@ -138,6 +138,27 @@ def scoring_args(command, pipeline_dir, built_lexicon, trained_model, out, *extr
     ]
 
 
+@pytest.fixture(scope="module")
+def certify_out(pipeline_dir, built_lexicon, trained_model) -> Path:
+    out = pipeline_dir / "reports_fixture.jsonl"
+    result = run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out))
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def command_args(command, pipeline_dir, built_lexicon, trained_model, reports, outcomes, out,
+                 *extra):
+    """Arguments of any subcommand on the toy pipeline; ``evaluate`` reads
+    ``reports`` and ``outcomes``."""
+    if command == "build-lexicon":
+        return [command, "--embeddings", pipeline_dir / "embeddings.txt", *extra, "--out", out]
+    if command == "train":
+        return train_args(pipeline_dir, built_lexicon, out, *extra)
+    if command == "evaluate":
+        return [command, "--reports", reports, "--outcomes", outcomes, *extra, "--out", out]
+    return scoring_args(command, pipeline_dir, built_lexicon, trained_model, out, *extra)
+
+
 def read_meta(out: Path) -> dict:
     return json.loads(Path(str(out) + ".meta.json").read_text())
 
@@ -275,19 +296,44 @@ class TestCertify:
         run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out_8, jobs=8))
         assert out_1.read_bytes() == out_8.read_bytes()
 
+    @pytest.mark.parametrize("command", ["smooth-rank", "certify", "attack"])
     def test_document_missing_from_corpus_is_skipped(
-        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, command
     ):
         run = tmp_path / "run.txt"
         run.write_text((pipeline_dir / "run.txt").read_text().replace("q1 Q0 d3 ", "q1 Q0 dgone "))
-        out = tmp_path / "reports.jsonl"
-        result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, trained_model,
-                                       out, "--k", "2", run=run))
+        out = tmp_path / "out"
+        extra = () if command == "smooth-rank" else ("--k", "2")
+        result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model,
+                                       out, *extra, run=run))
         assert result.exit_code == 0, result.output
-        assert [json.loads(line)["query_id"] for line in out.read_text().splitlines()] == ["q2"]
+        if command == "smooth-rank":
+            from rankcert import load_run
+
+            assert set(load_run(out)) == {"q2", "qshort"}
+        else:
+            assert {json.loads(line)["query_id"] for line in out.read_text().splitlines()} == {"q2"}
         skipped = read_meta(out)["skipped"]
-        assert set(skipped) == {"q1", "qshort"}
-        assert "dgone" in skipped["q1"]
+        assert set(skipped) == {"q1"} | ({"qshort"} if extra else set())
+        assert skipped["q1"] == "documents missing from corpus: ['dgone']"
+
+    @pytest.mark.parametrize("command", ["smooth-rank", "certify", "attack"])
+    def test_no_query_left_fails_naming_the_reasons(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, command
+    ):
+        # d1 is in every list; without it no query can be scored.
+        run = tmp_path / "run.txt"
+        run.write_text((pipeline_dir / "run.txt").read_text().replace(" Q0 d1 ", " Q0 dgone "))
+        out = tmp_path / "out"
+        extra = () if command == "smooth-rank" else ("--k", "2")
+        result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model,
+                                       out, *extra, run=run))
+        assert result.exit_code == 1
+        assert "no query left" in result.output
+        assert "q1: documents missing from corpus: ['dgone']" in result.output
+        short = "K = 2 >= list length 1" if extra else "documents missing from corpus"
+        assert f"qshort: {short}" in result.output
+        assert not out.exists()
 
     def test_programming_error_fails_the_command(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, monkeypatch
@@ -477,12 +523,13 @@ class TestJobsByteIdentity:
 class TestOptionRanges:
     @pytest.fixture
     def refuse_loading(self, monkeypatch):
-        import rankcert.cli
+        """Fails any subcommand whose body, where inputs are read, runs."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("inputs loaded before the options were checked")
 
-        monkeypatch.setattr(rankcert.cli, "_load_scoring_inputs", refuse)
+        for command in main.commands.values():
+            monkeypatch.setattr(command, "callback", refuse)
 
     @pytest.mark.parametrize("command,option,value", [
         ("certify", "--n-samples", "0"),
@@ -498,14 +545,23 @@ class TestOptionRanges:
         ("attack", "--k", "0"),
         ("attack", "--budget", "0"),
         ("attack", "--max-attacked", "-1"),
+        ("certify", "--jobs", "0"),
+        ("smooth-rank", "--jobs", "-3"),
+        ("attack", "--jobs", "0"),
+        ("build-lexicon", "--j", "0"),
+        ("build-lexicon", "--tau", "0"),
+        ("build-lexicon", "--tau", "1"),
+        ("train", "--epochs", "0"),
+        ("train", "--lr", "-0.1"),
+        ("evaluate", "--cutoff", "0"),
     ])
     def test_out_of_range_is_a_usage_error_before_loading(
-        self, pipeline_dir, built_lexicon, trained_model, tmp_path, refuse_loading,
-        command, option, value,
+        self, pipeline_dir, built_lexicon, trained_model, certify_out, attack_out, tmp_path,
+        refuse_loading, command, option, value,
     ):
         out = tmp_path / "out"
-        result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model, out,
-                                       option, value))
+        result = run_cli(*command_args(command, pipeline_dir, built_lexicon, trained_model,
+                                       certify_out, attack_out, out, option, value))
         assert result.exit_code == 2, result.output
         assert option in result.output
         assert not out.exists()
@@ -517,6 +573,39 @@ class TestOptionRanges:
         assert result.exit_code == 0, result.output
         outcomes = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(o["query_id"], o["original_rank"]) for o in outcomes] == [("q1", 3), ("q2", 3)]
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_echoes_every_option_by_name(
+        self, pipeline_dir, built_lexicon, trained_model, certify_out, attack_out, tmp_path,
+        command,
+    ):
+        """``<name>_path`` options under ``paths`` as ``<name>``, every other
+        option under ``params``."""
+        extra = ("--k", "2") if command in ("certify", "attack") else ()
+        out = tmp_path / "out"
+        result = run_cli(*command_args(command, pipeline_dir, built_lexicon, trained_model,
+                                       certify_out, attack_out, out, *extra))
+        assert result.exit_code == 0, result.output
+        names = [p.name for p in main.commands[command].params]
+        meta = read_meta(out)
+        assert meta["subcommand"] == command
+        assert set(meta["paths"]) == {n.removesuffix("_path") for n in names if n.endswith("_path")}
+        assert set(meta["params"]) == {n for n in names if not n.endswith("_path")}
+        assert meta["paths"]["out"] == str(out)
+        if command in ("smooth-rank", "certify", "attack"):
+            assert meta["paths"]["embeddings"] == str(pipeline_dir / "embeddings.txt")
+            assert meta["params"]["jobs"] == 1
+
+    def test_train_records_noise_and_unset_paths(self, pipeline_dir, built_lexicon, tmp_path):
+        out = tmp_path / "model.json"
+        result = run_cli(*train_args(pipeline_dir, built_lexicon, out, "--epochs", "2", "--no-noise"))
+        assert result.exit_code == 0, result.output
+        meta = read_meta(out)
+        assert meta["params"] == {"epochs": 2, "lr": 0.5, "seed": 0, "noise": False,
+                                  "static_noise": False}
+        assert meta["paths"]["init_model"] == meta["paths"]["loss_trace"] == ""
 
 
 class TestInvalidLexicon:
