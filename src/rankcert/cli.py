@@ -50,7 +50,10 @@ def _load_model(
     embeddings: EmbeddingTable | None,
     queries: Mapping[str, Query],
     run: Mapping[str, RankedList],
+    qids: list[str],
 ) -> ScoreModel:
+    """Load a scorer; BM25 is calibrated on the (query, document) pairs of
+    the scored queries ``qids`` only, so a skipped query moves no score."""
     with open(model_path, encoding="utf-8") as fh:
         payload = json.load(fh)
     kind = payload.get("type")
@@ -61,16 +64,8 @@ def _load_model(
     if kind == "bm25":
         model = Bm25Model.from_corpus(
             corpus, k1=float(payload.get("k1", 0.9)), b=float(payload.get("b", 0.4)))
-        pairs = [
-            (queries[qid], corpus[e.doc_id])
-            for qid, ranked in sorted(run.items())
-            if qid in queries
-            for e in ranked.entries
-            if e.doc_id in corpus
-        ]
-        if not pairs:
-            raise click.ClickException("cannot calibrate BM25: no (query, document) pairs resolve")
-        return model.calibrated(pairs)
+        return model.calibrated(
+            (queries[qid], corpus[e.doc_id]) for qid in qids for e in run[qid].entries)
     raise click.ClickException(f"unknown model type {kind!r} in {model_path}")
 
 
@@ -239,14 +234,19 @@ _certificate_options = _options(
 )
 
 
-def _load_scoring_inputs(corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path):
+def _load_scoring_inputs(
+    corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k=None,
+):
+    """Read a scoring command's inputs and decide which queries it scores
+    (see :func:`_queries_to_score`) before the model is loaded."""
     corpus = corpus_mod.load_corpus(corpus_path)
     queries = corpus_mod.load_queries(queries_path)
     run = corpus_mod.load_run(run_path)
     lexicon = Lexicon.load(lexicon_path)
     emb = EmbeddingTable.load(embeddings_path) if embeddings_path else None
-    model = _load_model(Path(model_path), corpus, emb, queries, run)
-    return corpus, queries, run, lexicon, model
+    qids, skipped = _queries_to_score(run, queries, corpus, k)
+    model = _load_model(Path(model_path), corpus, emb, queries, run, qids)
+    return corpus, queries, run, lexicon, model, qids, skipped
 
 
 @main.command("smooth-rank")
@@ -256,9 +256,8 @@ def cmd_smooth_rank(
     n_samples, alpha, seed, jobs, out_path,
 ) -> None:
     """Re-rank every query's candidates by Monte Carlo smoothed score."""
-    corpus, queries, run, lexicon, model = _load_scoring_inputs(
+    corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
-    qids, skipped = _queries_to_score(run, queries, corpus)
 
     def work(qid: str) -> RankedList:
         return smooth_rank(model, queries[qid], _candidates(run[qid], corpus),
@@ -278,9 +277,8 @@ def cmd_certify(
     n_samples, alpha, seed, jobs, out_path, k, delta,
 ) -> None:
     """Certify top-K robustness per query; writes report JSONL, prints CRQ."""
-    corpus, queries, run, lexicon, model = _load_scoring_inputs(
-        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
-    qids, skipped = _queries_to_score(run, queries, corpus, k)
+    corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
+        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
     def work(qid: str) -> certify_mod.CertificateReport:
         smoothed = smooth_rank(model, queries[qid], _candidates(run[qid], corpus), lexicon,
@@ -313,9 +311,8 @@ def cmd_attack(
     lets an attacker substitute at ``--delta``; a document with none is
     reported unchanged.
     """
-    corpus, queries, run, lexicon, model = _load_scoring_inputs(
-        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
-    qids, skipped = _queries_to_score(run, queries, corpus, k)
+    corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
+        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
     def attack_doc(
         scorer: ScoreModel, query: Query, doc: Document, ranked: RankedList

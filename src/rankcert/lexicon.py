@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -45,35 +46,24 @@ class EmbeddingTable:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[float]]]) -> "EmbeddingTable":
-        vectors: dict[str, np.ndarray] = {}
-        dim: int | None = None
+        tokens: list[str] = []
+        rows: list[np.ndarray] = []
         for token, values in pairs:
             arr = np.asarray(list(values), dtype=float)
             if arr.ndim != 1 or arr.size == 0:
                 raise LexiconError(f"embedding for {token!r} is not a non-empty vector")
-            if dim is None:
-                dim = int(arr.size)
-            elif arr.size != dim:
-                raise LexiconError(
-                    f"embedding for {token!r} has dimension {arr.size}, expected {dim}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise LexiconError(f"embedding for {token!r} has non-finite values")
-            if token in vectors:
-                raise LexiconError(f"duplicate embedding token {token!r}")
-            vectors[token] = arr
-        if not vectors:
-            raise LexiconError("embedding table is empty")
-        tokens = sorted(vectors)
-        matrix = np.stack([vectors[t] for t in tokens])
-        matrix.setflags(write=False)
-        return cls(index={t: i for i, t in enumerate(tokens)}, matrix=matrix)
+            tokens.append(token)
+            rows.append(arr)
+        return cls._from_rows(tokens, rows, lambda i: "")
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
         """Parse ``token v1 v2 ... vD`` lines; a leading ``count dim`` header
-        (a line of exactly two integers) is detected and skipped."""
-        pairs: list[tuple[str, list[float]]] = []
+        (a line of exactly two integers) is detected and skipped. Errors
+        name the file and the line."""
+        tokens: list[str] = []
+        rows: list[list[float]] = []
+        linenos: list[int] = []
         with open(path, encoding="utf-8") as fh:
             first = True
             for lineno, line in enumerate(fh, start=1):
@@ -85,16 +75,55 @@ class EmbeddingTable:
                     if len(parts) == 2 and _all_ints(parts):
                         continue
                 try:
-                    values = [float(v) for v in parts[1:]]
+                    values = list(map(float, parts[1:]))
                 except ValueError as exc:
                     raise LexiconError(f"{path}:{lineno}: bad vector component: {exc}") from exc
                 if not values:
                     raise LexiconError(f"{path}:{lineno}: token without vector")
-                pairs.append((parts[0], values))
-        try:
-            return cls.from_pairs(pairs)
-        except LexiconError as exc:
-            raise LexiconError(f"{path}: {exc}") from exc
+                tokens.append(parts[0])
+                rows.append(values)
+                linenos.append(lineno)
+        if not rows:
+            raise LexiconError(f"{path}: embedding table is empty")
+        return cls._from_rows(tokens, rows, lambda i: f"{path}:{linenos[i]}: ")
+
+    @classmethod
+    def _from_rows(
+        cls, tokens: list[str], rows: list, where: Callable[[int], str]
+    ) -> "EmbeddingTable":
+        """Stack non-empty ``rows`` into the sorted-token matrix. Raises for
+        the first row, in order, whose dimension differs from the first
+        row's, whose values are not all finite, or whose token came before;
+        ``where(i)`` prefixes the message for row ``i``."""
+        if not rows:
+            raise LexiconError("embedding table is empty")
+        dim = len(rows[0])
+        n = len(rows)
+        bad_dim = next((i for i, row in enumerate(rows) if len(row) != dim), n)
+        matrix = np.array(rows[:bad_dim], dtype=float)
+        non_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        bad_value = int(non_finite[0]) if non_finite.size else n
+        bad_token = n
+        if len(set(tokens)) < n:
+            seen: set[str] = set()
+            for bad_token, token in enumerate(tokens):
+                if token in seen:
+                    break
+                seen.add(token)
+        first = min(bad_dim, bad_value, bad_token)
+        if first < n:
+            token = tokens[first]
+            if first == bad_dim:
+                problem = f"embedding for {token!r} has dimension {len(rows[first])}, expected {dim}"
+            elif first == bad_value:
+                problem = f"embedding for {token!r} has non-finite values"
+            else:
+                problem = f"duplicate embedding token {token!r}"
+            raise LexiconError(where(first) + problem)
+        order = sorted(range(n), key=tokens.__getitem__)
+        matrix = matrix[order]
+        matrix.setflags(write=False)
+        return cls(index={tokens[i]: row for row, i in enumerate(order)}, matrix=matrix)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -123,15 +152,6 @@ def _all_ints(parts: list[str]) -> bool:
     return True
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; zero if either vector has zero norm."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 # Similarities computed at once by the synonym search: 2**20 float64 values
 # (8 MB) per block of rows, whatever the vocabulary size.
 _BLOCK_SIMILARITIES = 1 << 20
@@ -147,12 +167,13 @@ def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> dict[str, froze
     self-inclusive. Zero-norm vectors are excluded from similarity search
     with a warning; their words keep the singleton set ``{w}``.
 
-    The search runs over blocks of rows of the unit-vector matrix: each
-    block is multiplied by the whole matrix and thresholded in numpy, and
-    only the pairs ``a < b`` it finds are read, each added to both sets.
-    That is O(V^2 * dim) arithmetic in all, but a block holds at most
-    ``_BLOCK_SIMILARITIES`` similarities (8 MB), so the V x V matrix is
-    never formed and memory beyond the vectors and the sets stays flat.
+    The search runs over blocks of rows of the unit-vector matrix: the block
+    of rows ``[s, e)`` is multiplied only by rows ``s`` onwards, the ones it
+    can pair with as ``a < b``, and thresholded in numpy; each pair ``a < b``
+    found is added to both sets. That is O(V^2 * dim / 2) arithmetic in all,
+    and a block holds at most ``_BLOCK_SIMILARITIES`` similarities (8 MB),
+    so the V x V matrix is never formed and memory beyond the vectors and
+    the sets stays flat.
     """
     if not 0.0 < tau < 1.0:
         raise LexiconError(f"tau must be in (0, 1), got {tau}")
@@ -169,10 +190,11 @@ def build_synonym_dict(emb: EmbeddingTable, tau: float = 0.8) -> dict[str, froze
         unit = emb.matrix[valid] / norms[valid, None]
         rows = max(1, _BLOCK_SIMILARITIES // len(valid))
         for start in range(0, len(valid), rows):
-            hits_a, hits_b = np.nonzero(unit[start:start + rows] @ unit.T >= tau)
-            hits_a += start
+            block = unit[start:start + rows] @ unit[start:].T
+            hits_a, hits_b = np.divmod(np.flatnonzero(block >= tau), block.shape[1])
             upper = hits_a < hits_b
-            for a, b in zip(valid[hits_a[upper]].tolist(), valid[hits_b[upper]].tolist()):
+            hits_a, hits_b = hits_a[upper] + start, hits_b[upper] + start
+            for a, b in zip(valid[hits_a].tolist(), valid[hits_b].tolist()):
                 sets[tokens[a]].add(tokens[b])
                 sets[tokens[b]].add(tokens[a])
     return {w: frozenset(s) for w, s in sets.items()}
@@ -190,18 +212,30 @@ def build_perturb_dict(
     until the equal-size invariant holds. Singletons admit only the identity
     perturbation, so ``j == 1`` makes every word non-perturbable.
 
-    Ties in cosine similarity are broken by lexicographic token order.
+    Ties in cosine similarity are broken by lexicographic token order; a
+    zero-norm vector has cosine 0 to every word. Each similarity is one
+    ``np.dot`` of two rows over norms computed once per row, never a
+    matrix-vector product, whose last bit can differ and reorder exact ties.
     """
     if j < 1:
         raise LexiconError(f"j must be >= 1, got {j}")
+
+    rows = list(emb.matrix)
+    norms = [math.sqrt(float(np.dot(v, v))) for v in rows]
+
+    def cosine(a: int, b: int) -> float:
+        if norms[a] == 0.0 or norms[b] == 0.0:
+            return 0.0
+        return float(np.dot(rows[a], rows[b])) / (norms[a] * norms[b])
 
     sets: dict[str, tuple[str, ...]] = {}
     for w in sorted(synonyms):
         members = synonyms[w]
         if len(members) >= j:
+            iw = emb.index[w]
             others = sorted(
                 (m for m in members if m != w),
-                key=lambda m: (-cosine(emb[w], emb[m]), m),
+                key=lambda m: (-cosine(iw, emb.index[m]), m),
             )
             sets[w] = (w, *others[: j - 1])
         else:

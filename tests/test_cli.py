@@ -335,6 +335,27 @@ class TestCertify:
         assert f"qshort: {short}" in result.output
         assert not out.exists()
 
+    def test_bm25_is_calibrated_on_the_scored_queries_only(
+        self, pipeline_dir, built_lexicon, tmp_path
+    ):
+        # qshort is skipped at K = 2, so dropping it from the run must not
+        # move q1's report.
+        model = tmp_path / "bm25.json"
+        model.write_text(json.dumps({"type": "bm25"}))
+        run = tmp_path / "run.txt"
+        run.write_text("".join(line for line in (pipeline_dir / "run.txt").read_text()
+                               .splitlines(keepends=True) if not line.startswith("qshort")))
+        reports = {}
+        for name, run_path in [("with", pipeline_dir / "run.txt"), ("without", run)]:
+            out = tmp_path / f"reports_{name}.jsonl"
+            result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, model, out,
+                                           "--k", "2", "--n-samples", "50", run=run_path))
+            assert result.exit_code == 0, result.output
+            reports[name] = {json.loads(line)["query_id"]: line
+                             for line in out.read_text().splitlines()}
+            assert set(read_meta(out)["skipped"]) == ({"qshort"} if name == "with" else set())
+        assert reports["with"]["q1"] == reports["without"]["q1"]
+
     def test_programming_error_fails_the_command(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, monkeypatch
     ):

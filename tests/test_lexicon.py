@@ -1,5 +1,6 @@
 """Lexicon construction, overlap computation, and validation."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -32,6 +33,25 @@ def _cos(u, v):
     return num / (nu * nv)
 
 
+def _per_line_table(path):
+    """The earlier embedding-file parse, one ``float`` list and one array
+    per line, kept as the oracle of the one-matrix parse."""
+    vectors = {}
+    first = True
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if first:
+                first = False
+                if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+                    continue
+            vectors[parts[0]] = np.asarray([float(v) for v in parts[1:]], dtype=float)
+    tokens = tuple(sorted(vectors))
+    return tokens, np.stack([vectors[t] for t in tokens])
+
+
 class TestEmbeddingTable:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(LexiconError, match="dimension"):
@@ -58,6 +78,43 @@ class TestEmbeddingTable:
         bad.write_text("cat 1.0 0.5\ndog 0.25 oops\n")
         with pytest.raises(LexiconError, match=":2"):
             EmbeddingTable.load(bad)
+
+    def test_load_matches_the_per_line_parse_bit_for_bit(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("4 3\n\tb 1e-3\t-0 +.5\na 1_0 -2.5E+2 0.1\n\n"
+                        "d  -0.0 .25 7\nc 3 1e308 -1e-308\n")
+        emb = EmbeddingTable.load(path)
+        tokens, matrix = _per_line_table(path)
+        assert emb.tokens == tokens == ("a", "b", "c", "d")
+        assert emb.index == {t: i for i, t in enumerate(tokens)}
+        assert emb.matrix.dtype == matrix.dtype and emb.matrix.shape == matrix.shape
+        assert emb.matrix.tobytes() == matrix.tobytes()
+        assert math.copysign(1.0, emb["b"][1]) == -1.0
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 2\ncat 1 0\n\ndog 1\n", "4: embedding for 'dog' has dimension 1, expected 2"),
+        ("cat 1 0\ndog 0 1\ncat 1 1\n", "3: duplicate embedding token 'cat'"),
+        ("cat 1 0\ndog nan 1\n", "2: embedding for 'dog' has non-finite values"),
+        ("cat 1 0\ndog inf 1\n", "2: embedding for 'dog' has non-finite values"),
+    ], ids=["dimension", "duplicate", "nan", "inf"])
+    def test_load_names_the_line_of_every_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(LexiconError) as err:
+            EmbeddingTable.load(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_load_reports_the_first_bad_line(self, tmp_path):
+        # Line 2 repeats a token, line 3 has a non-finite value and line 4
+        # the wrong dimension: line 2 is reported.
+        path = tmp_path / "bad.txt"
+        path.write_text("cat 1 0\ncat 0 1\ndog inf 1\ncow 1\n")
+        with pytest.raises(LexiconError, match=r"bad\.txt:2: duplicate embedding token 'cat'$"):
+            EmbeddingTable.load(path)
+        # On one line, the dimension is checked before the values.
+        path.write_text("cat 1 0\ndog inf 1 2\n")
+        with pytest.raises(LexiconError, match=r"bad\.txt:2: .*dimension 3, expected 2$"):
+            EmbeddingTable.load(path)
 
     def test_vectors_are_one_read_only_matrix_in_token_order(self):
         emb = EmbeddingTable.from_pairs([("dog", [0.25, -1.0]), ("cat", [1.0, 0.5])])
@@ -199,6 +256,64 @@ class TestBlockedSynonymSearch:
         finally:
             tracemalloc.stop()
         assert peak < full_matrix / 2
+
+
+def _cosine_perturb_dict(synonyms, emb, j):
+    """The earlier perturbation-set builder, one ``cosine()`` of two looked-up
+    vectors per (word, member) pair, kept as the oracle of the one that
+    computes each row's norm once."""
+
+    def cosine(u, v):
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        return float(np.dot(u, v) / (nu * nv))
+
+    sets = {}
+    for w in sorted(synonyms):
+        members = synonyms[w]
+        if len(members) >= j:
+            others = sorted((m for m in members if m != w),
+                            key=lambda m: (-cosine(emb[w], emb[m]), m))
+            sets[w] = (w, *others[: j - 1])
+        else:
+            sets[w] = (w,)
+    for _ in range(len(sets) + 1):
+        changed = False
+        for w in sorted(sets):
+            size = len(sets[w])
+            if size >= 2 and any(len(sets.get(w2, (w2,))) != size for w2 in synonyms[w]):
+                sets[w] = (w,)
+                changed = True
+        if not changed:
+            break
+    return sets
+
+
+class TestPerturbRanking:
+    @pytest.mark.parametrize("j", [2, 4])
+    @pytest.mark.parametrize("seed,tau", [(1, 0.5), (2, 0.8)])
+    def test_matches_the_per_pair_cosine_ranking(self, seed, tau, j):
+        emb = _clustered_table(seed=seed, size=1200)
+        syn = dict(build_synonym_dict(emb, tau))
+        # Join the zero-norm rows to the largest set, so that their cosine of
+        # 0 is ranked and ties with each other.
+        zeros = {t for t in emb.tokens if not np.any(emb[t])}
+        clique = max(syn.values(), key=len) | zeros
+        syn.update({w: clique for w in clique})
+        assert len(zeros) == 2 and len(clique) > j
+        dups = [t for t in emb.tokens if t.endswith("dup")]
+        assert any(len(syn[t]) > 1 for t in dups)  # duplicate vectors tie exactly
+        assert build_perturb_dict(syn, emb, j) == _cosine_perturb_dict(syn, emb, j)
+
+    def test_lexicon_bytes_are_pinned(self, tmp_path):
+        # A change that moves these bytes moves every downstream certificate.
+        emb = _clustered_table(seed=9, size=3000)
+        path = tmp_path / "lexicon.json"
+        Lexicon.build(emb, tau=0.8, j=4).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5ddc5517c7f3f17599b5af4b9cbad0a86f965d54e899f7c7658d0c0172ba6122")
 
 
 class TestBuildPerturbDict:
