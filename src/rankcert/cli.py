@@ -351,6 +351,8 @@ def cmd_attack(
 @_out
 def cmd_evaluate(reports_path, outcomes_path, run_path, qrels_path, cutoffs, out_path) -> None:
     """Aggregate CRQ / SR / CondSR (and MRR when run + qrels are given)."""
+    if (run_path is None) != (qrels_path is None):
+        raise click.UsageError("--run and --qrels go together: give both for MRR, or neither")
     reports = _read_jsonl(reports_path, certify_mod.CertificateReport.from_json_dict)
     outcomes = _read_jsonl(outcomes_path, attack_mod.AttackOutcome.from_json_dict)
     report_qids = {r.query_id for r in reports}

@@ -17,10 +17,12 @@ is treated as unattackable downstream, so the demotion is sound.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -256,7 +258,7 @@ def build_perturb_dict(
 @dataclass(frozen=True)
 class Lexicon:
     """Synonym sets ``S_w``, perturbation sets ``T_w`` built for size ``j``,
-    and the overlaps ``o_w``, computed once from the two.
+    and the overlaps ``o_w``, computed from the two on first read.
 
     A word is perturbable when ``|T_w| >= 2``. Words outside the vocabulary
     get ``S_w = {w}`` and ``T_w = (w,)``. The constructor does not check the
@@ -267,10 +269,6 @@ class Lexicon:
     synonyms: Mapping[str, frozenset[str]]
     perturb: Mapping[str, tuple[str, ...]]
     j: int
-    overlaps: Mapping[str, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "overlaps", {w: self._overlap(w) for w in self.perturb})
 
     @classmethod
     def build(cls, emb: EmbeddingTable, tau: float = 0.8, j: int = 4) -> "Lexicon":
@@ -312,6 +310,12 @@ class Lexicon:
         ratios = (len(t_set.intersection(self.perturb_set(w2))) / len(t_w)
                   for w2 in self.synonym_set(word))
         return min(ratios, default=1.0)
+
+    @functools.cached_property
+    def overlaps(self) -> Mapping[str, float]:
+        """``o_w`` of every vocabulary word, computed on first read: only a
+        certificate reads them, so building or loading a lexicon does not."""
+        return {w: self._overlap(w) for w in self.perturb}
 
     def overlap_of(self, word: str) -> float:
         """``o_w``; 1.0 for non-perturbable and out-of-vocabulary words."""
@@ -375,27 +379,31 @@ class Lexicon:
         )
 
     def save(self, path: str | Path) -> None:
+        """Write :meth:`to_json_dict` as ``indent=2``, ``sort_keys``,
+        ASCII-escaped JSON with a final newline: the bytes of
+        ``json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)``
+        followed by ``"\\n"``, the same for the same lexicon on every build."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_lexicon_text(self.to_json_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "Lexicon":
         """Read a lexicon file and validate it.
 
-        Raises :class:`LexiconError` when a key is missing or malformed,
-        and one listing the violations when the file breaks an invariant or
-        carries the older ``perturbable`` flags and one of them disagrees
-        with ``|T_w| >= 2``.
+        Raises :class:`LexiconError` when the file is not JSON or a key is
+        missing or malformed, and one listing the violations when the file
+        breaks an invariant or carries the older ``perturbable`` flags and
+        one of them disagrees with ``|T_w| >= 2``.
         """
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
         try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
             lexicon = cls.from_json_dict(payload)
+            flags = sorted(payload.get("perturbable", {}).items())
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise LexiconError(f"{path}: malformed lexicon file: {exc!r}") from exc
         problems = lexicon.validate()
-        for w, flag in sorted(payload.get("perturbable", {}).items()):
+        for w, flag in flags:
             if bool(flag) != lexicon.is_perturbable(w):
                 problems.append(
                     f"perturbable-flag: {w!r} is marked {bool(flag)} but "
@@ -409,3 +417,24 @@ class Lexicon:
                 + (f"; and {more} more" if more > 0 else "")
             )
         return lexicon
+
+
+def _lexicon_text(payload: Mapping) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for a payload
+    shaped like :meth:`Lexicon.to_json_dict`: each value a number or a
+    mapping from word to a list of words. Strings go through the C
+    ``encode_basestring_ascii`` that the pure-Python indenting encoder also
+    calls, and each word's entry is joined in one piece."""
+
+    def value(v) -> str:
+        if not isinstance(v, Mapping):
+            return json.dumps(v)
+        entries = []
+        for w, members in sorted(v.items()):
+            body = ",\n      ".join(map(encode_basestring_ascii, members))
+            entries.append(f"    {encode_basestring_ascii(w)}: "
+                           + (f"[\n      {body}\n    ]" if members else "[]"))
+        return "{\n" + ",\n".join(entries) + "\n  }" if entries else "{}"
+
+    fields = (f"  {encode_basestring_ascii(k)}: {value(v)}" for k, v in sorted(payload.items()))
+    return "{\n" + ",\n".join(fields) + "\n}\n"

@@ -65,8 +65,8 @@ class Bm25Model(ScoreModel):
     )
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be positive, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 > 0):
+            raise ValueError(f"k1 must be a finite positive number, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 

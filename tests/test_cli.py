@@ -356,6 +356,16 @@ class TestCertify:
             assert set(read_meta(out)["skipped"]) == ({"qshort"} if name == "with" else set())
         assert reports["with"]["q1"] == reports["without"]["q1"]
 
+    def test_non_finite_bm25_k1_fails_naming_it(self, pipeline_dir, built_lexicon, tmp_path):
+        model = tmp_path / "bm25.json"
+        model.write_text(json.dumps({"type": "bm25", "k1": float("nan")}))
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, model, out,
+                                       "--k", "2"))
+        assert result.exit_code == 1
+        assert "k1 must be a finite positive number, got nan" in result.output
+        assert not out.exists()
+
     def test_programming_error_fails_the_command(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, monkeypatch
     ):
@@ -587,6 +597,23 @@ class TestOptionRanges:
         assert option in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,name", [("--run", "run.txt"), ("--qrels", "qrels.txt")])
+    def test_evaluate_run_without_qrels_is_a_usage_error_before_loading(
+        self, pipeline_dir, certify_out, attack_out, tmp_path, monkeypatch, option, name
+    ):
+        import rankcert.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inputs loaded before the options were checked")
+
+        monkeypatch.setattr(rankcert.cli, "_read_jsonl", refuse)
+        out = tmp_path / "out"
+        result = run_cli("evaluate", "--reports", certify_out, "--outcomes", attack_out,
+                         option, pipeline_dir / name, "--out", out)
+        assert result.exit_code == 2, result.output
+        assert "--run and --qrels go together" in result.output
+        assert not out.exists()
+
     def test_max_attacked_limits_the_tail(self, pipeline_dir, built_lexicon, trained_model, tmp_path):
         out = tmp_path / "outcomes.jsonl"
         result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon, trained_model, out,
@@ -627,6 +654,41 @@ class TestSidecar:
         assert meta["params"] == {"epochs": 2, "lr": 0.5, "seed": 0, "noise": False,
                                   "static_noise": False}
         assert meta["paths"]["init_model"] == meta["paths"]["loss_trace"] == ""
+
+
+class TestOverlapsOnFirstRead:
+    def test_only_certify_computes_overlaps(
+        self, pipeline_dir, built_lexicon, trained_model, certify_out, tmp_path, monkeypatch
+    ):
+        original = Lexicon._overlap
+
+        def refuse(self, word):
+            raise AssertionError("overlap computed outside a certificate")
+
+        monkeypatch.setattr(Lexicon, "_overlap", refuse)
+        lexicon = tmp_path / "lexicon.json"
+        result = run_cli("build-lexicon", "--embeddings", pipeline_dir / "embeddings.txt",
+                         "--tau", "0.8", "--j", "4", "--out", lexicon)
+        assert result.exit_code == 0, result.output
+        assert lexicon.read_bytes() == built_lexicon.read_bytes()
+        result = run_cli(*scoring_args("attack", pipeline_dir, lexicon, trained_model,
+                                       tmp_path / "outcomes.jsonl", "--k", "2"))
+        assert result.exit_code == 0, result.output
+
+        calls = []
+
+        def recorded(self, word):
+            calls.append((self, word))
+            return original(self, word)
+
+        monkeypatch.setattr(Lexicon, "_overlap", recorded)
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*certify_args(pipeline_dir, lexicon, trained_model, out))
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == certify_out.read_bytes()
+        (read,) = {id(lex): lex for lex, _ in calls}.values()
+        assert sorted(word for _, word in calls) == sorted(read.perturb)  # each word once
+        assert read.overlaps == {w: original(read, w) for w in read.perturb}
 
 
 class TestInvalidLexicon:

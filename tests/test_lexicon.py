@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankcert import (
@@ -464,11 +465,17 @@ class TestLexiconJson:
         with pytest.raises(LexiconError, match="violation.*size-mismatch: [|]T_a[|] = 2"):
             Lexicon.load(path)
 
-    @pytest.mark.parametrize("payload", [{"J": 2, "perturb": {}}, {"J": 2, "synonyms": [], "perturb": {}}])
+    @pytest.mark.parametrize("payload", [
+        {"J": 2, "perturb": {}},
+        {"J": 2, "synonyms": [], "perturb": {}},
+        pytest.param('{"J": 2, "synonyms": {', id="truncated"),
+        pytest.param({"J": 2, "synonyms": {}, "perturb": {}, "perturbable": []},
+                     id="perturbable-list"),
+    ])
     def test_load_rejects_a_malformed_file(self, tmp_path, payload):
         path = tmp_path / "lexicon.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(LexiconError, match="malformed lexicon file"):
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        with pytest.raises(LexiconError, match=f"^{re.escape(str(path))}: malformed lexicon file"):
             Lexicon.load(path)
 
     def test_load_checks_legacy_perturbable_flags(self, tmp_path):
@@ -482,6 +489,30 @@ class TestLexiconJson:
         path.write_text(json.dumps({**payload, "perturbable": {**flags, flipped: True}}))
         with pytest.raises(LexiconError, match=f"perturbable-flag: '{flipped}' is marked True"):
             Lexicon.load(path)
+
+
+# Tokens that exercise every escape of the ASCII-only JSON encoder: quotes,
+# backslashes, control characters, non-ASCII letters and U+2028.
+_json_tokens = st.text(st.sampled_from('a"\\\x00\x1f\x7f\u2028\u00e9\u6f22') | st.characters(),
+                       max_size=5)
+
+
+@given(
+    synonyms=st.dictionaries(_json_tokens, st.frozensets(_json_tokens, max_size=4), max_size=6),
+    perturb=st.dictionaries(_json_tokens, st.lists(_json_tokens, max_size=4).map(tuple),
+                            max_size=6),
+    j=st.integers(0, 10**6),
+)
+@example(synonyms={}, perturb={}, j=4)
+@settings(max_examples=200, deadline=None)
+def test_save_writes_the_bytes_of_the_indenting_json_encoder(
+    tmp_path_factory, synonyms, perturb, j
+):
+    lexicon = Lexicon(synonyms=synonyms, perturb=perturb, j=j)
+    path = tmp_path_factory.mktemp("save") / "lexicon.json"
+    lexicon.save(path)
+    expected = json.dumps(lexicon.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 @given(seed=st.integers(0, 10**6))

@@ -97,8 +97,9 @@ class TestBm25:
             Bm25Model.from_corpus({})
 
     def test_parameter_validation(self, toy_corpus):
-        with pytest.raises(ValueError):
-            Bm25Model.from_corpus(toy_corpus, k1=0.0)
+        for k1 in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="k1 must be a finite positive number"):
+                Bm25Model.from_corpus(toy_corpus, k1=k1)
         with pytest.raises(ValueError):
             Bm25Model.from_corpus(toy_corpus, b=1.5)
 
