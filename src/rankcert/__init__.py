@@ -3,23 +3,17 @@
 The package builds a perturbation lexicon from word embeddings, smooths any
 [0, 1]-valued relevance scorer by random word substitutions, certifies that
 no document beyond rank K of the smoothed list can be promoted into the top
-K by bounded synonym substitutions, and validates those certificates with
-exhaustive and greedy attackers plus the standard robustness metrics.
+K by bounded synonym substitutions, and tests those certificates with a
+greedy attacker plus the standard robustness metrics.
 """
 
-from .attack import AttackOutcome, brute_force_attack, enumerate_sd, greedy_attack, sd_size
+from .attack import AttackOutcome, greedy_attack
 from .certify import (
-    BoundAttainingRanker,
     CertificateReport,
-    DocOverlapBound,
-    bound_attaining_ranker,
     certification_margin,
     certified_upper_bound,
     certify_topk,
     doc_overlap_bound,
-    excess_mass_by_enumeration,
-    excess_mass_closed_form,
-    optimal_adversary,
 )
 from .corpus import (
     Document,
@@ -47,7 +41,6 @@ from .smoothing import (
     SmoothedModel,
     SmoothedScore,
     hoeffding_radius,
-    perturbation_prob,
     smooth_rank,
     smoothed_score_exact,
     smoothed_score_mc,
@@ -59,9 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackOutcome",
     "Bm25Model",
-    "BoundAttainingRanker",
     "CertificateReport",
-    "DocOverlapBound",
     "Document",
     "EmbeddingTable",
     "EvalSummary",
@@ -77,8 +68,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingTriple",
-    "bound_attaining_ranker",
-    "brute_force_attack",
     "build_perturb_dict",
     "build_synonym_dict",
     "certification_margin",
@@ -87,9 +76,6 @@ __all__ = [
     "cond_sr",
     "crq",
     "doc_overlap_bound",
-    "enumerate_sd",
-    "excess_mass_by_enumeration",
-    "excess_mass_closed_form",
     "greedy_attack",
     "hoeffding_radius",
     "load_corpus",
@@ -99,10 +85,7 @@ __all__ = [
     "load_triples",
     "make_ranked",
     "mrr",
-    "optimal_adversary",
-    "perturbation_prob",
     "rank",
-    "sd_size",
     "smooth_rank",
     "smoothed_score_exact",
     "smoothed_score_mc",

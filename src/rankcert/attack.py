@@ -1,13 +1,12 @@
-"""Synonym-substitution rank attackers.
+"""Greedy synonym-substitution rank attacker.
 
-Two adversaries against the same threat model (substitute at most
-``floor(delta * M)`` words of a document, each with one of its synonyms):
-
-* ``brute_force_attack`` enumerates every admissible substitution and is the
-  ground-truth oracle used to validate certificates;
-* ``greedy_attack`` applies the best single (position, synonym) improvement
-  until a substitution budget is exhausted, a cheap stand-in for published
-  black-box attacks at evaluation time.
+``greedy_attack`` applies the best single (position, synonym) improvement
+until a substitution budget is exhausted, a cheap stand-in for published
+black-box attacks at evaluation time. The ``attack`` command caps each
+document's budget at the words the certificate covers (``floor(delta * M)``,
+at most its perturbable words), so the attacker and the certificate share
+one threat model. The exhaustive attacker that validates certificates is a
+test oracle, in ``tests/oracles.py``.
 
 Documents ranked in the top K are never attacked; callers select targets
 from the tail of the ranked list.
@@ -15,16 +14,12 @@ from the tail of the ranked list.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .corpus import Document, Query, RankedList
 from .lexicon import Lexicon
 from .rankers import ScoreModel
-
-DEFAULT_SD_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -77,53 +72,6 @@ def substitutions_between(doc: Document, adv: Document) -> tuple[tuple[int, str,
     )
 
 
-def sd_size(doc: Document, delta: float, lexicon: Lexicon) -> int:
-    """Number of admissible substituted documents, the identity included.
-
-    Computed without enumeration: with ``a_i`` the number of strict synonym
-    alternatives at position ``i``, the count is the sum over ``r <= E`` of
-    the elementary symmetric polynomials ``e_r(a_1, ..., a_M)``.
-    """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    e = math.floor(delta * doc.length)
-    counts = [1] + [0] * e
-    for w in doc.tokens:
-        a = len(lexicon.attack_set(w)) - 1
-        if a == 0:
-            continue
-        for r in range(min(e, doc.length), 0, -1):
-            counts[r] += counts[r - 1] * a
-    return sum(counts)
-
-
-def enumerate_sd(
-    doc: Document, delta: float, lexicon: Lexicon, cap: int = DEFAULT_SD_CAP
-) -> Iterator[Document]:
-    """Yield every admissible substituted document exactly once, the original
-    document first, in a deterministic order."""
-    total = sd_size(doc, delta, lexicon)
-    if total > cap:
-        raise ValueError(
-            f"substitution set of {doc.id!r} has {total} members, above the cap of {cap}"
-        )
-    e = math.floor(delta * doc.length)
-    options = {
-        i: [t for t in lexicon.attack_set(w) if t != w]
-        for i, w in enumerate(doc.tokens)
-    }
-    positions = [i for i, opts in options.items() if opts]
-
-    yield doc
-    for r in range(1, min(e, len(positions)) + 1):
-        for combo in itertools.combinations(positions, r):
-            for picks in itertools.product(*(options[i] for i in combo)):
-                tokens = list(doc.tokens)
-                for i, tok in zip(combo, picks):
-                    tokens[i] = tok
-                yield doc.with_tokens(tokens)
-
-
 def rank_after(ranked: RankedList, doc_id: str, score: float) -> int:
     """Rank the attacked document would take in the list, its own original
     entry removed; ties break by doc id ascending as everywhere else."""
@@ -134,41 +82,6 @@ def rank_after(ranked: RankedList, doc_id: str, score: float) -> int:
         and (e.score > score or (e.score == score and e.doc_id < doc_id))
     )
     return ahead + 1
-
-
-def brute_force_attack(
-    model: ScoreModel,
-    query: Query,
-    doc: Document,
-    ranked: RankedList,
-    delta: float,
-    lexicon: Lexicon,
-    cap: int = DEFAULT_SD_CAP,
-) -> AttackOutcome:
-    """Evaluate every admissible substitution and keep the best score.
-
-    This is the ground-truth adversary: whatever it cannot achieve, no
-    admissible attack can.
-    """
-    original_rank = ranked.rank_of(doc.id)
-    best_doc = doc
-    best_score = model.score(query, doc)
-    for cand in enumerate_sd(doc, delta, lexicon, cap):
-        s = model.score(query, cand)
-        if s > best_score:
-            best_score = s
-            best_doc = cand
-    best_rank = rank_after(ranked, doc.id, best_score)
-    return AttackOutcome(
-        query_id=query.id,
-        doc_id=doc.id,
-        original_rank=original_rank,
-        best_rank_after=best_rank,
-        best_doc=best_doc,
-        best_score=best_score,
-        success=best_rank < original_rank,
-        substitutions=substitutions_between(doc, best_doc),
-    )
 
 
 def greedy_attack(
@@ -184,10 +97,11 @@ def greedy_attack(
     Each step applies the strictly score-improving move with the largest
     gain, ties broken by (position, lexicographic word), while keeping at
     most ``budget`` positions changed from the original document. Stops when
-    no move improves the score.
+    no move improves the score; with ``budget == 0`` that is at once, and the
+    document comes back unchanged.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     original_rank = ranked.rank_of(doc.id)
     current = list(doc.tokens)
     current_score = model.score(query, doc)

@@ -314,23 +314,17 @@ def cmd_attack(
     corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
-    def attack_doc(
-        scorer: ScoreModel, query: Query, doc: Document, ranked: RankedList
-    ) -> attack_mod.AttackOutcome:
-        cap = min(budget, certify_mod.attackable_count(doc, lexicon, delta))
-        if cap == 0:
-            rank_now = ranked.rank_of(doc.id)
-            return attack_mod.AttackOutcome(
-                query.id, doc.id, rank_now, rank_now, doc, scorer.score(query, doc), False, ())
-        return attack_mod.greedy_attack(scorer, query, doc, ranked, cap, lexicon)
-
     def work(qid: str) -> list[attack_mod.AttackOutcome]:
         query = queries[qid]
         scorer = (SmoothedModel(model, lexicon, n=n_samples, alpha=alpha, root_seed=seed)
                   if target == "smoothed" else model)
         ranked = rank(scorer, query, _candidates(run[qid], corpus))
-        return [attack_doc(scorer, query, corpus[e.doc_id], ranked)
-                for e in ranked.tail(k)[:max_attacked]]
+        outcomes = []
+        for e in ranked.tail(k)[:max_attacked]:
+            doc = corpus[e.doc_id]
+            doc_budget = min(budget, certify_mod.attackable_count(doc, lexicon, delta))
+            outcomes.append(attack_mod.greedy_attack(scorer, query, doc, ranked, doc_budget, lexicon))
+        return outcomes
 
     results = _map_queries(work, qids, jobs)
     outcomes = [o for per_query in results.values() for o in per_query]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,7 +170,8 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
 
     Entries are re-sorted by score descending (doc id breaks ties) and rank
     positions re-derived from the sorted order. Input rank fields that
-    disagree with the score order trigger a warning, not an error.
+    disagree with the score order trigger a warning, not an error; a score
+    that is NaN or infinite is an error, since it has no place in that order.
     """
     rows: dict[str, list[tuple[str, int, float]]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -185,6 +187,8 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
                 score = float(score_s)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{lineno}: score {score_s!r} is not finite")
             rows.setdefault(qid, []).append((doc_id, rank, score))
 
     run: dict[str, RankedList] = {}

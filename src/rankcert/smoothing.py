@@ -34,7 +34,9 @@ from .corpus import Document, Query, RankedList
 from .lexicon import Lexicon
 from .rankers import ScoreModel, rank
 
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
+"""Largest perturbation space the exact estimator enumerates; a larger one
+needs Monte Carlo estimation."""
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -142,33 +144,13 @@ class PerturbationSampler:
         return doc.with_tokens(members[row].tolist())
 
 
-def perturbation_prob(doc: Document, perturbed: Document, lexicon: Lexicon) -> float:
-    """Probability of drawing ``perturbed`` from the distribution around
-    ``doc``: the product over positions of ``1/|T_{w_i}|`` when the token is
-    in ``T_{w_i}``, else zero."""
-    if perturbed.length != doc.length:
-        raise ValueError(
-            f"length mismatch: {doc.length} vs {perturbed.length} "
-            f"({doc.id!r} vs {perturbed.id!r})"
-        )
-    prob = 1.0
-    for w, r in zip(doc.tokens, perturbed.tokens):
-        t_w = lexicon.perturb_set(w)
-        if r not in t_w:
-            return 0.0
-        prob /= len(t_w)
-    return prob
-
-
-def enumerate_perturbations(
-    doc: Document, lexicon: Lexicon, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[tuple[str, ...]]:
+def enumerate_perturbations(doc: Document, lexicon: Lexicon) -> Iterator[tuple[str, ...]]:
     """All joint perturbations of ``doc`` as token tuples, in a fixed order."""
     size = lexicon.space_size(doc.tokens)
-    if size > cap:
+    if size > ENUMERATION_CAP:
         raise ValueError(
             f"perturbation space of {doc.id!r} has {size} outcomes, above the cap "
-            f"of {cap}; use Monte Carlo estimation instead"
+            f"of {ENUMERATION_CAP}; use Monte Carlo estimation instead"
         )
     return itertools.product(*(lexicon.perturb_set(w) for w in doc.tokens))
 
@@ -212,7 +194,6 @@ def smoothed_score_exact(
     query: Query,
     doc: Document,
     lexicon: Lexicon,
-    cap: int = DEFAULT_ENUMERATION_CAP,
     _cache: MutableMapping[tuple[str, tuple[str, ...]], float] | None = None,
 ) -> float:
     """Exact smoothed score by full enumeration of the perturbation space.
@@ -223,7 +204,7 @@ def smoothed_score_exact(
     """
     total = 0.0
     count = 0
-    for tokens in enumerate_perturbations(doc, lexicon, cap):
+    for tokens in enumerate_perturbations(doc, lexicon):
         if _cache is None:
             s = model.score(query, Document(doc.id, tokens))
         else:
@@ -247,19 +228,18 @@ def smooth_rank(
     n: int | None = 1000,
     alpha: float = 0.05,
     root_seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> RankedList:
     """Rank candidates by smoothed score (Monte Carlo, or exact if ``n`` is
     None). Ties break by doc id ascending."""
-    return rank(SmoothedModel(model, lexicon, n, alpha, root_seed, cap), query, docs)
+    return rank(SmoothedModel(model, lexicon, n, alpha, root_seed), query, docs)
 
 
 class SmoothedModel(ScoreModel):
     """Score model wrapper exposing the smoothed score as ``score``.
 
-    With ``n=None`` the expectation is computed exactly by enumeration
-    (bounded by ``cap``); otherwise by Monte Carlo with per-document derived
-    streams. Results are memoized by (query id, doc id, token tuple), the
+    With ``n=None`` the expectation is computed exactly by enumeration (of
+    at most ``ENUMERATION_CAP`` outcomes); otherwise by Monte Carlo with
+    per-document derived streams. Results are memoized by (query id, doc id, token tuple), the
     same inputs the Monte Carlo streams derive from; concurrent readers may
     race on the memo but always write identical values.
     """
@@ -271,14 +251,12 @@ class SmoothedModel(ScoreModel):
         n: int | None = None,
         alpha: float = 0.05,
         root_seed: int = 0,
-        cap: int = DEFAULT_ENUMERATION_CAP,
     ) -> None:
         self.base = base
         self.lexicon = lexicon
         self.n = n
         self.alpha = alpha
         self.root_seed = root_seed
-        self.cap = cap
         self._memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
         self._base_scores: dict[tuple[str, tuple[str, ...]], float] = {}
 
@@ -289,7 +267,7 @@ class SmoothedModel(ScoreModel):
             return cached
         if self.n is None:
             value = smoothed_score_exact(
-                self.base, query, doc, self.lexicon, self.cap, _cache=self._base_scores
+                self.base, query, doc, self.lexicon, _cache=self._base_scores
             )
         else:
             value = smoothed_score_mc(

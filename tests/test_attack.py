@@ -12,14 +12,11 @@ from rankcert import (
     AttackOutcome,
     Document,
     SmoothedModel,
-    bound_attaining_ranker,
-    brute_force_attack,
-    enumerate_sd,
     greedy_attack,
     make_ranked,
-    sd_size,
 )
 from rankcert.attack import rank_after
+from rankcert.smoothing import ENUMERATION_CAP
 
 from conftest import (
     TokenTableModel,
@@ -29,6 +26,12 @@ from conftest import (
     random_token_model,
     random_world,
     singleton_lexicon,
+)
+from oracles import (
+    bound_attaining_ranker,
+    brute_force_attack,
+    enumerate_sd,
+    sd_size,
 )
 
 
@@ -76,9 +79,12 @@ class TestEnumerateSd:
         assert cands[0].tokens == doc.tokens
 
     def test_cap_exceeded_is_an_error(self, sizes_two_three_one_lexicon):
-        doc = Document("d", tuple(["b"] * 8))
+        # Twenty positions with one alternative each: 2^20 admissible
+        # documents, above the cap. The size is counted, not enumerated.
+        doc = Document("d", tuple(["a"] * 20))
+        assert sd_size(doc, 1.0, sizes_two_three_one_lexicon) == 2**20 > ENUMERATION_CAP
         with pytest.raises(ValueError, match="cap"):
-            list(enumerate_sd(doc, 1.0, sizes_two_three_one_lexicon, cap=10))
+            next(enumerate_sd(doc, 1.0, sizes_two_three_one_lexicon))
 
     def test_size_formula_matches_enumeration(self):
         rng = np.random.default_rng(321)
@@ -236,8 +242,16 @@ class TestGreedy:
         q = make_query("q1", "x")
         doc = Document("d", ("a",))
         ranked = make_ranked("q1", [("d", 0.5), ("e", 0.4)])
-        with pytest.raises(ValueError):
-            greedy_attack(model, q, doc, ranked, budget=0, lexicon=sizes_two_three_one_lexicon)
+        with pytest.raises(ValueError, match="budget"):
+            greedy_attack(model, q, doc, ranked, budget=-1, lexicon=sizes_two_three_one_lexicon)
+
+    def test_zero_budget_returns_the_document(self, sizes_two_three_one_lexicon):
+        model = TokenTableModel({("a",): 0.4, ("a2",): 0.9})
+        q = make_query("q1", "x")
+        doc = Document("e", ("a",))
+        ranked = make_ranked("q1", [("d", 0.5), ("e", 0.4)])
+        outcome = greedy_attack(model, q, doc, ranked, budget=0, lexicon=sizes_two_three_one_lexicon)
+        assert outcome == AttackOutcome("q1", "e", 2, 2, doc, 0.4, False, ())
 
 
 def test_attack_outcome_json_round_trip():

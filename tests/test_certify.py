@@ -6,19 +6,15 @@ import pytest
 from rankcert import (
     Document,
     SmoothedModel,
-    bound_attaining_ranker,
     certification_margin,
     certified_upper_bound,
     certify_topk,
     doc_overlap_bound,
-    enumerate_sd,
-    excess_mass_by_enumeration,
-    excess_mass_closed_form,
     hoeffding_radius,
-    optimal_adversary,
     smooth_rank,
     smoothed_score_exact,
 )
+from rankcert.certify import attackable_count
 
 from conftest import (
     TokenTableModel,
@@ -28,6 +24,14 @@ from conftest import (
     random_token_model,
     random_world,
     singleton_lexicon,
+)
+from oracles import (
+    bound_attaining_ranker,
+    brute_force_attack,
+    enumerate_sd,
+    excess_mass_by_enumeration,
+    excess_mass_closed_form,
+    optimal_adversary,
 )
 
 
@@ -66,28 +70,28 @@ class TestDocOverlapBound:
             {"a": ("a", "b"), "b": ("a", "b")},
             j=2,
         )
-        bound = doc_overlap_bound(Document("d", ("a", "b", "a")), lex, delta=1.0)
-        assert bound.od == 0.0
-        assert bound.attackable == 3
+        doc = Document("d", ("a", "b", "a"))
+        assert doc_overlap_bound(doc, lex, delta=1.0) == 0.0
+        assert attackable_count(doc, lex, delta=1.0) == 3
 
     def test_product_of_two_smallest(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p", "r"))
-        bound = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta=1.0)
-        assert bound.attackable == 2
-        assert bound.sorted_overlaps == (0.5, 0.8)
-        assert bound.od == pytest.approx(1.0 - 0.5 * 0.8, abs=1e-15)  # 0.6
+        assert attackable_count(doc, half_and_four_fifths_lexicon, delta=1.0) == 2
+        assert [half_and_four_fifths_lexicon.overlap_of(w) for w in doc.tokens] == [0.5, 0.8]
+        od = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta=1.0)
+        assert od == pytest.approx(1.0 - 0.5 * 0.8, abs=1e-15)  # 0.6
 
     def test_half_delta_takes_the_smallest_only(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p", "r"))
-        bound = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta=0.5)
-        assert bound.attackable == 1
-        assert bound.od == pytest.approx(0.5, abs=1e-15)
+        assert attackable_count(doc, half_and_four_fifths_lexicon, delta=0.5) == 1
+        od = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta=0.5)
+        assert od == pytest.approx(0.5, abs=1e-15)
 
     def test_no_attackable_positions_give_zero(self):
         lex = singleton_lexicon(["a", "b"])
-        bound = doc_overlap_bound(Document("d", ("a", "b")), lex, delta=1.0)
-        assert bound.attackable == 0
-        assert bound.od == 0.0
+        doc = Document("d", ("a", "b"))
+        assert attackable_count(doc, lex, delta=1.0) == 0
+        assert doc_overlap_bound(doc, lex, delta=1.0) == 0.0
 
     def test_delta_out_of_range_rejected(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p",))
@@ -101,7 +105,7 @@ class TestDocOverlapBound:
             world = random_world(rng)
             doc = random_doc(rng, world, "d")
             ods = [
-                doc_overlap_bound(doc, world.lexicon, delta).od
+                doc_overlap_bound(doc, world.lexicon, delta)
                 for delta in [x / 10 for x in range(1, 11)]
             ]
             assert all(a <= b + 1e-15 for a, b in zip(ods, ods[1:]))
@@ -131,7 +135,7 @@ class TestCertifiedUpperBound:
             doc = random_doc(rng, world, f"d{trial}")
             model = random_token_model(rng, world, [doc])
             fbar = smoothed_score_exact(model, q, doc, world.lexicon)
-            od = doc_overlap_bound(doc, world.lexicon, delta=1.0).od
+            od = doc_overlap_bound(doc, world.lexicon, delta=1.0)
             bound = certified_upper_bound(fbar, od)
             for cand in enumerate_sd(doc, 1.0, world.lexicon):
                 val = smoothed_score_exact(model, q, cand, world.lexicon)
@@ -185,7 +189,7 @@ class TestCertifyTopk:
         q = make_query("q1", "x")
         ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
         assert ranked.doc_ids == ("dA", "dC", "dB")
-        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, exact=True)
+        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=None)
         assert report.certified
         assert report.radius == 0.0
         assert report.n == 0
@@ -213,7 +217,7 @@ class TestCertifyTopk:
         docs = {"d1": Document("d1", ("h",)), "d2": Document("d2", ("h",))}
         q = make_query("q1", "x")
         ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
-        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, exact=True)
+        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=None)
         assert report.delta_lq <= 0
         assert not report.certified
 
@@ -222,11 +226,11 @@ class TestCertifyTopk:
         q = make_query("q1", "x")
         ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
         with pytest.raises(ValueError, match="K must"):
-            certify_topk(model, q, ranked, docs, k=3, delta=1.0, lexicon=lex, exact=True)
+            certify_topk(model, q, ranked, docs, k=3, delta=1.0, lexicon=lex, n=None)
         with pytest.raises(KeyError, match="dB"):
             certify_topk(
                 model, q, ranked, {k: v for k, v in docs.items() if k != "dB"},
-                k=1, delta=1.0, lexicon=lex, exact=True,
+                k=1, delta=1.0, lexicon=lex, n=None,
             )
 
     def test_uncertified_instance_is_attackable(self, clique_lexicon):
@@ -244,12 +248,10 @@ class TestCertifyTopk:
         assert ranked.entry_at(2).score == pytest.approx(0.4)
 
         report = certify_topk(
-            model, q, ranked, docs, k=1, delta=1.0, lexicon=clique_lexicon, exact=True
+            model, q, ranked, docs, k=1, delta=1.0, lexicon=clique_lexicon, n=None
         )
         assert not report.certified
         assert report.max_od == 1.0
-
-        from rankcert import brute_force_attack
 
         smoothed = SmoothedModel(model, clique_lexicon, n=None)
         outcome = brute_force_attack(smoothed, q, docs["dB"], ranked, 1.0, clique_lexicon)
@@ -265,7 +267,7 @@ class TestCertifyTopk:
         lex, model, docs = certifiable_world
         q = make_query("q1", "x")
         ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
-        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, exact=True)
+        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=None)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert set(payload) == {
             "query_id", "K", "delta", "n", "alpha", "fbarK", "fbarK1",
@@ -410,7 +412,7 @@ class TestBoundAttainingRanker:
             delta = float(rng.choice([0.5, 1.0]))
             p_r = float(rng.random())
             ranker = bound_attaining_ranker(doc, q, p_r, world.lexicon, delta=delta)
-            expected_od = doc_overlap_bound(doc, world.lexicon, delta).od
+            expected_od = doc_overlap_bound(doc, world.lexicon, delta)
             assert ranker.od == pytest.approx(expected_od, abs=1e-12)
             # Achieved p is the closest representable value to the request.
             space = world.lexicon.space_size(doc.tokens)

@@ -1,6 +1,7 @@
 """Corpus, query, run, and qrels loading."""
 
 import json
+import re
 
 import pytest
 
@@ -96,6 +97,13 @@ class TestLoadRun:
         out2 = tmp_path / "out2.txt"
         write_run(load_run(out), out2)
         assert out.read_text() == out2.read_text()
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_the_line(self, tmp_path, score):
+        path = tmp_path / "run.txt"
+        path.write_text(f"q1 Q0 d2 1 0.5 x\nq1 Q0 d1 2 {score} x\nq1 Q0 d3 3 0.9 x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: score '{score}' is not finite")):
+            load_run(path)
 
 
 class TestRankedListInvariants:

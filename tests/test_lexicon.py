@@ -452,7 +452,7 @@ class TestLexiconJson:
         top, tail = Document("top", ("u",)), Document("tail", ("a",))
         ranked = smooth_rank(model, query, [top, tail], lex, n=None)
         report = certify_topk(model, query, ranked, {"top": top, "tail": tail}, 1, 1.0, lex,
-                              exact=True)
+                              n=None)
         assert report.certified and report.delta_lq == pytest.approx(0.05, abs=1e-12)
         # ... yet substituting a -> b lifts it to 2/3, above the top's 0.55.
         attacked = smooth_rank(model, query, [top, Document("tail", ("b",))], lex, n=None)

@@ -11,13 +11,19 @@ from rankcert import (
     Document,
     PerturbationSampler,
     SmoothedModel,
+    certify_topk,
     hoeffding_radius,
-    perturbation_prob,
+    make_ranked,
     smooth_rank,
     smoothed_score_exact,
     smoothed_score_mc,
 )
-from rankcert.smoothing import SmoothedScore, derive_streams, enumerate_perturbations
+from rankcert.smoothing import (
+    ENUMERATION_CAP,
+    SmoothedScore,
+    derive_streams,
+    enumerate_perturbations,
+)
 
 from conftest import (
     TokenTableModel,
@@ -29,6 +35,7 @@ from conftest import (
     random_world,
     singleton_lexicon,
 )
+from oracles import perturbation_prob
 
 
 @pytest.fixture
@@ -186,10 +193,20 @@ class TestSmoothedExact:
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_cap_exceeded_mentions_monte_carlo(self, two_by_three_lexicon):
-        doc = Document("d", tuple(["q"] * 10))
+        # Twenty positions drawing from sets of size 2: 2^20 outcomes, above
+        # the cap. The size is counted, not enumerated.
+        doc = Document("d", tuple(["p"] * 20))
+        assert two_by_three_lexicon.space_size(doc.tokens) == 2**20 > ENUMERATION_CAP
+        model = TokenTableModel({})
+        q = make_query("q", "x")
         with pytest.raises(ValueError, match="Monte Carlo"):
-            smoothed_score_exact(TokenTableModel({}), make_query("q", "x"), doc,
-                                 two_by_three_lexicon, cap=100)
+            smoothed_score_exact(model, q, doc, two_by_three_lexicon)
+        # An exact certificate estimates the rank-K document the same way.
+        ranked = make_ranked("q", [("d", 0.5), ("e", 0.4)])
+        docs = {"d": doc, "e": Document("e", ("q",))}
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            certify_topk(model, q, ranked, docs, k=1, delta=1.0,
+                         lexicon=two_by_three_lexicon, n=None)
 
 
 class TestHoeffdingRadius:
