@@ -1,9 +1,9 @@
-"""Command-line pipeline: build-lexicon, train, smooth-rank, certify, attack,
-evaluate.
+"""Command-line pipeline: build-lexicon, train, certify, attack, evaluate.
 
 Every subcommand is deterministic given its seed and inputs, and echoes every
-option into a ``<out>.meta.json`` sidecar for provenance. Exit codes: 0
-success, 1 runtime failure, 2 usage error.
+option into a ``<out>.meta.json`` sidecar for provenance. ``certify`` also
+writes the smoothed ranking it certifies to ``<out>.smoothed.run``. Exit
+codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,12 @@ from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
 logger = logging.getLogger(__name__)
 
 
+def _beside(out_path: str, suffix: str) -> Path:
+    """``<out><suffix>``: a file a subcommand writes next to its ``--out``."""
+    out = Path(out_path)
+    return out.with_name(out.name + suffix)
+
+
 def _write_meta(**extra: object) -> None:
     """Write ``<out>.meta.json`` for the running subcommand: every
     ``<name>_path`` option under ``paths`` as ``<name>`` ("" when not given),
@@ -38,8 +44,7 @@ def _write_meta(**extra: object) -> None:
              for name, value in ctx.params.items() if name.endswith("_path")}
     params = {name: value for name, value in ctx.params.items() if not name.endswith("_path")}
     payload = {"subcommand": ctx.command.name, "paths": paths, "params": params, **extra}
-    out = Path(paths["out"])
-    with open(out.with_name(out.name + ".meta.json"), "w", encoding="utf-8") as fh:
+    with open(_beside(paths["out"], ".meta.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -77,19 +82,19 @@ def _queries_to_score(
     run: Mapping[str, RankedList],
     queries: Mapping[str, Query],
     corpus: Mapping[str, Document],
-    k: int | None = None,
+    k: int,
 ) -> tuple[list[str], dict[str, str]]:
     """The sorted ids of the queries a scoring command scores, and those it
-    skips with the reason, decided before any scoring: no query text, (when
-    ``k`` is given) a list too short to have a rank K+1, or documents missing
-    from the corpus, checked in that order. Fails the command, naming every
-    reason, when no query is left."""
+    skips with the reason, decided before any scoring: no query text, a list
+    too short to have a rank K+1, or documents missing from the corpus,
+    checked in that order. Fails the command, naming every reason, when no
+    query is left."""
     skipped = {}
     for qid, ranked in run.items():
         missing = [e.doc_id for e in ranked.entries if e.doc_id not in corpus]
         if qid not in queries:
             skipped[qid] = "query text missing"
-        elif k is not None and k >= len(ranked):
+        elif k >= len(ranked):
             skipped[qid] = f"K = {k} >= list length {len(ranked)}"
         elif missing:
             skipped[qid] = f"documents missing from corpus: {missing}"
@@ -189,13 +194,12 @@ def cmd_build_lexicon(embeddings_path: str, tau: float, j: int, out_path: str) -
 @_seed
 @click.option("--noise/--no-noise", default=True, show_default=True,
               help="Train on perturbed documents, or on clean ones.")
-@click.option("--static-noise", is_flag=True, help="Freeze one perturbed copy per document instead of resampling.")
 @_out
 @click.option("--loss-trace", "loss_trace_path", type=click.Path(dir_okay=False), help="Optional CSV of per-epoch loss.")
 def cmd_train(
     corpus_path: str, queries_path: str, triples_path: str, embeddings_path: str,
     lexicon_path: str, init_model_path: str | None, epochs: int, lr: float, seed: int,
-    noise: bool, static_noise: bool, out_path: str, loss_trace_path: str | None,
+    noise: bool, out_path: str, loss_trace_path: str | None,
 ) -> None:
     """Train the linear embedding scorer with noise data augmentation."""
     corpus = corpus_mod.load_corpus(corpus_path)
@@ -208,8 +212,7 @@ def cmd_train(
             model = LinearEmbedScorer.from_json_dict(json.load(fh), emb)
     else:
         model = LinearEmbedScorer.initial(emb)
-    cfg = train_mod.TrainConfig(
-        epochs=epochs, learning_rate=lr, seed=seed, noise_enabled=noise, static_noise=static_noise)
+    cfg = train_mod.TrainConfig(epochs=epochs, learning_rate=lr, seed=seed, noise_enabled=noise)
     result = train_mod.train(model, triples, corpus, queries, lexicon, cfg)
     result.model.save(out_path)
     if loss_trace_path:
@@ -221,6 +224,8 @@ def cmd_train(
 _scoring_options = _options(
     _input("corpus"), _input("queries"), _input("run"), _input("lexicon"), _input("model"),
     _input("embeddings", required=False, help="Required for linear scorer models."),
+    click.option("--k", default=10, show_default=True, type=click.IntRange(min=1)),
+    click.option("--delta", default=1.0, show_default=True, type=click.FloatRange(0.0, 1.0, min_open=True)),
     click.option("--n-samples", default=1000, show_default=True, type=click.IntRange(min=1)),
     click.option("--alpha", default=0.05, show_default=True,
                  type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True)),
@@ -228,14 +233,10 @@ _scoring_options = _options(
     click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1)),
     _out,
 )
-_certificate_options = _options(
-    click.option("--k", default=10, show_default=True, type=click.IntRange(min=1)),
-    click.option("--delta", default=1.0, show_default=True, type=click.FloatRange(0.0, 1.0, min_open=True)),
-)
 
 
 def _load_scoring_inputs(
-    corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k=None,
+    corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k,
 ):
     """Read a scoring command's inputs and decide which queries it scores
     (see :func:`_queries_to_score`) before the model is loaded."""
@@ -249,46 +250,29 @@ def _load_scoring_inputs(
     return corpus, queries, run, lexicon, model, qids, skipped
 
 
-@main.command("smooth-rank")
-@_scoring_options
-def cmd_smooth_rank(
-    corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path,
-    n_samples, alpha, seed, jobs, out_path,
-) -> None:
-    """Re-rank every query's candidates by Monte Carlo smoothed score."""
-    corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
-        corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path)
-
-    def work(qid: str) -> RankedList:
-        return smooth_rank(model, queries[qid], _candidates(run[qid], corpus),
-                           lexicon, n=n_samples, alpha=alpha, root_seed=seed)
-
-    results = _map_queries(work, qids, jobs)
-    corpus_mod.write_run(results, out_path, tag="smoothed")
-    _write_meta(skipped=skipped)
-    click.echo(f"smoothed run for {len(results)} queries written to {out_path}")
-
-
 @main.command("certify")
 @_scoring_options
-@_certificate_options
 def cmd_certify(
     corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path,
-    n_samples, alpha, seed, jobs, out_path, k, delta,
+    k, delta, n_samples, alpha, seed, jobs, out_path,
 ) -> None:
-    """Certify top-K robustness per query; writes report JSONL, prints CRQ."""
+    """Certify top-K robustness per query; writes report JSONL and the
+    smoothed run it certifies to ``<out>.smoothed.run``, prints CRQ."""
     corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
-    def work(qid: str) -> certify_mod.CertificateReport:
+    def work(qid: str) -> tuple[RankedList, certify_mod.CertificateReport]:
         smoothed = smooth_rank(model, queries[qid], _candidates(run[qid], corpus), lexicon,
                                n=n_samples, alpha=alpha, root_seed=seed)
-        return certify_mod.certify_topk(
+        return smoothed, certify_mod.certify_topk(
             model, queries[qid], smoothed, corpus, k, delta, lexicon,
             n=n_samples, alpha=alpha, root_seed=seed)
 
-    reports = list(_map_queries(work, qids, jobs).values())
+    results = _map_queries(work, qids, jobs)
+    reports = [report for _, report in results.values()]
     _write_jsonl(out_path, reports)
+    corpus_mod.write_run({qid: smoothed for qid, (smoothed, _) in results.items()},
+                         _beside(out_path, ".smoothed.run"), tag="smoothed")
     _write_meta(skipped=skipped)
     value = metrics_mod.crq(reports)
     click.echo(f"radius per estimate: {hoeffding_radius(n_samples, alpha):.6f}")
@@ -297,13 +281,12 @@ def cmd_certify(
 
 @main.command("attack")
 @_scoring_options
-@_certificate_options
 @click.option("--budget", default=3, show_default=True, type=click.IntRange(min=1), help="Greedy substitution budget.")
 @click.option("--target", type=click.Choice(["smoothed", "base"]), default="smoothed", show_default=True)
 @click.option("--max-attacked", default=None, type=click.IntRange(min=0), help="Attack at most this many tail documents per query.")
 def cmd_attack(
     corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path,
-    n_samples, alpha, seed, jobs, out_path, k, delta, budget, target, max_attacked,
+    k, delta, n_samples, alpha, seed, jobs, out_path, budget, target, max_attacked,
 ) -> None:
     """Greedy synonym-substitution attack on documents beyond rank K.
 

@@ -9,17 +9,15 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 logger = logging.getLogger(__name__)
-
-Tokenizer = Callable[[str], "tuple[str, ...]"]
 
 _NON_WORD = re.compile(r"[^\w\s]+")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Default tokenizer: lowercase, strip punctuation, split on whitespace."""
+    """Lowercase, strip punctuation, split on whitespace."""
     return tuple(_NON_WORD.sub(" ", text.lower()).split())
 
 
@@ -121,7 +119,7 @@ def make_ranked(query_id: str, scored: Iterable[tuple[str, float]]) -> RankedLis
     return RankedList(query_id, entries)
 
 
-def load_corpus(path: str | Path, tokenizer: Tokenizer = tokenize) -> dict[str, Document]:
+def load_corpus(path: str | Path) -> dict[str, Document]:
     """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects."""
     docs: dict[str, Document] = {}
     with open(path, encoding="utf-8") as fh:
@@ -137,14 +135,14 @@ def load_corpus(path: str | Path, tokenizer: Tokenizer = tokenize) -> dict[str, 
             doc_id = str(obj["id"])
             if doc_id in docs:
                 raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            tokens = tokenizer(str(obj["text"]))
+            tokens = tokenize(str(obj["text"]))
             if not tokens:
                 raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
             docs[doc_id] = Document(doc_id, tokens)
     return docs
 
 
-def load_queries(path: str | Path, tokenizer: Tokenizer = tokenize) -> dict[str, Query]:
+def load_queries(path: str | Path) -> dict[str, Query]:
     """Load TSV queries, one ``qid<TAB>text`` per line."""
     queries: dict[str, Query] = {}
     with open(path, encoding="utf-8") as fh:
@@ -158,7 +156,7 @@ def load_queries(path: str | Path, tokenizer: Tokenizer = tokenize) -> dict[str,
             qid, text = parts
             if qid in queries:
                 raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            tokens = tokenizer(text)
+            tokens = tokenize(text)
             if not tokens:
                 raise ValueError(f"{path}:{lineno}: query {qid!r} tokenizes to nothing")
             queries[qid] = Query(qid, tokens)
@@ -171,9 +169,11 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
     Entries are re-sorted by score descending (doc id breaks ties) and rank
     positions re-derived from the sorted order. Input rank fields that
     disagree with the score order trigger a warning, not an error; a score
-    that is NaN or infinite is an error, since it has no place in that order.
+    that is NaN or infinite is an error, since it has no place in that order,
+    and so is a document listed twice for one query.
     """
     rows: dict[str, list[tuple[str, int, float]]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -189,6 +189,10 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
                 raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
             if not math.isfinite(score):
                 raise ValueError(f"{path}:{lineno}: score {score_s!r} is not finite")
+            first = first_line.setdefault((qid, doc_id), lineno)
+            if first != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate document {doc_id!r} for query "
+                                 f"{qid!r} (first on line {first})")
             rows.setdefault(qid, []).append((doc_id, rank, score))
 
     run: dict[str, RankedList] = {}

@@ -5,8 +5,7 @@ by stochastic subgradient descent. With noise enabled, the positive and
 negative documents are replaced by draws from the word-substitution
 perturbation distribution, so the base model learns to score perturbed
 documents the way the smoothed ranker will see them. Fresh noise is drawn
-every epoch by default; ``static_noise`` freezes one perturbed copy per
-document instead.
+for every use of a document.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from .corpus import Document, Query
 from .lexicon import Lexicon
 from .rankers import LinearEmbedScorer, sigmoid
-from .smoothing import PerturbationSampler, _entropy
+from .smoothing import PerturbationSampler
 
 logger = logging.getLogger(__name__)
 
@@ -58,10 +57,8 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
 class TrainConfig:
     epochs: int = 20
     learning_rate: float = 0.5
-    margin: float = 1.0
     seed: int = 0
     noise_enabled: bool = True
-    static_noise: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -76,8 +73,8 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-def hinge_loss(pos_score: float, neg_score: float, margin: float = 1.0) -> float:
-    return max(0.0, margin - pos_score + neg_score)
+def hinge_loss(pos_score: float, neg_score: float) -> float:
+    return max(0.0, 1.0 - pos_score + neg_score)
 
 
 def train(
@@ -108,22 +105,11 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & ((1 << 64) - 1)]))
 
     sampler = PerturbationSampler(lexicon)
-    static_copies: dict[str, Document] = {}
-    if cfg.noise_enabled and cfg.static_noise:
-        doc_ids = sorted({d for t in triples for d in (t.pos_id, t.neg_id)})
-        for doc_id in doc_ids:
-            doc_rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed & ((1 << 64) - 1), _entropy(doc_id)])
-            )
-            doc = corpus[doc_id]
-            static_copies[doc_id] = sampler.sample(doc, sampler.picks(doc, doc_rng, 1)[0])
 
     def resolve(doc_id: str) -> Document:
         doc = corpus[doc_id]
         if not cfg.noise_enabled:
             return doc
-        if cfg.static_noise:
-            return static_copies[doc_id]
         return sampler.sample(doc, sampler.picks(doc, rng, 1)[0])
 
     losses: list[float] = []
@@ -144,7 +130,7 @@ def train(
             z_neg = float(np.dot(weights, phi_neg)) + bias
             s_pos = sigmoid(z_pos)
             s_neg = sigmoid(z_neg)
-            loss = hinge_loss(s_pos, s_neg, cfg.margin)
+            loss = hinge_loss(s_pos, s_neg)
             # The hinge clamp can hide a NaN score, so check the inputs too.
             if not (np.isfinite(z_pos) and np.isfinite(z_neg) and np.isfinite(loss)):
                 raise RuntimeError(

@@ -1,13 +1,15 @@
 """End-to-end command-line pipeline tests."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rankcert import Lexicon, hoeffding_radius
+from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, hoeffding_radius, load_corpus,
+                      load_queries, load_run, smooth_rank, write_run)
 from rankcert.cli import main
 
 from conftest import size_mismatch_lexicon
@@ -163,6 +165,11 @@ def read_meta(out: Path) -> dict:
     return json.loads(Path(str(out) + ".meta.json").read_text())
 
 
+def smoothed_run_of(out: Path) -> Path:
+    """The smoothed run ``certify --out <out>`` writes beside its reports."""
+    return Path(str(out) + ".smoothed.run")
+
+
 @pytest.fixture(scope="module")
 def run_with_textless_query(pipeline_dir) -> Path:
     """The toy run plus a query that has no text in the queries file."""
@@ -223,48 +230,58 @@ class TestTrain:
 
 
 class TestSmoothRank:
-    def test_writes_smoothed_run(self, pipeline_dir, built_lexicon, trained_model):
-        out = pipeline_dir / "smoothed.txt"
-        result = run_cli(
-            "smooth-rank",
-            "--corpus", pipeline_dir / "corpus.jsonl",
-            "--queries", pipeline_dir / "queries.tsv",
-            "--run", pipeline_dir / "run.txt",
-            "--lexicon", built_lexicon,
-            "--model", trained_model,
-            "--embeddings", pipeline_dir / "embeddings.txt",
-            "--n-samples", "100", "--seed", "1",
-            "--out", out,
-        )
-        assert result.exit_code == 0, result.output
-        from rankcert import load_run
+    """The smoothed run ``certify`` writes to ``<out>.smoothed.run``: the
+    library ``smooth_rank`` of every query it scores."""
 
-        smoothed = load_run(out)
-        assert set(smoothed) == {"q1", "q2", "qshort"}
-        assert all(0.0 <= e.score <= 1.0 for rl in smoothed.values() for e in rl.entries)
+    def test_writes_smoothed_run(self, pipeline_dir, built_lexicon, trained_model, certify_out,
+                                 tmp_path):
+        corpus = load_corpus(pipeline_dir / "corpus.jsonl")
+        queries = load_queries(pipeline_dir / "queries.tsv")
+        run = load_run(pipeline_dir / "run.txt")
+        lexicon = Lexicon.load(built_lexicon)
+        model = LinearEmbedScorer.from_json_dict(
+            json.loads(trained_model.read_text()),
+            EmbeddingTable.load(pipeline_dir / "embeddings.txt"))
+        reports = {r["query_id"]: r for r in map(json.loads, certify_out.read_text().splitlines())}
+        assert set(reports) == {"q1", "q2"}
+        expected = {
+            qid: smooth_rank(model, queries[qid], [corpus[d] for d in run[qid].doc_ids], lexicon,
+                             n=300, alpha=0.05, root_seed=1)
+            for qid in reports
+        }
+        write_run(expected, tmp_path / "expected.run", tag="smoothed")
+        smoothed_path = smoothed_run_of(certify_out)
+        assert smoothed_path.read_bytes() == (tmp_path / "expected.run").read_bytes()
+
+        smoothed = load_run(smoothed_path)
+        for qid, report in reports.items():
+            k = report["K"]
+            assert smoothed[qid].entry_at(k).score == pytest.approx(report["fbarK"], abs=1e-9)
+            assert smoothed[qid].entry_at(k + 1).score == pytest.approx(report["fbarK1"], abs=1e-9)
 
     def test_sidecar_records_skipped_queries(
         self, pipeline_dir, built_lexicon, trained_model, run_with_textless_query, tmp_path
     ):
-        out = tmp_path / "smoothed.txt"
-        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon, trained_model,
-                                       out, run=run_with_textless_query))
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, trained_model,
+                                       out, "--k", "2", run=run_with_textless_query))
         assert result.exit_code == 0, result.output
-        from rankcert import load_run
-
-        assert set(load_run(out)) == {"q1", "q2", "qshort"}
-        assert read_meta(out)["skipped"] == {"qnotext": "query text missing"}
+        assert set(load_run(smoothed_run_of(out))) == {"q1", "q2"}
+        assert read_meta(out)["skipped"] == {
+            "qnotext": "query text missing", "qshort": "K = 2 >= list length 1"}
 
     def test_malformed_corpus_line_fails_with_its_location(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path
     ):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"id": "d1", "text": "h h"}\n{"id": "d2", "text": \n')
-        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon, trained_model,
-                                       tmp_path / "smoothed.txt", corpus=corpus))
+        out = tmp_path / "reports.jsonl"
+        result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, trained_model,
+                                       out, "--k", "2", corpus=corpus))
         assert result.exit_code == 1
         assert f"{corpus}:2: malformed JSON" in result.output
         assert "Traceback" not in result.output
+        assert not out.exists() and not smoothed_run_of(out).exists()
 
 
 class TestCertify:
@@ -296,28 +313,24 @@ class TestCertify:
         run_cli(*certify_args(pipeline_dir, built_lexicon, trained_model, out_8, jobs=8))
         assert out_1.read_bytes() == out_8.read_bytes()
 
-    @pytest.mark.parametrize("command", ["smooth-rank", "certify", "attack"])
+    @pytest.mark.parametrize("command", ["certify", "attack"])
     def test_document_missing_from_corpus_is_skipped(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, command
     ):
         run = tmp_path / "run.txt"
         run.write_text((pipeline_dir / "run.txt").read_text().replace("q1 Q0 d3 ", "q1 Q0 dgone "))
         out = tmp_path / "out"
-        extra = () if command == "smooth-rank" else ("--k", "2")
         result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model,
-                                       out, *extra, run=run))
+                                       out, "--k", "2", run=run))
         assert result.exit_code == 0, result.output
-        if command == "smooth-rank":
-            from rankcert import load_run
-
-            assert set(load_run(out)) == {"q2", "qshort"}
-        else:
-            assert {json.loads(line)["query_id"] for line in out.read_text().splitlines()} == {"q2"}
+        assert {json.loads(line)["query_id"] for line in out.read_text().splitlines()} == {"q2"}
+        if command == "certify":
+            assert set(load_run(smoothed_run_of(out))) == {"q2"}
         skipped = read_meta(out)["skipped"]
-        assert set(skipped) == {"q1"} | ({"qshort"} if extra else set())
+        assert set(skipped) == {"q1", "qshort"}
         assert skipped["q1"] == "documents missing from corpus: ['dgone']"
 
-    @pytest.mark.parametrize("command", ["smooth-rank", "certify", "attack"])
+    @pytest.mark.parametrize("command", ["certify", "attack"])
     def test_no_query_left_fails_naming_the_reasons(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, command
     ):
@@ -325,15 +338,13 @@ class TestCertify:
         run = tmp_path / "run.txt"
         run.write_text((pipeline_dir / "run.txt").read_text().replace(" Q0 d1 ", " Q0 dgone "))
         out = tmp_path / "out"
-        extra = () if command == "smooth-rank" else ("--k", "2")
         result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model,
-                                       out, *extra, run=run))
+                                       out, "--k", "2", run=run))
         assert result.exit_code == 1
         assert "no query left" in result.output
         assert "q1: documents missing from corpus: ['dgone']" in result.output
-        short = "K = 2 >= list length 1" if extra else "documents missing from corpus"
-        assert f"qshort: {short}" in result.output
-        assert not out.exists()
+        assert "qshort: K = 2 >= list length 1" in result.output
+        assert not out.exists() and not smoothed_run_of(out).exists()
 
     def test_bm25_is_calibrated_on_the_scored_queries_only(
         self, pipeline_dir, built_lexicon, tmp_path
@@ -531,15 +542,15 @@ class TestJobsByteIdentity:
     the outputs must not depend on how many there are."""
 
     @pytest.mark.parametrize(
-        "command, extra",
+        "command, extra, written",
         [
-            ("smooth-rank", ()),
-            ("attack", ("--target", "smoothed", "--k", "2", "--budget", "2")),
+            ("certify", ("--k", "2"), smoothed_run_of),
+            ("attack", ("--target", "smoothed", "--k", "2", "--budget", "2"), Path),
         ],
-        ids=["smooth-rank", "attack-smoothed"],
+        ids=["smoothed-run", "attack-smoothed"],
     )
     def test_one_and_four_workers_are_byte_identical(
-        self, pipeline_dir, built_lexicon, trained_model, tmp_path, command, extra
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, command, extra, written
     ):
         outs = []
         for jobs in (1, 4):
@@ -547,7 +558,7 @@ class TestJobsByteIdentity:
             result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model,
                                            out, *extra, "--jobs", jobs))
             assert result.exit_code == 0, result.output
-            outs.append(out.read_bytes())
+            outs.append(written(out).read_bytes())
         assert outs[0] and outs[0] == outs[1]
 
 
@@ -569,15 +580,12 @@ class TestOptionRanges:
         ("certify", "--delta", "0"),
         ("certify", "--delta", "1.5"),
         ("certify", "--k", "0"),
-        ("smooth-rank", "--n-samples", "0"),
-        ("smooth-rank", "--alpha", "1.5"),
         ("attack", "--n-samples", "-1"),
         ("attack", "--delta", "0"),
         ("attack", "--k", "0"),
         ("attack", "--budget", "0"),
         ("attack", "--max-attacked", "-1"),
         ("certify", "--jobs", "0"),
-        ("smooth-rank", "--jobs", "-3"),
         ("attack", "--jobs", "0"),
         ("build-lexicon", "--j", "0"),
         ("build-lexicon", "--tau", "0"),
@@ -642,7 +650,7 @@ class TestSidecar:
         assert set(meta["paths"]) == {n.removesuffix("_path") for n in names if n.endswith("_path")}
         assert set(meta["params"]) == {n for n in names if not n.endswith("_path")}
         assert meta["paths"]["out"] == str(out)
-        if command in ("smooth-rank", "certify", "attack"):
+        if command in ("certify", "attack"):
             assert meta["paths"]["embeddings"] == str(pipeline_dir / "embeddings.txt")
             assert meta["params"]["jobs"] == 1
 
@@ -651,8 +659,7 @@ class TestSidecar:
         result = run_cli(*train_args(pipeline_dir, built_lexicon, out, "--epochs", "2", "--no-noise"))
         assert result.exit_code == 0, result.output
         meta = read_meta(out)
-        assert meta["params"] == {"epochs": 2, "lr": 0.5, "seed": 0, "noise": False,
-                                  "static_noise": False}
+        assert meta["params"] == {"epochs": 2, "lr": 0.5, "seed": 0, "noise": False}
         assert meta["paths"]["init_model"] == meta["paths"]["loss_trace"] == ""
 
 
@@ -692,7 +699,7 @@ class TestOverlapsOnFirstRead:
 
 
 class TestInvalidLexicon:
-    @pytest.mark.parametrize("command", ["certify", "smooth-rank", "attack", "train"])
+    @pytest.mark.parametrize("command", ["certify", "attack", "train"])
     def test_size_mismatch_fails_the_command(
         self, pipeline_dir, trained_model, tmp_path, command
     ):
@@ -701,8 +708,7 @@ class TestInvalidLexicon:
         if command == "train":
             args = train_args(pipeline_dir, lexicon, out)
         else:
-            extra = () if command == "smooth-rank" else ("--k", "2")
-            args = scoring_args(command, pipeline_dir, lexicon, trained_model, out, *extra)
+            args = scoring_args(command, pipeline_dir, lexicon, trained_model, out, "--k", "2")
         result = run_cli(*args)
         assert result.exit_code == 1
         assert "size-mismatch" in result.output
@@ -713,8 +719,6 @@ class TestBaseScoresOutsideUnitInterval:
     @pytest.fixture
     def broken_scorer(self, monkeypatch):
         """The linear scorer returns 1.5 for query q1 only."""
-        from rankcert import LinearEmbedScorer
-
         original = LinearEmbedScorer.score
 
         def score(self, query, doc):
@@ -731,11 +735,21 @@ class TestBaseScoresOutsideUnitInterval:
         assert result.exit_code == 1
         assert "outside [0, 1]" in result.output and "'q1'" in result.output
 
-    def test_smooth_rank_fails(
+    def test_attack_fails(
         self, pipeline_dir, built_lexicon, trained_model, tmp_path, broken_scorer
     ):
-        out = tmp_path / "run.txt"
-        result = run_cli(*scoring_args("smooth-rank", pipeline_dir, built_lexicon,
-                                       trained_model, out))
+        out = tmp_path / "outcomes.jsonl"
+        result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon,
+                                       trained_model, out, "--k", "2"))
         assert result.exit_code == 1
-        assert "outside [0, 1]" in result.output
+        assert "outside [0, 1]" in result.output and "'q1'" in result.output
+        assert not out.exists()
+
+
+def test_readme_names_every_command():
+    """The README's command-line block shows one ``rankcert <command>`` line
+    per subcommand, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    assert set(re.findall(r"^rankcert ([\w-]+)", block, re.MULTILINE)) == set(main.commands)

@@ -105,6 +105,13 @@ class TestLoadRun:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: score '{score}' is not finite")):
             load_run(path)
 
+    def test_repeated_document_names_the_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 0.9 x\nq2 Q0 d1 1 0.8 x\nq1 Q0 d1 2 0.5 x\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: duplicate document 'd1' for query 'q1' (first on line 1)")):
+            load_run(path)
+
 
 class TestRankedListInvariants:
     def test_duplicate_doc_ids_rejected(self):

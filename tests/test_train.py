@@ -178,23 +178,6 @@ class TestNoise:
                 assert r in noisy_lexicon.perturb_set(w)
         assert len(seen) > 1
 
-    def test_static_noise_freezes_one_copy(self, noisy_lexicon):
-        emb = EmbeddingTable.from_pairs(
-            [("a", [1.0, 0.0]), ("b", [0.99, 0.01]), ("n0", [0.0, 1.0])]
-        )
-        model = LinearEmbedScorer.initial(emb)
-        queries = {"q": Query("q", ("a",))}
-        corpus = {
-            "pos": Document("pos", ("a", "a")),
-            "neg": Document("neg", ("n0", "n0")),
-        }
-        triples = [TrainingTriple("q", "pos", "neg")]
-        static_cfg = TrainConfig(epochs=8, learning_rate=0.5, seed=1,
-                                 noise_enabled=True, static_noise=True)
-        a = train(model, triples, corpus, queries, noisy_lexicon, static_cfg)
-        b = train(model, triples, corpus, queries, noisy_lexicon, static_cfg)
-        assert np.array_equal(a.model.weights, b.model.weights)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
