@@ -10,7 +10,10 @@ The certificate rests on two pieces, both computed here:
 * ``certify_topk``: the list-level criterion. With ``sK`` and ``sK1`` the
   smoothed scores at ranks K and K+1, the margin
   ``sK - sK1 - max tail od - total estimation radius`` being positive
-  guarantees no document beyond rank K can be promoted into the top K.
+  guarantees no document beyond rank K can be promoted into the top K. It
+  certifies the list of one smoothed ranker, the ``SmoothedModel`` that
+  ranked it, and refuses a list whose boundary scores that ranker does not
+  reproduce.
 
 The oracles that check the bound against ground truth (the closed form of
 the clipped measure-difference mass, the provably worst-case substitution
@@ -26,8 +29,7 @@ from typing import Mapping
 
 from .corpus import Document, Query, RankedList
 from .lexicon import Lexicon
-from .rankers import ScoreModel
-from .smoothing import SmoothedScore, smoothed_score_exact, smoothed_score_mc
+from .smoothing import SmoothedModel, SmoothedScore, smoothed_score_mc
 
 
 def attackable_count(doc: Document, lexicon: Lexicon, delta: float) -> int:
@@ -116,28 +118,25 @@ class CertificateReport:
 
 
 def certify_topk(
-    model: ScoreModel,
+    smoothed: SmoothedModel,
     query: Query,
     ranked: RankedList,
     docs: Mapping[str, Document],
     k: int,
     delta: float,
-    lexicon: Lexicon,
-    *,
-    n: int | None = 1000,
-    alpha: float = 0.05,
-    root_seed: int = 0,
 ) -> CertificateReport:
     """Certify that no document beyond rank ``k`` of the smoothed list can be
     promoted into the top ``k`` by substituting at most ``floor(delta * M)``
-    words per document with synonyms.
+    words per document with synonyms of ``smoothed.lexicon``.
 
-    ``ranked`` must be the smoothed-ranker list (documents ordered by
-    smoothed score). The two boundary scores are re-estimated with the same
-    derived streams that produced the list, so they agree with its entries;
-    the margin subtracts one confidence radius per estimate, making the
-    decision conservative at level ``alpha`` per estimate. With ``n=None``
-    both scores are exact (radius 0, reported as ``n: 0``).
+    ``ranked`` must be the list ``smoothed`` ranked. The two boundary scores
+    are estimated again by that ranker: exactly from its memo with
+    ``n=None`` (radius 0, reported as ``n: 0``), or by Monte Carlo with the
+    same derived streams. An estimate that differs from the list's score at
+    its rank raises a ``ValueError``, so the report always describes the
+    list's own ranker. The margin subtracts one confidence radius per
+    estimate, making the decision conservative at level ``alpha`` per
+    estimate.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
@@ -149,16 +148,27 @@ def certify_topk(
     if missing:
         raise KeyError(f"documents missing from corpus: {missing}")
 
-    def estimate(doc: Document) -> SmoothedScore:
-        if n is None:
-            return SmoothedScore.exact(smoothed_score_exact(model, query, doc, lexicon))
-        return smoothed_score_mc(model, query, doc, lexicon, n, alpha, root_seed)
+    def estimate(rank: int) -> SmoothedScore:
+        entry = ranked.entry_at(rank)
+        doc = docs[entry.doc_id]
+        if smoothed.n is None:
+            est = smoothed.smoothed(query, doc)
+        else:
+            est = smoothed_score_mc(smoothed.base, query, doc, smoothed.lexicon,
+                                    smoothed.n, smoothed.alpha, smoothed.root_seed)
+        if est.mean != entry.score:
+            raise ValueError(
+                f"rank {rank} of the list for query {query.id!r} holds document {doc.id!r} "
+                f"with score {entry.score!r}, but the smoothed ranker scores it {est.mean!r}; "
+                "certify the list this SmoothedModel ranked"
+            )
+        return est
 
-    fbar_k = estimate(docs[ranked.entry_at(k).doc_id])
-    fbar_k1 = estimate(docs[ranked.entry_at(k + 1).doc_id])
+    fbar_k = estimate(k)
+    fbar_k1 = estimate(k + 1)
 
     per_doc = tuple(
-        (e.doc_id, doc_overlap_bound(docs[e.doc_id], lexicon, delta))
+        (e.doc_id, doc_overlap_bound(docs[e.doc_id], smoothed.lexicon, delta))
         for e in ranked.tail(k)
     )
     max_od = max(o for _, o in per_doc)
@@ -169,8 +179,8 @@ def certify_topk(
         query_id=query.id,
         k=k,
         delta=delta,
-        n=0 if n is None else n,
-        alpha=alpha,
+        n=fbar_k.n,
+        alpha=smoothed.alpha,
         fbar_k=fbar_k.mean,
         fbar_k1=fbar_k1.mean,
         radius=radius,
@@ -179,4 +189,3 @@ def certify_topk(
         certified=margin > 0.0,
         per_doc_od=per_doc,
     )
-

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -49,6 +50,32 @@ def _write_meta(**extra: object) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _naming(where: object):
+    """Re-raise a malformed record's error as a Click error that names
+    ``where``, the file (and line) it was read from."""
+    try:
+        yield
+    except KeyError as exc:
+        raise click.ClickException(f"{where}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise click.ClickException(f"{where}: {exc}") from exc
+
+
+def _read_model_file(path: str | Path) -> dict:
+    with _naming(path):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"a model file holds a JSON object, not a {type(payload).__name__}")
+    return payload
+
+
+def _linear_from(payload: dict, path: str | Path, embeddings: EmbeddingTable) -> LinearEmbedScorer:
+    with _naming(path):
+        return LinearEmbedScorer.from_json_dict(payload, embeddings)
+
+
 def _load_model(
     model_path: Path,
     corpus: Mapping[str, Document],
@@ -59,16 +86,16 @@ def _load_model(
 ) -> ScoreModel:
     """Load a scorer; BM25 is calibrated on the (query, document) pairs of
     the scored queries ``qids`` only, so a skipped query moves no score."""
-    with open(model_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_model_file(model_path)
     kind = payload.get("type")
     if kind == "linear":
         if embeddings is None:
             raise click.ClickException("--embeddings is required for a linear scorer model")
-        return LinearEmbedScorer.from_json_dict(payload, embeddings)
+        return _linear_from(payload, model_path, embeddings)
     if kind == "bm25":
-        model = Bm25Model.from_corpus(
-            corpus, k1=float(payload.get("k1", 0.9)), b=float(payload.get("b", 0.4)))
+        with _naming(model_path):
+            k1, b = float(payload.get("k1", 0.9)), float(payload.get("b", 0.4))
+        model = Bm25Model.from_corpus(corpus, k1=k1, b=b)
         return model.calibrated(
             (queries[qid], corpus[e.doc_id]) for qid in qids for e in run[qid].entries)
     raise click.ClickException(f"unknown model type {kind!r} in {model_path}")
@@ -108,8 +135,13 @@ def _queries_to_score(
 
 
 def _read_jsonl(path: str, from_json_dict: Callable) -> list:
+    records = []
     with open(path, encoding="utf-8") as fh:
-        return [from_json_dict(json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                with _naming(f"{path}:{lineno}"):
+                    records.append(from_json_dict(json.loads(line)))
+    return records
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -208,8 +240,7 @@ def cmd_train(
     emb = EmbeddingTable.load(embeddings_path)
     lexicon = Lexicon.load(lexicon_path)
     if init_model_path:
-        with open(init_model_path, encoding="utf-8") as fh:
-            model = LinearEmbedScorer.from_json_dict(json.load(fh), emb)
+        model = _linear_from(_read_model_file(init_model_path), init_model_path, emb)
     else:
         model = LinearEmbedScorer.initial(emb)
     cfg = train_mod.TrainConfig(epochs=epochs, learning_rate=lr, seed=seed, noise_enabled=noise)
@@ -262,16 +293,14 @@ def cmd_certify(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
     def work(qid: str) -> tuple[RankedList, certify_mod.CertificateReport]:
-        smoothed = smooth_rank(model, queries[qid], _candidates(run[qid], corpus), lexicon,
-                               n=n_samples, alpha=alpha, root_seed=seed)
-        return smoothed, certify_mod.certify_topk(
-            model, queries[qid], smoothed, corpus, k, delta, lexicon,
-            n=n_samples, alpha=alpha, root_seed=seed)
+        smoothed = SmoothedModel(model, lexicon, n_samples, alpha, seed)
+        ranked = smooth_rank(smoothed, queries[qid], _candidates(run[qid], corpus))
+        return ranked, certify_mod.certify_topk(smoothed, queries[qid], ranked, corpus, k, delta)
 
     results = _map_queries(work, qids, jobs)
     reports = [report for _, report in results.values()]
     _write_jsonl(out_path, reports)
-    corpus_mod.write_run({qid: smoothed for qid, (smoothed, _) in results.items()},
+    corpus_mod.write_run({qid: ranked for qid, (ranked, _) in results.items()},
                          _beside(out_path, ".smoothed.run"), tag="smoothed")
     _write_meta(skipped=skipped)
     value = metrics_mod.crq(reports)

@@ -7,6 +7,11 @@ from its perturbation set ``T_{w_i}``. The smoothed score of a base model
 either exactly (full enumeration of small spaces) or by Monte Carlo with a
 Hoeffding confidence radius per estimate.
 
+A :class:`SmoothedModel` is one smoothed ranker: it holds the base model,
+the lexicon, ``n`` (``None`` for exact enumeration), ``alpha`` and the root
+seed, and both :func:`smooth_rank` and ``certify.certify_topk`` read every
+smoothing setting from it.
+
 Randomness is derived, never shared: a root seed plus hashes of the query
 id, document id, and token sequence seed one generator per estimate. The
 estimate draws its ``n`` samples from it with one ``integers`` call, as an
@@ -109,13 +114,9 @@ class PerturbationSampler:
     """
 
     lexicon: Lexicon
-    root_seed: int = 0
     _tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def stream(self, query_id: str, doc: Document) -> np.random.Generator:
-        return derive_streams(self.root_seed, query_id, doc.id, doc.tokens)
 
     def _table(self, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(all members of every ``T_w`` in order, set sizes, set offsets)."""
@@ -172,9 +173,10 @@ def smoothed_score_mc(
     regardless of how callers parallelize across documents.
     """
     radius = hoeffding_radius(n, alpha)
-    sampler = PerturbationSampler(lexicon, root_seed)
+    sampler = PerturbationSampler(lexicon)
+    rng = derive_streams(root_seed, query.id, doc.id, doc.tokens)
     scores = np.empty(n, dtype=float)
-    for i, row in enumerate(sampler.picks(doc, sampler.stream(query.id, doc), n)):
+    for i, row in enumerate(sampler.picks(doc, rng, n)):
         scores[i] = model.score(query, sampler.sample(doc, row))
     outside = ~((scores >= 0.0) & (scores <= 1.0))
     if outside.any():
@@ -220,35 +222,24 @@ def smoothed_score_exact(
     return total / count
 
 
-def smooth_rank(
-    model: ScoreModel,
-    query: Query,
-    docs: Sequence[Document],
-    lexicon: Lexicon,
-    n: int | None = 1000,
-    alpha: float = 0.05,
-    root_seed: int = 0,
-) -> RankedList:
-    """Rank candidates by smoothed score (Monte Carlo, or exact if ``n`` is
-    None). Ties break by doc id ascending."""
-    return rank(SmoothedModel(model, lexicon, n, alpha, root_seed), query, docs)
-
-
 class SmoothedModel(ScoreModel):
-    """Score model wrapper exposing the smoothed score as ``score``.
+    """The smoothed ranker: a base model, the lexicon it is smoothed over,
+    and how its scores are estimated, with the smoothed score as ``score``.
 
     With ``n=None`` the expectation is computed exactly by enumeration (of
-    at most ``ENUMERATION_CAP`` outcomes); otherwise by Monte Carlo with
-    per-document derived streams. Results are memoized by (query id, doc id, token tuple), the
-    same inputs the Monte Carlo streams derive from; concurrent readers may
-    race on the memo but always write identical values.
+    at most ``ENUMERATION_CAP`` outcomes); otherwise by Monte Carlo from
+    ``n`` draws of per-document derived streams seeded by ``root_seed``,
+    each with a Hoeffding radius at level ``alpha``. Results are memoized by
+    (query id, doc id, token tuple), the same inputs the Monte Carlo streams
+    derive from; concurrent readers may race on the memo but always write
+    identical values.
     """
 
     def __init__(
         self,
         base: ScoreModel,
         lexicon: Lexicon,
-        n: int | None = None,
+        n: int | None,
         alpha: float = 0.05,
         root_seed: int = 0,
     ) -> None:
@@ -281,3 +272,8 @@ class SmoothedModel(ScoreModel):
             return SmoothedScore.exact(self.score(query, doc))
         return SmoothedScore.from_mc(self.score(query, doc), self.n, self.alpha)
 
+
+def smooth_rank(smoothed: SmoothedModel, query: Query, docs: Sequence[Document]) -> RankedList:
+    """Rank candidates by the smoothed score of ``smoothed``. Ties break by
+    doc id ascending."""
+    return rank(smoothed, query, docs)

@@ -49,7 +49,10 @@ def load_triples(path: str | Path) -> list[TrainingTriple]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>pos<TAB>neg'")
-            triples.append(TrainingTriple(*parts))
+            try:
+                triples.append(TrainingTriple(*parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return triples
 
 

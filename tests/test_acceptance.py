@@ -102,15 +102,13 @@ def test_certified_lists_withstand_exhaustive_attack():
         )
         model = _random_model(rng, world, docs, query)
         k = int(rng.choice([1, 3]))
-        ranked = smooth_rank(model, query, list(docs.values()), world.lexicon, n=None)
-        report = certify_topk(
-            model, query, ranked, docs, k=k, delta=1.0, lexicon=world.lexicon, n=None
-        )
+        smoothed = SmoothedModel(model, world.lexicon, n=None)
+        ranked = smooth_rank(smoothed, query, list(docs.values()))
+        report = certify_topk(smoothed, query, ranked, docs, k=k, delta=1.0)
         instances += 1
         if not report.certified:
             continue
         certified += 1
-        smoothed = SmoothedModel(model, world.lexicon, n=None)
         for entry in ranked.tail(k):
             outcome = brute_force_attack(
                 smoothed, query, docs[entry.doc_id], ranked, 1.0, world.lexicon
@@ -327,7 +325,7 @@ def test_noise_training_preserves_smoothed_ranking_quality():
 
     def smoothed_mrr(model) -> float:
         run = {
-            qid: smooth_rank(model, queries[qid], lists[qid], lexicon, n=None)
+            qid: smooth_rank(SmoothedModel(model, lexicon, n=None), queries[qid], lists[qid])
             for qid in queries
         }
         return mrr(run, qrels, 10)

@@ -187,9 +187,10 @@ class TestCertifyTopk:
     def test_exact_certification_with_zero_slack(self, certifiable_world):
         lex, model, docs = certifiable_world
         q = make_query("q1", "x")
-        ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
+        smoothed = SmoothedModel(model, lex, n=None)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
         assert ranked.doc_ids == ("dA", "dC", "dB")
-        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=None)
+        report = certify_topk(smoothed, q, ranked, docs, k=1, delta=1.0)
         assert report.certified
         assert report.radius == 0.0
         assert report.n == 0
@@ -200,10 +201,9 @@ class TestCertifyTopk:
     def test_mc_certification_subtracts_both_radii(self, certifiable_world):
         lex, model, docs = certifiable_world
         q = make_query("q1", "x")
-        ranked = smooth_rank(model, q, list(docs.values()), lex, n=1000, alpha=0.05, root_seed=3)
-        report = certify_topk(
-            model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=1000, alpha=0.05, root_seed=3
-        )
+        smoothed = SmoothedModel(model, lex, n=1000, alpha=0.05, root_seed=3)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
+        report = certify_topk(smoothed, q, ranked, docs, k=1, delta=1.0)
         assert report.radius == pytest.approx(hoeffding_radius(1000, 0.05))
         assert report.fbar_k == ranked.entry_at(1).score
         assert report.fbar_k1 == ranked.entry_at(2).score
@@ -216,22 +216,59 @@ class TestCertifyTopk:
         model = TokenTableModel({("h",): 0.9})
         docs = {"d1": Document("d1", ("h",)), "d2": Document("d2", ("h",))}
         q = make_query("q1", "x")
-        ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
-        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=None)
+        smoothed = SmoothedModel(model, lex, n=None)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
+        report = certify_topk(smoothed, q, ranked, docs, k=1, delta=1.0)
         assert report.delta_lq <= 0
         assert not report.certified
 
     def test_k_out_of_range_and_missing_docs_error(self, certifiable_world):
         lex, model, docs = certifiable_world
         q = make_query("q1", "x")
-        ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
+        smoothed = SmoothedModel(model, lex, n=None)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
         with pytest.raises(ValueError, match="K must"):
-            certify_topk(model, q, ranked, docs, k=3, delta=1.0, lexicon=lex, n=None)
+            certify_topk(smoothed, q, ranked, docs, k=3, delta=1.0)
         with pytest.raises(KeyError, match="dB"):
-            certify_topk(
-                model, q, ranked, {k: v for k, v in docs.items() if k != "dB"},
-                k=1, delta=1.0, lexicon=lex, n=None,
-            )
+            certify_topk(smoothed, q, ranked, {k: v for k, v in docs.items() if k != "dB"},
+                         k=1, delta=1.0)
+
+    def test_refuses_a_list_ranked_with_another_root_seed(self, certifiable_world):
+        # At K = 2 the boundary holds dC (a singleton, the same under any
+        # seed) and dB, whose Monte Carlo estimate moves with the seed.
+        lex, model, docs = certifiable_world
+        q = make_query("q1", "x")
+        ranked = smooth_rank(SmoothedModel(model, lex, n=200, root_seed=3), q, list(docs.values()))
+        other = SmoothedModel(model, lex, n=200, root_seed=4)
+        with pytest.raises(ValueError, match=r"rank 3 .*'q1'.*'dB'"):
+            certify_topk(other, q, ranked, docs, k=2, delta=1.0)
+
+    def test_refuses_a_list_ranked_over_another_lexicon(self, certifiable_world):
+        # Without the g1 -> g2 substitution dB scores 0.35, not 0.4.
+        lex, model, docs = certifiable_world
+        q = make_query("q1", "x")
+        ranked = smooth_rank(SmoothedModel(model, lex, n=None), q, list(docs.values()))
+        other = SmoothedModel(model, singleton_lexicon(["h", "g1", "g2", "u"]), n=None)
+        with pytest.raises(ValueError, match=r"rank 3 .*'q1'.*'dB'"):
+            certify_topk(other, q, ranked, docs, k=2, delta=1.0)
+
+    def test_exact_certificate_reads_the_ranking_estimates(self, certifiable_world):
+        lex, table, docs = certifiable_world
+        calls = []
+
+        class Counting(TokenTableModel):
+            def score(self, query, doc):
+                calls.append(doc.tokens)
+                return super().score(query, doc)
+
+        q = make_query("q1", "x")
+        smoothed = SmoothedModel(Counting(table.table), lex, n=None)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
+        ranking_calls = len(calls)
+        assert ranking_calls > 0
+        for k in (1, 2):
+            certify_topk(smoothed, q, ranked, docs, k=k, delta=1.0)
+        assert len(calls) == ranking_calls
 
     def test_uncertified_instance_is_attackable(self, clique_lexicon):
         # Tail slack (od = 1) swamps the 0.2 gap, so certification refuses;
@@ -242,18 +279,16 @@ class TestCertifyTopk:
         )
         docs = {"dA": Document("dA", ("u",)), "dB": Document("dB", ("a",))}
         q = make_query("q1", "x")
-        ranked = smooth_rank(model, q, list(docs.values()), clique_lexicon, n=None)
+        smoothed = SmoothedModel(model, clique_lexicon, n=None)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
         assert ranked.doc_ids == ("dA", "dB")
         assert ranked.entry_at(1).score == pytest.approx(0.6)
         assert ranked.entry_at(2).score == pytest.approx(0.4)
 
-        report = certify_topk(
-            model, q, ranked, docs, k=1, delta=1.0, lexicon=clique_lexicon, n=None
-        )
+        report = certify_topk(smoothed, q, ranked, docs, k=1, delta=1.0)
         assert not report.certified
         assert report.max_od == 1.0
 
-        smoothed = SmoothedModel(model, clique_lexicon, n=None)
         outcome = brute_force_attack(smoothed, q, docs["dB"], ranked, 1.0, clique_lexicon)
         assert outcome.best_rank_after == 1
         assert outcome.success
@@ -266,8 +301,9 @@ class TestCertifyTopk:
 
         lex, model, docs = certifiable_world
         q = make_query("q1", "x")
-        ranked = smooth_rank(model, q, list(docs.values()), lex, n=None)
-        report = certify_topk(model, q, ranked, docs, k=1, delta=1.0, lexicon=lex, n=None)
+        smoothed = SmoothedModel(model, lex, n=None)
+        ranked = smooth_rank(smoothed, q, list(docs.values()))
+        report = certify_topk(smoothed, q, ranked, docs, k=1, delta=1.0)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert set(payload) == {
             "query_id", "K", "delta", "n", "alpha", "fbarK", "fbarK1",

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, hoeffding_radius, load_corpus,
-                      load_queries, load_run, smooth_rank, write_run)
+from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel, hoeffding_radius,
+                      load_corpus, load_queries, load_run, smooth_rank, write_run)
 from rankcert.cli import main
 
 from conftest import size_mismatch_lexicon
@@ -245,8 +245,8 @@ class TestSmoothRank:
         reports = {r["query_id"]: r for r in map(json.loads, certify_out.read_text().splitlines())}
         assert set(reports) == {"q1", "q2"}
         expected = {
-            qid: smooth_rank(model, queries[qid], [corpus[d] for d in run[qid].doc_ids], lexicon,
-                             n=300, alpha=0.05, root_seed=1)
+            qid: smooth_rank(SmoothedModel(model, lexicon, n=300, alpha=0.05, root_seed=1),
+                             queries[qid], [corpus[d] for d in run[qid].doc_ids])
             for qid in reports
         }
         write_run(expected, tmp_path / "expected.run", tag="smoothed")
@@ -384,10 +384,10 @@ class TestCertify:
 
         original = rankcert.certify.certify_topk
 
-        def broken(model, query, *args, **kwargs):
+        def broken(smoothed, query, *args, **kwargs):
             if query.id == "q2":
                 raise TypeError("broken for q2")
-            return original(model, query, *args, **kwargs)
+            return original(smoothed, query, *args, **kwargs)
 
         monkeypatch.setattr(rankcert.certify, "certify_topk", broken)
         out = tmp_path / "reports.jsonl"
@@ -743,6 +743,51 @@ class TestBaseScoresOutsideUnitInterval:
                                        trained_model, out, "--k", "2"))
         assert result.exit_code == 1
         assert "outside [0, 1]" in result.output and "'q1'" in result.output
+        assert not out.exists()
+
+
+class TestMalformedFiles:
+    """A malformed report, outcome or model file fails the command with an
+    error that names the file, and the line for JSONL."""
+
+    def test_report_line_missing_a_key(self, tmp_path, certify_out, attack_out):
+        reports = tmp_path / "reports.jsonl"
+        lines = certify_out.read_text().splitlines()
+        broken = json.loads(lines[1])
+        del broken["K"]
+        reports.write_text(lines[0] + "\n\n" + json.dumps(broken) + "\n")
+        result = run_cli("evaluate", "--reports", reports, "--outcomes", attack_out,
+                         "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        assert f"{reports}:3: missing key 'K'" in result.output
+
+    def test_outcome_line_that_is_not_json(self, tmp_path, certify_out, attack_out):
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_text(attack_out.read_text() + '{"query_id": "q1",\n')
+        bad_line = len(attack_out.read_text().splitlines()) + 1
+        result = run_cli("evaluate", "--reports", certify_out, "--outcomes", outcomes,
+                         "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        assert f"{outcomes}:{bad_line}: " in result.output
+
+    @pytest.mark.parametrize("content,message", [
+        ("[0.5, 1.0]", "holds a JSON object, not a list"),
+        ('{"type": "linear", "bias": 0.5}', "missing key 'weights'"),
+        ('{"type": "linear", "weights": [0.5,', "Expecting value"),
+    ], ids=["list", "no-weights", "truncated"])
+    @pytest.mark.parametrize("command", ["certify", "train"])
+    def test_model_file_errors_name_the_file(
+        self, pipeline_dir, built_lexicon, tmp_path, command, content, message
+    ):
+        model, out = tmp_path / "model.json", tmp_path / "out"
+        model.write_text(content)
+        if command == "train":
+            args = train_args(pipeline_dir, built_lexicon, out, "--init-model", model)
+        else:
+            args = scoring_args(command, pipeline_dir, built_lexicon, model, out, "--k", "2")
+        result = run_cli(*args)
+        assert result.exit_code == 1
+        assert f"{model}: " in result.output and message in result.output
         assert not out.exists()
 
 

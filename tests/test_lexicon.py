@@ -16,6 +16,7 @@ from rankcert import (
     EmbeddingTable,
     Lexicon,
     Query,
+    SmoothedModel,
     build_perturb_dict,
     build_synonym_dict,
     certify_topk,
@@ -450,12 +451,12 @@ class TestLexiconJson:
         model = TokenTableModel({("u",): 0.55, ("b",): 1.0, ("d",): 1.0})
         query = Query("q", ("q",))
         top, tail = Document("top", ("u",)), Document("tail", ("a",))
-        ranked = smooth_rank(model, query, [top, tail], lex, n=None)
-        report = certify_topk(model, query, ranked, {"top": top, "tail": tail}, 1, 1.0, lex,
-                              n=None)
+        smoothed = SmoothedModel(model, lex, n=None)
+        ranked = smooth_rank(smoothed, query, [top, tail])
+        report = certify_topk(smoothed, query, ranked, {"top": top, "tail": tail}, 1, 1.0)
         assert report.certified and report.delta_lq == pytest.approx(0.05, abs=1e-12)
         # ... yet substituting a -> b lifts it to 2/3, above the top's 0.55.
-        attacked = smooth_rank(model, query, [top, Document("tail", ("b",))], lex, n=None)
+        attacked = smooth_rank(smoothed, query, [top, Document("tail", ("b",))])
         assert attacked.entries[0].doc_id == "tail"
         assert attacked.entries[0].score == pytest.approx(2 / 3)
 

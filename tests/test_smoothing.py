@@ -205,8 +205,8 @@ class TestSmoothedExact:
         ranked = make_ranked("q", [("d", 0.5), ("e", 0.4)])
         docs = {"d": doc, "e": Document("e", ("q",))}
         with pytest.raises(ValueError, match="Monte Carlo"):
-            certify_topk(model, q, ranked, docs, k=1, delta=1.0,
-                         lexicon=two_by_three_lexicon, n=None)
+            certify_topk(SmoothedModel(model, two_by_three_lexicon, n=None), q, ranked, docs,
+                         k=1, delta=1.0)
 
 
 class TestHoeffdingRadius:
@@ -342,18 +342,12 @@ class TestStreams:
     def test_each_input_changes_the_draws(self, changed):
         assert _draws(derive_streams(*changed)) != _draws(derive_streams(*self.BASE))
 
-    def test_sampler_stream_is_derived_from_query_and_document(self, two_by_three_lexicon):
-        sampler = PerturbationSampler(two_by_three_lexicon, root_seed=5)
-        doc = Document("d1", ("p", "q"))
-        expected = _draws(derive_streams(5, "q1", "d1", doc.tokens))
-        assert _draws(sampler.stream("q1", doc)) == expected
-
     def test_mc_draws_its_samples_from_one_stream_in_order(self, two_by_three_lexicon):
         doc = Document("d1", ("p", "q"))
         outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
         model = TokenTableModel({t: i / 5 for i, t in enumerate(outcomes)})
         q = make_query("q1", "x")
-        sampler = PerturbationSampler(two_by_three_lexicon, root_seed=3)
+        sampler = PerturbationSampler(two_by_three_lexicon)
         rng = derive_streams(3, "q1", "d1", doc.tokens)
         expected = np.mean(
             [model.score(q, sampler.sample(doc, sampler.picks(doc, rng, 1)[0])) for _ in range(50)]
@@ -413,7 +407,7 @@ class TestSmoothRankAndModel:
         docs = [random_doc(rng, world, f"d{i}") for i in range(5)]
         model = random_token_model(rng, world, docs)
         q = make_query("q1", "whatever")
-        ranked = smooth_rank(model, q, docs, world.lexicon, n=None)
+        ranked = smooth_rank(SmoothedModel(model, world.lexicon, n=None), q, docs)
         for entry in ranked.entries:
             doc = next(d for d in docs if d.id == entry.doc_id)
             assert entry.score == pytest.approx(

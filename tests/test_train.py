@@ -1,5 +1,7 @@
 """Pairwise hinge training with noise augmentation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,10 @@ def test_load_triples_parses_tsv(tmp_path):
     bad.write_text("q1 only-two\n")
     with pytest.raises(ValueError, match=":1"):
         load_triples(bad)
+
+
+def test_load_triples_names_the_line_of_a_repeated_document(tmp_path):
+    path = tmp_path / "triples.tsv"
+    path.write_text("q1\td1\td2\nq1\td1\td1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*repeats document 'd1'"):
+        load_triples(path)
