@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import Document, Query, RankedList
+from .corpus import Document, Query, RankedList, json_field
 from .lexicon import Lexicon
 from .rankers import ScoreModel
 
@@ -52,11 +52,11 @@ class AttackOutcome:
         return cls(
             query_id=str(payload["query_id"]),
             doc_id=str(payload["doc_id"]),
-            original_rank=int(payload["original_rank"]),
-            best_rank_after=int(payload["best_rank_after"]),
+            original_rank=json_field(payload, "original_rank", int),
+            best_rank_after=json_field(payload, "best_rank_after", int),
             best_doc=Document(str(payload["doc_id"]), tuple(payload["best_tokens"])),
             best_score=float(payload["best_score"]),
-            success=bool(payload["success"]),
+            success=json_field(payload, "success", bool),
             substitutions=tuple(
                 (int(p), str(old), str(new)) for p, old, new in payload["substitutions"]
             ),
@@ -96,9 +96,10 @@ def greedy_attack(
 
     Each step applies the strictly score-improving move with the largest
     gain, ties broken by (position, lexicographic word), while keeping at
-    most ``budget`` positions changed from the original document. Stops when
-    no move improves the score; with ``budget == 0`` that is at once, and the
-    document comes back unchanged.
+    most ``budget`` positions changed from the original document. A step
+    scores all its trial documents with one ``model.score_many`` call.
+    Stops when no move improves the score; with ``budget == 0`` that is at
+    once, and the document comes back unchanged.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -111,9 +112,7 @@ def greedy_attack(
         best_move: tuple[int, str] | None = None
         best_score = current_score
         changed = {i for i, w in enumerate(doc.tokens) if current[i] != w}
-        # Moves are scanned in ascending (position, token) order and only a
-        # strictly larger score replaces the incumbent, which realizes the
-        # tie rule: maximal gain, then smallest position, then smallest word.
+        moves, trials = [], []
         for pos in range(doc.length):
             for tok in options[pos]:
                 if tok == current[pos]:
@@ -123,10 +122,15 @@ def greedy_attack(
                     continue
                 trial = current.copy()
                 trial[pos] = tok
-                s = model.score(query, doc.with_tokens(trial))
-                if s > best_score:
-                    best_score = s
-                    best_move = (pos, tok)
+                moves.append((pos, tok))
+                trials.append(doc.with_tokens(trial))
+        # Moves are listed in ascending (position, token) order and only a
+        # strictly larger score replaces the incumbent, which realizes the
+        # tie rule: maximal gain, then smallest position, then smallest word.
+        for move, s in zip(moves, model.score_many(query, trials)):
+            if s > best_score:
+                best_score = s
+                best_move = move
         if best_move is None:
             break
         current[best_move[0]] = best_move[1]

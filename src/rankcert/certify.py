@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import Document, Query, RankedList
+from .corpus import Document, Query, RankedList, json_field
 from .lexicon import Lexicon
 from .smoothing import SmoothedModel, SmoothedScore, smoothed_score_mc
 
@@ -103,16 +103,16 @@ class CertificateReport:
     def from_json_dict(cls, payload: Mapping) -> "CertificateReport":
         return cls(
             query_id=str(payload["query_id"]),
-            k=int(payload["K"]),
+            k=json_field(payload, "K", int),
             delta=float(payload["delta"]),
-            n=int(payload["n"]),
+            n=json_field(payload, "n", int),
             alpha=float(payload["alpha"]),
             fbar_k=float(payload["fbarK"]),
             fbar_k1=float(payload["fbarK1"]),
             radius=float(payload["radius"]),
             max_od=float(payload["max_od"]),
             delta_lq=float(payload["delta_Lq"]),
-            certified=bool(payload["certified"]),
+            certified=json_field(payload, "certified", bool),
             per_doc_od=tuple((str(e["doc_id"]), float(e["od"])) for e in payload["per_doc_od"]),
         )
 

@@ -235,6 +235,18 @@ def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:
     return {qid: frozenset(ids) for qid, ids in rel.items()}
 
 
+def json_field(payload: Mapping, name: str, kind: type[bool] | type[int]) -> bool | int:
+    """``payload[name]``, which must be a JSON boolean (``kind=bool``) or
+    integer (``kind=int``; a boolean is not one). Anything else, such as
+    ``"false"`` or ``2.7``, raises a ``ValueError`` naming the field instead
+    of being coerced."""
+    value = payload[name]
+    if type(value) is not kind:
+        what = "boolean" if kind is bool else "integer"
+        raise ValueError(f"field {name!r} must be a JSON {what}, got {value!r}")
+    return value
+
+
 def corpus_fingerprint(corpus: Mapping[str, Document]) -> str:
     """Stable hash of a corpus, for cache keying."""
     h = hashlib.sha256()

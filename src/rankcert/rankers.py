@@ -20,12 +20,30 @@ class ScoreModel(ABC):
     """Deterministic relevance scorer with outputs in [0, 1].
 
     Implementations must be safe for concurrent ``score`` calls once
-    constructed.
+    constructed. The batch methods return what ``score`` would, value for
+    value; their defaults loop over it, and a model may override them with a
+    faster form that keeps that equality.
     """
 
     @abstractmethod
     def score(self, query: Query, doc: Document) -> float:
         raise NotImplementedError
+
+    def score_many(self, query: Query, docs: Sequence[Document]) -> list[float]:
+        """``score`` of each document, in order."""
+        return [self.score(query, d) for d in docs]
+
+    def score_batch(
+        self, query: Query, doc: Document, members: np.ndarray, picks: np.ndarray
+    ) -> np.ndarray:
+        """Base scores of the ``len(picks)`` documents named by the rows of
+        an ``(n, M)`` pick matrix: row ``i`` is ``doc`` with the tokens
+        ``members[picks[i]]``, where ``members`` is the document's flat
+        member table (see ``smoothing.PerturbationSampler.picks``)."""
+        return np.fromiter(
+            (self.score(query, doc.with_tokens(members[row].tolist())) for row in picks),
+            dtype=float, count=len(picks),
+        )
 
 
 def rank(model: ScoreModel, query: Query, candidates: Sequence[Document]) -> RankedList:
@@ -181,20 +199,60 @@ class LinearEmbedScorer(ScoreModel):
             side = self._queries[query.tokens] = (qv, _norm(qv), frozenset(query.tokens))
         return side
 
-    def features(self, query: Query, doc: Document) -> np.ndarray:
-        qv, qn, q_terms = self._query_side(query)
-        dv = self._pool(doc.tokens)
+    @staticmethod
+    def _features(qv: np.ndarray, qn: float, dv: np.ndarray, coverage: float,
+                  density: float) -> np.ndarray:
+        """The feature vector from the query side, the pooled document
+        vector and the two term-overlap fractions."""
         dn = _norm(dv)
         cos = float(np.dot(qv, dv) / (qn * dn)) if qn > 0 and dn > 0 else 0.0
-        coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
-        density = sum(map(q_terms.__contains__, doc.tokens)) / doc.length
         return np.array([cos, coverage, density])
 
+    def features(self, query: Query, doc: Document) -> np.ndarray:
+        qv, qn, q_terms = self._query_side(query)
+        coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
+        density = sum(map(q_terms.__contains__, doc.tokens)) / doc.length
+        return self._features(qv, qn, self._pool(doc.tokens), coverage, density)
+
+    def _decision(self, features: np.ndarray) -> float:
+        return float(np.dot(self.weights, features)) + self.bias
+
     def decision(self, query: Query, doc: Document) -> float:
-        return float(np.dot(self.weights, self.features(query, doc))) + self.bias
+        return self._decision(self.features(query, doc))
 
     def score(self, query: Query, doc: Document) -> float:
         return sigmoid(self.decision(query, doc))
+
+    def score_batch(
+        self, query: Query, doc: Document, members: np.ndarray, picks: np.ndarray
+    ) -> np.ndarray:
+        """``score`` of every row, bit for bit. Each row's pooled vector is
+        the in-order sum of its members' rows (an out-of-vocabulary member
+        adds a zero row and is not counted), and the term-overlap fractions
+        come from integer counts; the rest runs per row as in ``score``."""
+        qv, qn, q_terms = self._query_side(query)
+        index, matrix = self.embeddings.index, self.embeddings.matrix
+        count = len(members)
+        row_of = np.fromiter((index.get(w, -1) for w in members), dtype=np.intp, count=count)
+        in_vocab = row_of >= 0
+        vectors = np.zeros((count, self.embeddings.dim))
+        vectors[in_vocab] = matrix.take(row_of[in_vocab], axis=0)
+        pooled = np.add.reduce(vectors[picks], axis=1)
+        pooled /= np.maximum(in_vocab[picks].sum(axis=1), 1)[:, None]
+        # Which distinct query term each picked member is, -1 for none: that
+        # index lands in a spare last column of ``present``, which coverage
+        # leaves out.
+        term_id = {t: i for i, t in enumerate(q_terms)}
+        terms = np.fromiter((term_id.get(w, -1) for w in members), dtype=np.intp, count=count)[picks]
+        present = np.zeros((len(picks), len(q_terms) + 1), dtype=bool)
+        present[np.arange(len(picks))[:, None], terms] = True
+        coverage = present[:, :-1].sum(axis=1) / len(q_terms)
+        density = (terms >= 0).sum(axis=1) / picks.shape[1]
+        return np.fromiter(
+            (sigmoid(self._decision(self._features(qv, qn, dv, c, d)))
+             for dv, c, d in zip(pooled, coverage, density)),
+            dtype=float, count=len(picks),
+        )
 
     def with_params(self, weights: np.ndarray, bias: float) -> "LinearEmbedScorer":
         return LinearEmbedScorer(

@@ -178,10 +178,16 @@ def smoothed_score_mc(
     scores = np.empty(n, dtype=float)
     for i, row in enumerate(sampler.picks(doc, rng, n)):
         scores[i] = model.score(query, sampler.sample(doc, row))
+    return SmoothedScore(mean=_sample_mean(scores, query, doc), n=n, alpha=alpha, radius=radius)
+
+
+def _sample_mean(scores: np.ndarray, query: Query, doc: Document) -> float:
+    """Mean of one estimate's sample scores, after rejecting any outside
+    [0, 1] (NaN included)."""
     outside = ~((scores >= 0.0) & (scores <= 1.0))
     if outside.any():
         raise _out_of_range(float(scores[outside][0]), query, doc)
-    return SmoothedScore(mean=float(scores.mean()), n=n, alpha=alpha, radius=radius)
+    return float(scores.mean())
 
 
 def _out_of_range(score: float, query: Query, doc: Document) -> ValueError:
@@ -229,10 +235,10 @@ class SmoothedModel(ScoreModel):
     With ``n=None`` the expectation is computed exactly by enumeration (of
     at most ``ENUMERATION_CAP`` outcomes); otherwise by Monte Carlo from
     ``n`` draws of per-document derived streams seeded by ``root_seed``,
-    each with a Hoeffding radius at level ``alpha``. Results are memoized by
-    (query id, doc id, token tuple), the same inputs the Monte Carlo streams
-    derive from; concurrent readers may race on the memo but always write
-    identical values.
+    each with a Hoeffding radius at level ``alpha`` (both checked here).
+    Results are memoized by (query id, doc id, token tuple), the same inputs
+    the Monte Carlo streams derive from; concurrent readers may race on the
+    memo but always write identical values.
     """
 
     def __init__(
@@ -243,6 +249,8 @@ class SmoothedModel(ScoreModel):
         alpha: float = 0.05,
         root_seed: int = 0,
     ) -> None:
+        if n is not None:
+            hoeffding_radius(n, alpha)
         self.base = base
         self.lexicon = lexicon
         self.n = n
@@ -266,6 +274,26 @@ class SmoothedModel(ScoreModel):
             ).mean
         self._memo[key] = value
         return value
+
+    def score_many(self, query: Query, docs: Sequence[Document]) -> list[float]:
+        """``score`` of each document, in order, filling the same memo. A
+        Monte Carlo estimate draws the same pick matrix from the same stream
+        as ``smoothed_score_mc`` and scores all its rows with one
+        ``base.score_batch`` call, which gives the same mean."""
+        if self.n is None:
+            return super().score_many(query, docs)
+        sampler = PerturbationSampler(self.lexicon)
+        values = []
+        for doc in docs:
+            key = (query.id, doc.id, doc.tokens)
+            value = self._memo.get(key)
+            if value is None:
+                rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
+                members, _, _ = sampler._table(doc.tokens)
+                scores = self.base.score_batch(query, doc, members, sampler.picks(doc, rng, self.n))
+                value = self._memo[key] = _sample_mean(scores, query, doc)
+            values.append(value)
+        return values
 
     def smoothed(self, query: Query, doc: Document) -> SmoothedScore:
         if self.n is None:

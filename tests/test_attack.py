@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rankcert import (
     AttackOutcome,
     Document,
+    ScoreModel,
     SmoothedModel,
     greedy_attack,
     make_ranked,
@@ -23,6 +24,7 @@ from conftest import (
     hand_lexicon,
     make_query,
     random_doc,
+    random_linear_model,
     random_token_model,
     random_world,
     singleton_lexicon,
@@ -254,6 +256,69 @@ class TestGreedy:
         assert outcome == AttackOutcome("q1", "e", 2, 2, doc, 0.4, False, ())
 
 
+class ScoreOnly(ScoreModel):
+    """Exposes only ``score`` of the model it wraps, so ``greedy_attack``
+    scores its trials one at a time through the default ``score_many``."""
+
+    def __init__(self, model: ScoreModel):
+        self.model = model
+
+    def score(self, query, doc):
+        return self.model.score(query, doc)
+
+
+class TestGreedyOnSmoothedModel:
+    """Each step scores its trials with one ``SmoothedModel.score_many``
+    call; the outcome must be the one trial-by-trial ``score`` calls give."""
+
+    @staticmethod
+    def _both(base, lexicon, q, doc, ranked, budget):
+        def smoothed():
+            return SmoothedModel(base, lexicon, n=32, alpha=0.05, root_seed=9)
+        batched = greedy_attack(smoothed(), q, doc, ranked, budget, lexicon)
+        one_by_one = greedy_attack(ScoreOnly(smoothed()), q, doc, ranked, budget, lexicon)
+        return batched, one_by_one
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_trial_by_trial_scoring(self, seed):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, regime="loose")
+        doc = random_doc(rng, world, "target", min_len=4, max_len=6)
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        ranked = make_ranked("q1", [("other", 0.99), ("target", 0.0)])
+        # The linear scorer batches each estimate's draws; the token table
+        # scores them through the default per-row score_batch.
+        for base in (random_linear_model(rng, world.emb), random_token_model(rng, world, [doc])):
+            for budget in range(doc.length + 1):
+                batched, one_by_one = self._both(base, world.lexicon, q, doc, ranked, budget)
+                assert batched == one_by_one
+                assert batched.best_score == one_by_one.best_score
+                if budget == 0:
+                    assert batched.best_doc == doc and batched.substitutions == ()
+
+    def test_matches_trial_by_trial_scoring_through_a_revert_move(self):
+        # Each perturbation set repeats its word, so smoothing keeps every
+        # document as it is and the table alone fixes the path:
+        # {0} -> {0, 1} -> {0, 1, 2} -> {1, 2}, the last step putting
+        # position 0 back to its original word.
+        words = {"a": "a2", "b": "b2", "c": "c2"}
+        synonyms = {w: {w, s} for w, s in words.items()} | {s: {w, s} for w, s in words.items()}
+        lex = hand_lexicon(synonyms, {w: (w, w) for w in synonyms}, j=2)
+        model = TokenTableModel({
+            ("a", "b", "c"): 0.1,
+            ("a2", "b", "c"): 0.5, ("a", "b2", "c"): 0.2, ("a", "b", "c2"): 0.2,
+            ("a2", "b2", "c"): 0.6, ("a2", "b", "c2"): 0.3,
+            ("a2", "b2", "c2"): 0.7, ("a", "b2", "c2"): 0.8,
+        })
+        q = make_query("q1", "x")
+        doc = Document("target", ("a", "b", "c"))
+        ranked = make_ranked("q1", [("other", 0.75), ("target", 0.1)])
+        batched, one_by_one = self._both(model, lex, q, doc, ranked, budget=3)
+        assert batched == one_by_one
+        assert batched.substitutions == ((1, "b", "b2"), (2, "c", "c2"))
+        assert batched.success and batched.best_score == pytest.approx(0.8)
+
+
 def test_attack_outcome_json_round_trip():
     outcome = AttackOutcome(
         query_id="q1",
@@ -267,3 +332,14 @@ def test_attack_outcome_json_round_trip():
     )
     payload = json.loads(json.dumps(outcome.to_json_dict()))
     assert AttackOutcome.from_json_dict(payload) == outcome
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("success", "false", "boolean"), ("success", 1, "boolean"),
+    ("original_rank", 7.5, "integer"), ("best_rank_after", True, "integer"),
+])
+def test_attack_outcome_from_json_requires_json_types(field, value, kind):
+    payload = AttackOutcome("q1", "d9", 7, 3, Document("d9", ("x",)), 0.5, True, ()).to_json_dict()
+    payload[field] = value
+    with pytest.raises(ValueError, match=f"field '{field}' must be a JSON {kind}"):
+        AttackOutcome.from_json_dict(payload)

@@ -311,6 +311,23 @@ class TestCertifyTopk:
         }
         assert CertificateReport.from_json_dict(payload) == report
 
+    @pytest.mark.parametrize("field,value,kind", [
+        ("certified", "false", "boolean"), ("certified", 1, "boolean"),
+        ("K", 2.7, "integer"), ("K", False, "integer"), ("n", "1000", "integer"),
+    ])
+    def test_report_from_json_requires_json_types(self, certifiable_world, field, value, kind):
+        from rankcert import CertificateReport
+
+        lex, model, docs = certifiable_world
+        q = make_query("q1", "x")
+        smoothed = SmoothedModel(model, lex, n=None)
+        report = certify_topk(smoothed, q, smooth_rank(smoothed, q, list(docs.values())), docs,
+                              k=1, delta=1.0)
+        payload = report.to_json_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}' must be a JSON {kind}"):
+            CertificateReport.from_json_dict(payload)
+
 
 class TestExcessMass:
     def test_identity_document(self, triple_cluster_lexicon):

@@ -761,6 +761,36 @@ class TestMalformedFiles:
         assert result.exit_code == 1
         assert f"{reports}:3: missing key 'K'" in result.output
 
+    @pytest.mark.parametrize("field,value", [
+        ("certified", "false"), ("certified", 0), ("K", 2.7), ("K", True), ("n", "100"),
+    ])
+    def test_report_field_of_the_wrong_json_type(self, tmp_path, certify_out, attack_out,
+                                                  field, value):
+        reports = tmp_path / "reports.jsonl"
+        lines = certify_out.read_text().splitlines()
+        broken = json.loads(lines[1])
+        broken[field] = value
+        reports.write_text(lines[0] + "\n" + json.dumps(broken) + "\n")
+        result = run_cli("evaluate", "--reports", reports, "--outcomes", attack_out,
+                         "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        assert f"{reports}:2: field {field!r} must be a JSON " in result.output
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("success", "false"), ("success", 1), ("original_rank", 3.5), ("best_rank_after", False),
+    ])
+    def test_outcome_field_of_the_wrong_json_type(self, tmp_path, certify_out, attack_out,
+                                                  field, value):
+        outcomes = tmp_path / "outcomes.jsonl"
+        broken = json.loads(attack_out.read_text().splitlines()[0])
+        broken[field] = value
+        outcomes.write_text(json.dumps(broken) + "\n")
+        result = run_cli("evaluate", "--reports", certify_out, "--outcomes", outcomes,
+                         "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        assert f"{outcomes}:1: field {field!r} must be a JSON " in result.output
+
     def test_outcome_line_that_is_not_json(self, tmp_path, certify_out, attack_out):
         outcomes = tmp_path / "outcomes.jsonl"
         outcomes.write_text(attack_out.read_text() + '{"query_id": "q1",\n')

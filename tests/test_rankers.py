@@ -269,6 +269,59 @@ def test_linear_scores_are_bit_identical_on_wide_embeddings():
             assert model.score(query, doc) == _reference_linear_score(model, query, doc)
 
 
+def test_linear_score_batch_equals_per_row_score_on_wide_embeddings():
+    # Long rows over any member table, not only one a sampler builds.
+    rng = np.random.default_rng(45)
+    vocab = [f"t{i}" for i in range(300)]
+    emb = EmbeddingTable.from_pairs((t, rng.normal(size=32)) for t in vocab)
+    model = random_linear_model(rng, emb)
+    members = np.array([*vocab[:150], "oov-a", "oov-b"], dtype=object)
+    queries = [Query(f"q{i}", tuple(rng.choice(members, size=4).tolist())) for i in range(3)]
+    for i in range(20):
+        doc = Document(f"d{i}", tuple(rng.choice(vocab, size=int(rng.integers(50, 101))).tolist()))
+        picks = rng.integers(0, len(members), size=(8, doc.length))
+        for query in queries:
+            rows = [model.score(query, doc.with_tokens(members[row].tolist())) for row in picks]
+            assert model.score_batch(query, doc, members, picks).tolist() == rows
+
+
+def _batches(seed: int, n: int = 16):
+    """(document, member table, pick matrix) for every document of
+    ``_identity_cases``: out-of-vocabulary members, and one document with no
+    in-vocabulary token at all."""
+    rng, world, queries, docs = _identity_cases(seed)
+    sampler = PerturbationSampler(world.lexicon)
+    batches = [(doc, sampler._table(doc.tokens)[0], sampler.picks(doc, rng, n)) for doc in docs]
+    return rng, world, queries, sampler, batches
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_linear_score_batch_equals_per_row_score(seed):
+    rng, world, queries, sampler, batches = _batches(seed)
+    model = random_linear_model(rng, world.emb)
+    # q1 repeats a term and holds an unknown one; q3 has no known term, so
+    # its pooled vector is zero (qn = 0).
+    queries = [*queries, Query("q3", ("oov-x", "oov-y", "oov-x"))]
+    assert batches[0][0].id == "oov" and not any(t in world.emb.index for t in batches[0][0].tokens)
+    for doc, members, picks in batches:
+        for query in queries:
+            batch = model.score_batch(query, doc, members, picks)
+            rows = [model.score(query, sampler.sample(doc, row)) for row in picks]
+            assert batch.tolist() == rows
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bm25_default_score_batch_equals_per_row_score(seed):
+    _, _, queries, sampler, batches = _batches(seed)
+    corpus = {doc.id: doc for doc, _, _ in batches[::4]}
+    model = Bm25Model.from_corpus(corpus).calibrated(
+        [(q, d) for q in queries for d in corpus.values()])
+    for doc, members, picks in batches:
+        for query in queries:
+            batch = model.score_batch(query, doc, members, picks)
+            assert batch.tolist() == [model.score(query, sampler.sample(doc, row)) for row in picks]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_bm25_scores_are_bit_identical_to_reference(seed):
     _, _, queries, docs = _identity_cases(seed)

@@ -381,6 +381,9 @@ class TestBaseScoreRange:
         model = TokenTableModel({("p2", "q3"): bad}, default=0.5)
         with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
             smoothed_score_mc(model, make_query("q9", "x"), doc, two_by_three_lexicon, n=200)
+        smoothed = SmoothedModel(model, two_by_three_lexicon, n=200)
+        with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
+            smoothed.score_many(make_query("q9", "x"), [doc])
 
     @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
     def test_exact_rejects_scores_outside_unit_interval(self, two_by_three_lexicon, bad):
@@ -462,3 +465,47 @@ def test_enumerate_perturbations_covers_product_space(two_by_three_lexicon):
     for tokens in outcomes:
         assert tokens[0] in ("p", "p2")
         assert tokens[1] in ("q", "q2", "q3")
+
+
+class TestScoreMany:
+    """``SmoothedModel.score_many``, the batched path of the greedy attack,
+    against ``score`` and ``smoothed_score_mc``, the per-draw reference."""
+
+    @staticmethod
+    def _world(seed):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, regime="mixed")
+        docs = [random_doc(rng, world, f"d{i}") for i in range(6)]
+        docs.append(Document("d0-twin", docs[0].tokens))
+        return world, docs, random_token_model(rng, world, docs)
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    def test_fills_the_memo_that_score_reads(self, seed, monkeypatch):
+        world, docs, model = self._world(seed)
+        q = make_query("q1", "whatever")
+        expected = [smoothed_score_mc(model, q, d, world.lexicon, n=48, alpha=0.1, root_seed=5).mean
+                    for d in docs]
+        smoothed = SmoothedModel(model, world.lexicon, n=48, alpha=0.1, root_seed=5)
+        assert smoothed.score(q, docs[2]) == expected[2]
+        assert smoothed.score_many(q, docs) == expected
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("score estimated again instead of reading the memo")
+
+        monkeypatch.setattr("rankcert.smoothing.smoothed_score_mc", no_estimate)
+        assert [smoothed.score(q, d) for d in docs] == expected
+        assert smoothed.score_many(q, docs) == expected
+
+    def test_exact_model_falls_back_to_score(self):
+        world, docs, model = self._world(43)
+        q = make_query("q1", "whatever")
+        smoothed = SmoothedModel(model, world.lexicon, n=None)
+        values = smoothed.score_many(q, docs)
+        assert values == [smoothed_score_exact(model, q, d, world.lexicon) for d in docs]
+        assert values == [smoothed.score(q, d) for d in docs]
+
+    @pytest.mark.parametrize("n, alpha", [(0, 0.05), (10, 0.0), (10, 1.0)])
+    def test_bad_settings_are_rejected_on_construction(self, n, alpha):
+        world, _, model = self._world(44)
+        with pytest.raises(ValueError):
+            SmoothedModel(model, world.lexicon, n=n, alpha=alpha)
