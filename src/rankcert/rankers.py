@@ -227,9 +227,16 @@ class LinearEmbedScorer(ScoreModel):
         self, query: Query, doc: Document, members: np.ndarray, picks: np.ndarray
     ) -> np.ndarray:
         """``score`` of every row, bit for bit. Each row's pooled vector is
-        the in-order sum of its members' rows (an out-of-vocabulary member
-        adds a zero row and is not counted), and the term-overlap fractions
-        come from integer counts; the rest runs per row as in ``score``."""
+        a running sum of its members' rows, one position at a time (an
+        out-of-vocabulary member adds a zero row and is not counted), so
+        memory stays at ``(n, dim)``; the term-overlap fractions come from
+        integer counts, and the rest runs per row as in ``score``.
+
+        With one-dimensional embeddings ``_pool`` reduces along a
+        contiguous axis, where numpy sums pairwise rather than in order, so
+        there the rows go through ``score`` one by one."""
+        if self.embeddings.dim == 1:
+            return super().score_batch(query, doc, members, picks)
         qv, qn, q_terms = self._query_side(query)
         index, matrix = self.embeddings.index, self.embeddings.matrix
         count = len(members)
@@ -237,17 +244,14 @@ class LinearEmbedScorer(ScoreModel):
         in_vocab = row_of >= 0
         vectors = np.zeros((count, self.embeddings.dim))
         vectors[in_vocab] = matrix.take(row_of[in_vocab], axis=0)
-        pooled = np.add.reduce(vectors[picks], axis=1)
+        pooled = vectors[picks[:, 0]]
+        for column in picks.T[1:]:
+            pooled += vectors[column]
         pooled /= np.maximum(in_vocab[picks].sum(axis=1), 1)[:, None]
-        # Which distinct query term each picked member is, -1 for none: that
-        # index lands in a spare last column of ``present``, which coverage
-        # leaves out.
-        term_id = {t: i for i, t in enumerate(q_terms)}
-        terms = np.fromiter((term_id.get(w, -1) for w in members), dtype=np.intp, count=count)[picks]
-        present = np.zeros((len(picks), len(q_terms) + 1), dtype=bool)
-        present[np.arange(len(picks))[:, None], terms] = True
-        coverage = present[:, :-1].sum(axis=1) / len(q_terms)
-        density = (terms >= 0).sum(axis=1) / picks.shape[1]
+        found = sum((members == t)[picks].any(axis=1) for t in q_terms)
+        coverage = found / len(q_terms)
+        is_term = np.fromiter(map(q_terms.__contains__, members), dtype=bool, count=count)
+        density = is_term[picks].sum(axis=1) / picks.shape[1]
         return np.fromiter(
             (sigmoid(self._decision(self._features(qv, qn, dv, c, d)))
              for dv, c, d in zip(pooled, coverage, density)),

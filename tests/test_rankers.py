@@ -269,11 +269,14 @@ def test_linear_scores_are_bit_identical_on_wide_embeddings():
             assert model.score(query, doc) == _reference_linear_score(model, query, doc)
 
 
-def test_linear_score_batch_equals_per_row_score_on_wide_embeddings():
-    # Long rows over any member table, not only one a sampler builds.
+@pytest.mark.parametrize("dim", [1, 2, 3, 32])
+def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
+    # Long rows over any member table, not only one a sampler builds, with
+    # out-of-vocabulary members between known ones. At dim 1 numpy sums a
+    # document's rows pairwise once there are 8 or more of them.
     rng = np.random.default_rng(45)
     vocab = [f"t{i}" for i in range(300)]
-    emb = EmbeddingTable.from_pairs((t, rng.normal(size=32)) for t in vocab)
+    emb = EmbeddingTable.from_pairs((t, rng.normal(size=dim)) for t in vocab)
     model = random_linear_model(rng, emb)
     members = np.array([*vocab[:150], "oov-a", "oov-b"], dtype=object)
     queries = [Query(f"q{i}", tuple(rng.choice(members, size=4).tolist())) for i in range(3)]
@@ -283,6 +286,21 @@ def test_linear_score_batch_equals_per_row_score_on_wide_embeddings():
         for query in queries:
             rows = [model.score(query, doc.with_tokens(members[row].tolist())) for row in picks]
             assert model.score_batch(query, doc, members, picks).tolist() == rows
+
+
+def test_linear_score_batch_keeps_the_pairwise_sum_of_one_dimensional_embeddings():
+    # numpy sums these eight one-dimensional rows pairwise to 0.0, while a
+    # running sum gives 2.0: the cosine would read 1 instead of 0.
+    emb = EmbeddingTable.from_pairs(
+        [("a", np.array([1e16])), ("b", np.array([-1e16])), ("c", np.array([1.0]))])
+    model = LinearEmbedScorer(weights=np.array([2.0, 0.5, 0.5]), bias=-1.0, embeddings=emb)
+    doc = Document("d", ("a", "a", "a", "b", "b", "b", "c", "c"))
+    members = np.array([*doc.tokens, "oov"], dtype=object)
+    picks = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [0, 8, 2, 3, 4, 5, 6, 7]])
+    query = Query("q", ("c",))
+    assert model.features(query, doc)[0] == 0.0
+    rows = [model.score(query, doc.with_tokens(members[row].tolist())) for row in picks]
+    assert model.score_batch(query, doc, members, picks).tolist() == rows
 
 
 def _batches(seed: int, n: int = 16):
