@@ -7,6 +7,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -199,26 +200,17 @@ class LinearEmbedScorer(ScoreModel):
             side = self._queries[query.tokens] = (qv, _norm(qv), frozenset(query.tokens))
         return side
 
-    @staticmethod
-    def _features(qv: np.ndarray, qn: float, dv: np.ndarray, coverage: float,
-                  density: float) -> np.ndarray:
-        """The feature vector from the query side, the pooled document
-        vector and the two term-overlap fractions."""
-        dn = _norm(dv)
-        cos = float(np.dot(qv, dv) / (qn * dn)) if qn > 0 and dn > 0 else 0.0
-        return np.array([cos, coverage, density])
-
     def features(self, query: Query, doc: Document) -> np.ndarray:
         qv, qn, q_terms = self._query_side(query)
+        dv = self._pool(doc.tokens)
+        dn = _norm(dv)
+        cos = float(np.dot(qv, dv) / (qn * dn)) if qn > 0 and dn > 0 else 0.0
         coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
         density = sum(map(q_terms.__contains__, doc.tokens)) / doc.length
-        return self._features(qv, qn, self._pool(doc.tokens), coverage, density)
-
-    def _decision(self, features: np.ndarray) -> float:
-        return float(np.dot(self.weights, features)) + self.bias
+        return np.array([cos, coverage, density])
 
     def decision(self, query: Query, doc: Document) -> float:
-        return self._decision(self.features(query, doc))
+        return float(np.dot(self.weights, self.features(query, doc))) + self.bias
 
     def score(self, query: Query, doc: Document) -> float:
         return sigmoid(self.decision(query, doc))
@@ -230,7 +222,11 @@ class LinearEmbedScorer(ScoreModel):
         a running sum of its members' rows, one position at a time (an
         out-of-vocabulary member adds a zero row and is not counted), so
         memory stays at ``(n, dim)``; the term-overlap fractions come from
-        integer counts, and the rest runs per row as in ``score``.
+        integer counts. The norms, query dots and decisions are stacked
+        vector-vector matmuls, which numpy runs slice by slice through the
+        kernel that ``np.dot`` of two vectors uses; a matrix-vector product
+        (``F @ w``), ``einsum`` or ``np.exp`` in ``sigmoid`` would move last
+        bits.
 
         With one-dimensional embeddings ``_pool`` reduces along a
         contiguous axis, where numpy sums pairwise rather than in order, so
@@ -240,7 +236,10 @@ class LinearEmbedScorer(ScoreModel):
         qv, qn, q_terms = self._query_side(query)
         index, matrix = self.embeddings.index, self.embeddings.matrix
         count = len(members)
-        row_of = np.fromiter((index.get(w, -1) for w in members), dtype=np.intp, count=count)
+        row_of = np.fromiter(map(index.get, members, repeat(-1, count)), dtype=np.intp, count=count)
+        term_ids = {t: i for i, t in enumerate(q_terms)}
+        term_of = np.fromiter(map(term_ids.get, members, repeat(-1, count)),
+                              dtype=np.intp, count=count)
         in_vocab = row_of >= 0
         vectors = np.zeros((count, self.embeddings.dim))
         vectors[in_vocab] = matrix.take(row_of[in_vocab], axis=0)
@@ -248,15 +247,16 @@ class LinearEmbedScorer(ScoreModel):
         for column in picks.T[1:]:
             pooled += vectors[column]
         pooled /= np.maximum(in_vocab[picks].sum(axis=1), 1)[:, None]
-        found = sum((members == t)[picks].any(axis=1) for t in q_terms)
-        coverage = found / len(q_terms)
-        is_term = np.fromiter(map(q_terms.__contains__, members), dtype=bool, count=count)
-        density = is_term[picks].sum(axis=1) / picks.shape[1]
-        return np.fromiter(
-            (sigmoid(self._decision(self._features(qv, qn, dv, c, d)))
-             for dv, c, d in zip(pooled, coverage, density)),
-            dtype=float, count=len(picks),
-        )
+        hits = term_of[picks]
+        coverage = sum((hits == t).any(axis=1) for t in range(len(term_ids))) / len(term_ids)
+        density = (hits >= 0).sum(axis=1) / picks.shape[1]
+        rows = pooled[:, None, :]
+        dn = np.sqrt(np.matmul(rows, pooled[:, :, None])).ravel()
+        cos = np.divide(np.matmul(rows, qv[:, None]).ravel(), qn * dn,
+                        out=np.zeros(len(picks)), where=(qn > 0) & (dn > 0))
+        features = np.stack([cos, coverage, density], axis=1)
+        z = np.matmul(features[:, None, :], self.weights[:, None]).ravel() + self.bias
+        return np.fromiter(map(sigmoid, z.tolist()), dtype=float, count=len(picks))
 
     def with_params(self, weights: np.ndarray, bias: float) -> "LinearEmbedScorer":
         return LinearEmbedScorer(

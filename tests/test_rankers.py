@@ -269,23 +269,51 @@ def test_linear_scores_are_bit_identical_on_wide_embeddings():
             assert model.score(query, doc) == _reference_linear_score(model, query, doc)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 32])
+@pytest.mark.parametrize("dim", [1, 2, 3, 32, 48])
 def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
     # Long rows over any member table, not only one a sampler builds, with
-    # out-of-vocabulary members between known ones. At dim 1 numpy sums a
-    # document's rows pairwise once there are 8 or more of them.
+    # out-of-vocabulary members between known ones, in batches of 1, 1000
+    # and 8 rows. At dim 1 numpy sums a document's rows pairwise once there
+    # are 8 or more of them. The second model's decisions reach both
+    # branches of ``sigmoid`` and its clamp at +-500.
     rng = np.random.default_rng(45)
     vocab = [f"t{i}" for i in range(300)]
     emb = EmbeddingTable.from_pairs((t, rng.normal(size=dim)) for t in vocab)
-    model = random_linear_model(rng, emb)
+    models = [
+        random_linear_model(rng, emb),
+        LinearEmbedScorer(weights=np.array([900.0, 1500.0, -2000.0]), bias=-700.0, embeddings=emb),
+    ]
     members = np.array([*vocab[:150], "oov-a", "oov-b"], dtype=object)
     queries = [Query(f"q{i}", tuple(rng.choice(members, size=4).tolist())) for i in range(3)]
-    for i in range(20):
+    decisions = []
+    for i, n in enumerate([1, 1000, *[8] * 18]):
         doc = Document(f"d{i}", tuple(rng.choice(vocab, size=int(rng.integers(50, 101))).tolist()))
-        picks = rng.integers(0, len(members), size=(8, doc.length))
-        for query in queries:
-            rows = [model.score(query, doc.with_tokens(members[row].tolist())) for row in picks]
-            assert model.score_batch(query, doc, members, picks).tolist() == rows
+        picks = rng.integers(0, len(members), size=(n, doc.length))
+        for model in models:
+            for query in queries:
+                docs = [doc.with_tokens(members[row].tolist()) for row in picks]
+                rows = [model.score(query, d) for d in docs]
+                assert model.score_batch(query, doc, members, picks).tolist() == rows
+                if model is models[1]:
+                    decisions.extend(model.decision(query, d) for d in docs)
+    assert min(decisions) < -500.0 and max(decisions) > 500.0
+    assert any(-500.0 < z < 0.0 for z in decisions) and any(0.0 <= z < 500.0 for z in decisions)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 32, 48])
+def test_stacked_matmul_slices_equal_np_dot(dim):
+    # ``LinearEmbedScorer.score_batch`` keeps ``score``'s bits only because
+    # numpy runs each (1, k) @ (k, 1) slice of a stacked matmul through the
+    # kernel of ``np.dot`` on two vectors. Its norms and query dots have
+    # k = dim and its decisions k = 3.
+    rng = np.random.default_rng(dim)
+    q = rng.normal(size=dim)
+    for n in (1, 2, 7, 32, 1000):
+        rows = rng.normal(size=(n, dim)) / rng.integers(1, 100)
+        assert np.matmul(rows[:, None, :], rows[:, :, None]).ravel().tolist() == [
+            np.dot(v, v) for v in rows]
+        assert np.matmul(rows[:, None, :], q[:, None]).ravel().tolist() == [
+            np.dot(q, v) for v in rows]
 
 
 def test_linear_score_batch_keeps_the_pairwise_sum_of_one_dimensional_embeddings():
