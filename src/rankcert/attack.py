@@ -97,7 +97,10 @@ def greedy_attack(
     Each step applies the strictly score-improving move with the largest
     gain, ties broken by (position, lexicographic word), while keeping at
     most ``budget`` positions changed from the original document. A step
-    scores all its trial documents with one ``model.score_many`` call.
+    scores all its trial documents with one ``model.score_many`` call; a
+    ``SmoothedModel`` stacks the draws of the step's trials, which share the
+    document's id and length, into capped blocks of ``base.score_batch``
+    calls, with each trial's own draws and the values ``score`` gives.
     Stops when no move improves the score; with ``budget == 0`` that is at
     once, and the document comes back unchanged.
     """

@@ -45,6 +45,10 @@ needs Monte Carlo estimation."""
 
 _SEED_MASK = (1 << 64) - 1
 
+# Sample rows that SmoothedModel.score_many scores in one score_batch call:
+# the stacked draws of 256 // n estimates, or of one when n >= 256.
+_BLOCK_ROWS = 256
+
 
 def hoeffding_radius(n: int, alpha: float) -> float:
     """Two-sided Hoeffding deviation bound for a mean of [0, 1] samples:
@@ -276,24 +280,60 @@ class SmoothedModel(ScoreModel):
         return value
 
     def score_many(self, query: Query, docs: Sequence[Document]) -> list[float]:
-        """``score`` of each document, in order, filling the same memo. A
-        Monte Carlo estimate draws the same pick matrix from the same stream
-        as ``smoothed_score_mc`` and scores all its rows with one
-        ``base.score_batch`` call, which gives the same mean."""
+        """``score`` of each document, in order, filling the same memo.
+
+        Each Monte Carlo estimate draws the same pick matrix from the same
+        stream as ``smoothed_score_mc``. The estimates a call misses are
+        grouped by document id and length, which all trials of a greedy step
+        share, and cut into blocks of ``_BLOCK_ROWS // n`` estimates (one
+        when ``n >= _BLOCK_ROWS``). A block's pick matrices are stacked and
+        scored with one ``base.score_batch`` call, and each estimate's mean
+        is taken over its own ``n`` rows, which gives the same mean as
+        scoring it alone. A document repeated within the call is estimated
+        once. The memo is filled in ``docs`` order, and a base score
+        outside [0, 1] raises naming its document with the estimates before
+        it memoized and none after, as a one-by-one loop would.
+        """
         if self.n is None:
             return super().score_many(query, docs)
+        misses = dict.fromkeys(d for d in docs if (query.id, d.id, d.tokens) not in self._memo)
+        groups: dict[tuple[str, int], list[Document]] = {}
+        for doc in misses:
+            groups.setdefault((doc.id, doc.length), []).append(doc)
+        per_block = max(1, _BLOCK_ROWS // self.n)
         sampler = PerturbationSampler(self.lexicon)
-        values = []
-        for doc in docs:
-            key = (query.id, doc.id, doc.tokens)
-            value = self._memo.get(key)
-            if value is None:
-                rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
-                members, _, _ = sampler._table(doc.tokens)
-                scores = self.base.score_batch(query, doc, members, sampler.picks(doc, rng, self.n))
-                value = self._memo[key] = _sample_mean(scores, query, doc)
-            values.append(value)
-        return values
+        pending: dict[Document, np.ndarray] = {}
+        for doc in misses:
+            if doc not in pending:
+                # The earlier members of its group are scored, so ``doc``
+                # heads what is left of the group.
+                group = groups[doc.id, doc.length]
+                block = group[:per_block]
+                del group[:per_block]
+                scores = self._score_block(query, block, sampler)
+                pending.update(zip(block, scores.reshape(len(block), self.n)))
+            self._memo[(query.id, doc.id, doc.tokens)] = _sample_mean(pending.pop(doc), query, doc)
+        return [self._memo[(query.id, doc.id, doc.tokens)] for doc in docs]
+
+    def _score_block(
+        self, query: Query, block: Sequence[Document], sampler: PerturbationSampler
+    ) -> np.ndarray:
+        """Base scores of the ``n`` draws of each estimate in ``block``, one
+        estimate after another: each pick matrix is offset into the
+        concatenation of the documents' member tables."""
+        tables, picks, offset = [], [], 0
+        for doc in block:
+            members, _, _ = sampler._table(doc.tokens)
+            rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
+            rows = sampler.picks(doc, rng, self.n)
+            rows += offset
+            offset += len(members)
+            tables.append(members)
+            picks.append(rows)
+        if len(block) == 1:
+            # One estimate, as always when n >= _BLOCK_ROWS: no copies.
+            return self.base.score_batch(query, block[0], tables[0], picks[0])
+        return self.base.score_batch(query, block[0], np.concatenate(tables), np.concatenate(picks))
 
     def smoothed(self, query: Query, doc: Document) -> SmoothedScore:
         if self.n is None:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,12 @@ import pytest
 
 from rankcert import (
     Document,
+    EmbeddingTable,
+    Lexicon,
+    LinearEmbedScorer,
     PerturbationSampler,
+    Query,
+    ScoreModel,
     SmoothedModel,
     certify_topk,
     hoeffding_radius,
@@ -19,10 +25,12 @@ from rankcert import (
     smoothed_score_mc,
 )
 from rankcert.smoothing import (
+    _BLOCK_ROWS,
     ENUMERATION_CAP,
     SmoothedScore,
     derive_streams,
     enumerate_perturbations,
+    token_fingerprint,
 )
 
 from conftest import (
@@ -31,6 +39,7 @@ from conftest import (
     make_doc,
     make_query,
     random_doc,
+    random_linear_model,
     random_token_model,
     random_world,
     singleton_lexicon,
@@ -467,9 +476,59 @@ def test_enumerate_perturbations_covers_product_space(two_by_three_lexicon):
         assert tokens[1] in ("q", "q2", "q3")
 
 
+class FingerprintScores(ScoreModel):
+    """A varied score for every token tuple, with no table to fill: the
+    tuple's fingerprint scaled into [0, 1). Batches go through the default
+    per-row ``score_batch``."""
+
+    def score(self, query, doc):
+        return token_fingerprint(doc.tokens) / 2.0**64
+
+
+class MarkedScores(ScoreModel):
+    """0.5 for every document, or the value ``v`` of a word ``bad:v`` in it."""
+
+    def score(self, query, doc):
+        for word in doc.tokens:
+            if word.startswith("bad:"):
+                return float(word[4:])
+        return 0.5
+
+
+class CountingBatches(ScoreModel):
+    """The wrapped model, recording the row count of each ``score_batch``
+    call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.batches = []
+
+    def score(self, query, doc):
+        return self.model.score(query, doc)
+
+    def score_batch(self, query, doc, members, picks):
+        self.batches.append(len(picks))
+        return self.model.score_batch(query, doc, members, picks)
+
+
+def _counting_streams(monkeypatch):
+    """Patch ``derive_streams`` to record the (doc id, tokens) of each call."""
+    calls = []
+
+    def counted(root_seed, query_id, doc_id, tokens):
+        calls.append((doc_id, tuple(tokens)))
+        return derive_streams(root_seed, query_id, doc_id, tokens)
+
+    monkeypatch.setattr("rankcert.smoothing.derive_streams", counted)
+    return calls
+
+
 class TestScoreMany:
     """``SmoothedModel.score_many``, the batched path of the greedy attack,
-    against ``score`` and ``smoothed_score_mc``, the per-draw reference."""
+    against ``score`` and ``smoothed_score_mc``, the per-draw reference. It
+    stacks the draws of up to ``_BLOCK_ROWS // n`` trials of one document id
+    and length into one ``score_batch`` call; every value must still equal
+    the reference bit for bit."""
 
     @staticmethod
     def _world(seed):
@@ -509,3 +568,152 @@ class TestScoreMany:
         world, _, model = self._world(44)
         with pytest.raises(ValueError):
             SmoothedModel(model, world.lexicon, n=n, alpha=alpha)
+
+    ALPHA, SEED = 0.1, 5
+
+    @staticmethod
+    def _trials(world, doc):
+        """Every one-word substitution of ``doc`` from the vocabulary, in
+        (position, word) order, as a greedy step lists its trials."""
+        return [doc.with_tokens(doc.tokens[:i] + (w,) + doc.tokens[i + 1:])
+                for i in range(doc.length) for w in world.vocab if w != doc.tokens[i]]
+
+    @staticmethod
+    def _bases(rng, world):
+        return {"linear": random_linear_model(rng, world.emb), "fingerprint": FingerprintScores()}
+
+    def _expected(self, base, world, q, docs, n):
+        return [smoothed_score_mc(base, q, d, world.lexicon, n=n, alpha=self.ALPHA,
+                                  root_seed=self.SEED).mean for d in docs]
+
+    def _smoothed(self, base, world, n):
+        return SmoothedModel(base, world.lexicon, n=n, alpha=self.ALPHA, root_seed=self.SEED)
+
+    @pytest.mark.parametrize("seed", [50, 51, 52])
+    @pytest.mark.parametrize("kind", ["linear", "fingerprint"])
+    def test_blocks_split_a_call(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, regime="loose")
+        doc = random_doc(rng, world, "target", min_len=5, max_len=6)
+        base = self._bases(rng, world)[kind]
+        n = 48
+        per_block = _BLOCK_ROWS // n
+        assert per_block >= 2
+        trials = self._trials(world, doc)[: 3 * per_block + 2]
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        counting = CountingBatches(base)
+        values = self._smoothed(counting, world, n).score_many(q, trials)
+        assert values == self._expected(base, world, q, trials, n)
+        assert counting.batches == [per_block * n] * 3 + [2 * n]
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_n_at_or_above_the_cap_scores_one_trial_per_call(self, n):
+        rng = np.random.default_rng(53)
+        world = random_world(rng, regime="loose")
+        doc = random_doc(rng, world, "target", min_len=4, max_len=5)
+        base = random_linear_model(rng, world.emb)
+        trials = self._trials(world, doc)[:3]
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        counting = CountingBatches(base)
+        values = self._smoothed(counting, world, n).score_many(q, trials)
+        assert values == self._expected(base, world, q, trials, n)
+        assert counting.batches == [n] * 3
+
+    @pytest.mark.parametrize("kind", ["linear", "fingerprint"])
+    def test_memo_hits_are_not_estimated_again(self, kind, monkeypatch):
+        rng = np.random.default_rng(54)
+        world = random_world(rng, regime="loose")
+        doc = random_doc(rng, world, "target", min_len=4, max_len=6)
+        base = self._bases(rng, world)[kind]
+        trials = self._trials(world, doc)[:11]
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        smoothed = self._smoothed(base, world, 40)
+        hits = [trials[i] for i in (0, 4, 5, 10)]
+        for t in hits:
+            smoothed.score(q, t)
+        expected = self._expected(base, world, q, trials, 40)
+        calls = _counting_streams(monkeypatch)
+        assert smoothed.score_many(q, trials) == expected
+        assert calls == [(t.id, t.tokens) for t in trials if t not in hits]
+
+    def test_a_repeated_document_is_estimated_once(self, monkeypatch):
+        rng = np.random.default_rng(55)
+        world = random_world(rng, regime="loose")
+        doc = random_doc(rng, world, "target", min_len=4, max_len=6)
+        base = random_linear_model(rng, world.emb)
+        trials = self._trials(world, doc)[:6]
+        docs = trials[:4] + [trials[1], trials[0]] + trials[4:] + [trials[1]]
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        calls = _counting_streams(monkeypatch)
+        values = self._smoothed(base, world, 32).score_many(q, docs)
+        monkeypatch.undo()
+        assert values == self._expected(base, world, q, docs, 32)
+        assert calls == [(t.id, t.tokens) for t in trials]
+
+    @pytest.mark.parametrize("seed", [56, 57])
+    @pytest.mark.parametrize("kind", ["linear", "fingerprint"])
+    def test_interleaved_ids_and_lengths(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, regime="loose")
+        docs = [random_doc(rng, world, f"d{i}", min_len=3 + i, max_len=3 + i) for i in range(3)]
+        twin = Document("d0-twin", docs[0].tokens)
+        base = self._bases(rng, world)[kind]
+        firsts, seconds = self._trials(world, docs[0])[:7], self._trials(world, docs[1])[:5]
+        mixed = [firsts[0], docs[2], seconds[0], twin, firsts[1], docs[0], seconds[1],
+                 *firsts[2:], docs[1], *seconds[2:], Document("d1", docs[0].tokens)]
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        values = self._smoothed(base, world, 24).score_many(q, mixed)
+        assert values == self._expected(base, world, q, mixed, 24)
+
+    def test_an_out_of_range_score_fails_at_its_trial_in_docs_order(self):
+        # Six trials of one document, stacked into one block; the third and
+        # the fifth score outside [0, 1]. The error must be the third's and
+        # leave the memo as a one-by-one loop over ``score`` leaves it.
+        lexicon = singleton_lexicon([])
+        trials = [Document("target", ("w", f"x{i}")) for i in range(6)]
+        trials[2] = Document("target", ("w", "bad:3.0"))
+        trials[4] = Document("target", ("w", "bad:-5.0"))
+        q = make_query("q1", "w")
+        n = 8
+        assert len(trials) * n <= _BLOCK_ROWS
+        counting = CountingBatches(MarkedScores())
+        stacked = SmoothedModel(counting, lexicon, n=n)
+        one_by_one = SmoothedModel(MarkedScores(), lexicon, n=n)
+        message = r"base score 3\.0 for query 'q1', document 'target' is outside \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            stacked.score_many(q, trials)
+        with pytest.raises(ValueError, match=message):
+            ScoreModel.score_many(one_by_one, q, trials)
+        assert counting.batches == [len(trials) * n]
+        assert stacked._memo == one_by_one._memo
+        assert list(stacked._memo) == [(q.id, t.id, t.tokens) for t in trials[:2]]
+
+    def test_memory_stays_at_one_trial_for_large_n(self):
+        # At n=1000 every block holds one trial, so the peak of a call over
+        # 100 trials must stay near that of a call over one; stacking them
+        # all would hold a (100 n, dim) pooled matrix, 38 MB.
+        rng = np.random.default_rng(58)
+        words = [f"w{i}" for i in range(400)]
+        clusters = [tuple(words[i:i + 4]) for i in range(0, len(words), 4)]
+        lexicon = Lexicon(
+            synonyms={w: frozenset(c) for c in clusters for w in c},
+            perturb={w: (w,) + tuple(v for v in c if v != w) for c in clusters for w in c},
+            j=4,
+        )
+        emb = EmbeddingTable.from_pairs((w, rng.normal(size=48)) for w in words)
+        base = LinearEmbedScorer(weights=np.array([2.0, 1.0, 1.0]), bias=-1.0, embeddings=emb)
+        doc = Document("target", tuple(rng.choice(words, size=100).tolist()))
+        trials = [doc.with_tokens(doc.tokens[:i] + (lexicon.perturb_set(w)[1],) + doc.tokens[i + 1:])
+                  for i, w in enumerate(doc.tokens)]
+        q = Query("q1", tuple(words[:5]))
+
+        def peak(docs):
+            smoothed = SmoothedModel(base, lexicon, n=1000, alpha=0.05, root_seed=3)
+            tracemalloc.start()
+            try:
+                smoothed.score_many(q, docs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(trials) < 2 * peak(trials[:1])
