@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import Document, Query, RankedList, json_field
+from .corpus import Document, Query, RankedList, json_field, make_ranked
 from .lexicon import Lexicon
 from .rankers import ScoreModel
 
@@ -74,14 +74,9 @@ def substitutions_between(doc: Document, adv: Document) -> tuple[tuple[int, str,
 
 def rank_after(ranked: RankedList, doc_id: str, score: float) -> int:
     """Rank the attacked document would take in the list, its own original
-    entry removed; ties break by doc id ascending as everywhere else."""
-    ahead = sum(
-        1
-        for e in ranked.entries
-        if e.doc_id != doc_id
-        and (e.score > score or (e.score == score and e.doc_id < doc_id))
-    )
-    return ahead + 1
+    entry removed, under :func:`make_ranked`'s order."""
+    others = [(e.doc_id, e.score) for e in ranked.entries if e.doc_id != doc_id]
+    return make_ranked(ranked.query_id, [*others, (doc_id, score)]).rank_of(doc_id)
 
 
 def greedy_attack(
@@ -97,10 +92,11 @@ def greedy_attack(
     Each step applies the strictly score-improving move with the largest
     gain, ties broken by (position, lexicographic word), while keeping at
     most ``budget`` positions changed from the original document. A step
-    scores all its trial documents with one ``model.score_many`` call; a
-    ``SmoothedModel`` stacks the draws of the step's trials, which share the
-    document's id and length, into capped blocks of ``base.score_batch``
-    calls, with each trial's own draws and the values ``score`` gives.
+    scores all its trial documents with one ``model.score_many`` call. The
+    trials share the document's id and length, so a ``SmoothedModel`` takes
+    them as one consecutive run and stacks their draws into capped blocks of
+    ``base.score_batch`` calls, with each trial's own draws and the values
+    ``score`` gives.
     Stops when no move improves the score; with ``budget == 0`` that is at
     once, and the document comes back unchanged.
     """

@@ -28,6 +28,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from .corpus import json_field
+
 logger = logging.getLogger(__name__)
 
 
@@ -372,10 +374,15 @@ class Lexicon:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Lexicon":
+        """The lexicon of :meth:`to_json_dict`'s payload; ``J`` must be a
+        JSON integer >= 1, as :func:`build_perturb_dict` requires."""
+        j = json_field(payload, "J", int)
+        if j < 1:
+            raise ValueError(f"field 'J' must be >= 1, got {j}")
         return cls(
             synonyms={w: frozenset(s) for w, s in payload["synonyms"].items()},
             perturb={w: tuple(t) for w, t in payload["perturb"].items()},
-            j=int(payload["J"]),
+            j=j,
         )
 
     def save(self, path: str | Path) -> None:

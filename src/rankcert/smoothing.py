@@ -283,57 +283,42 @@ class SmoothedModel(ScoreModel):
         """``score`` of each document, in order, filling the same memo.
 
         Each Monte Carlo estimate draws the same pick matrix from the same
-        stream as ``smoothed_score_mc``. The estimates a call misses are
-        grouped by document id and length, which all trials of a greedy step
-        share, and cut into blocks of ``_BLOCK_ROWS // n`` estimates (one
-        when ``n >= _BLOCK_ROWS``). A block's pick matrices are stacked and
-        scored with one ``base.score_batch`` call, and each estimate's mean
-        is taken over its own ``n`` rows, which gives the same mean as
-        scoring it alone. A document repeated within the call is estimated
-        once. The memo is filled in ``docs`` order, and a base score
-        outside [0, 1] raises naming its document with the estimates before
-        it memoized and none after, as a one-by-one loop would.
+        stream as ``smoothed_score_mc``. The estimates a call misses, a
+        repeated document once, are cut in ``docs`` order into consecutive
+        runs of one document id and length, as a greedy step's trials come,
+        and each run into blocks of ``_BLOCK_ROWS // n`` estimates (one when
+        ``n >= _BLOCK_ROWS``). A block's pick matrices are offset into the
+        concatenation of its member tables and scored with one
+        ``base.score_batch`` call; each estimate's mean is taken over its
+        own ``n`` rows, which gives the same mean as scoring it alone. The
+        memo is filled in ``docs`` order, and a base score outside [0, 1]
+        raises naming its document with the estimates before it memoized
+        and none after, as a one-by-one loop would.
         """
         if self.n is None:
             return super().score_many(query, docs)
         misses = dict.fromkeys(d for d in docs if (query.id, d.id, d.tokens) not in self._memo)
-        groups: dict[tuple[str, int], list[Document]] = {}
-        for doc in misses:
-            groups.setdefault((doc.id, doc.length), []).append(doc)
         per_block = max(1, _BLOCK_ROWS // self.n)
         sampler = PerturbationSampler(self.lexicon)
-        pending: dict[Document, np.ndarray] = {}
-        for doc in misses:
-            if doc not in pending:
-                # The earlier members of its group are scored, so ``doc``
-                # heads what is left of the group.
-                group = groups[doc.id, doc.length]
-                block = group[:per_block]
-                del group[:per_block]
-                scores = self._score_block(query, block, sampler)
-                pending.update(zip(block, scores.reshape(len(block), self.n)))
-            self._memo[(query.id, doc.id, doc.tokens)] = _sample_mean(pending.pop(doc), query, doc)
+        for _, same_doc in itertools.groupby(misses, key=lambda d: (d.id, d.length)):
+            run = list(same_doc)
+            for start in range(0, len(run), per_block):
+                block = run[start:start + per_block]
+                tables, picks, offset = [], [], 0
+                for doc in block:
+                    members, _, _ = sampler._table(doc.tokens)
+                    rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
+                    rows = sampler.picks(doc, rng, self.n)
+                    rows += offset
+                    offset += len(members)
+                    tables.append(members)
+                    picks.append(rows)
+                scores = self.base.score_batch(
+                    query, block[0], np.concatenate(tables), np.concatenate(picks)
+                )
+                for doc, row_scores in zip(block, scores.reshape(len(block), self.n)):
+                    self._memo[(query.id, doc.id, doc.tokens)] = _sample_mean(row_scores, query, doc)
         return [self._memo[(query.id, doc.id, doc.tokens)] for doc in docs]
-
-    def _score_block(
-        self, query: Query, block: Sequence[Document], sampler: PerturbationSampler
-    ) -> np.ndarray:
-        """Base scores of the ``n`` draws of each estimate in ``block``, one
-        estimate after another: each pick matrix is offset into the
-        concatenation of the documents' member tables."""
-        tables, picks, offset = [], [], 0
-        for doc in block:
-            members, _, _ = sampler._table(doc.tokens)
-            rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
-            rows = sampler.picks(doc, rng, self.n)
-            rows += offset
-            offset += len(members)
-            tables.append(members)
-            picks.append(rows)
-        if len(block) == 1:
-            # One estimate, as always when n >= _BLOCK_ROWS: no copies.
-            return self.base.score_batch(query, block[0], tables[0], picks[0])
-        return self.base.score_batch(query, block[0], np.concatenate(tables), np.concatenate(picks))
 
     def smoothed(self, query: Query, doc: Document) -> SmoothedScore:
         if self.n is None:

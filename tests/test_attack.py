@@ -272,15 +272,20 @@ class TestGreedyOnSmoothedModel:
     call; the outcome must be the one trial-by-trial ``score`` calls give."""
 
     @staticmethod
-    def _both(base, lexicon, q, doc, ranked, budget):
+    def _both(base, lexicon, q, doc, ranked, budget, n=32):
         def smoothed():
-            return SmoothedModel(base, lexicon, n=32, alpha=0.05, root_seed=9)
+            return SmoothedModel(base, lexicon, n=n, alpha=0.05, root_seed=9)
         batched = greedy_attack(smoothed(), q, doc, ranked, budget, lexicon)
         one_by_one = greedy_attack(ScoreOnly(smoothed()), q, doc, ranked, budget, lexicon)
         return batched, one_by_one
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_matches_trial_by_trial_scoring(self, seed):
+    # At n=32 a block stacks 8 trials; at n=300, above _BLOCK_ROWS, a block
+    # holds one, concatenated like any other.
+    @pytest.mark.parametrize("seed, n", [
+        *(pytest.param(seed, 32, id=str(seed)) for seed in range(5)),
+        *(pytest.param(seed, 300, id=f"{seed}-n300") for seed in range(2)),
+    ])
+    def test_matches_trial_by_trial_scoring(self, seed, n):
         rng = np.random.default_rng(seed)
         world = random_world(rng, regime="loose")
         doc = random_doc(rng, world, "target", min_len=4, max_len=6)
@@ -290,7 +295,7 @@ class TestGreedyOnSmoothedModel:
         # scores them through the default per-row score_batch.
         for base in (random_linear_model(rng, world.emb), random_token_model(rng, world, [doc])):
             for budget in range(doc.length + 1):
-                batched, one_by_one = self._both(base, world.lexicon, q, doc, ranked, budget)
+                batched, one_by_one = self._both(base, world.lexicon, q, doc, ranked, budget, n)
                 assert batched == one_by_one
                 assert batched.best_score == one_by_one.best_score
                 if budget == 0:

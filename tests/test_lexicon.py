@@ -472,6 +472,8 @@ class TestLexiconJson:
         pytest.param('{"J": 2, "synonyms": {', id="truncated"),
         pytest.param({"J": 2, "synonyms": {}, "perturb": {}, "perturbable": []},
                      id="perturbable-list"),
+        *(pytest.param({"J": j, "synonyms": {}, "perturb": {}}, id=f"J={j!r}")
+          for j in (2.7, True, "4", 0, -3)),
     ])
     def test_load_rejects_a_malformed_file(self, tmp_path, payload):
         path = tmp_path / "lexicon.json"

@@ -526,9 +526,9 @@ def _counting_streams(monkeypatch):
 class TestScoreMany:
     """``SmoothedModel.score_many``, the batched path of the greedy attack,
     against ``score`` and ``smoothed_score_mc``, the per-draw reference. It
-    stacks the draws of up to ``_BLOCK_ROWS // n`` trials of one document id
-    and length into one ``score_batch`` call; every value must still equal
-    the reference bit for bit."""
+    stacks the draws of up to ``_BLOCK_ROWS // n`` consecutive trials of one
+    document id and length into one ``score_batch`` call; every value must
+    still equal the reference bit for bit."""
 
     @staticmethod
     def _world(seed):
@@ -662,8 +662,12 @@ class TestScoreMany:
         mixed = [firsts[0], docs[2], seconds[0], twin, firsts[1], docs[0], seconds[1],
                  *firsts[2:], docs[1], *seconds[2:], Document("d1", docs[0].tokens)]
         q = make_query("q1", " ".join(world.vocab[:3]))
-        values = self._smoothed(base, world, 24).score_many(q, mixed)
+        counting = CountingBatches(base)
+        values = self._smoothed(counting, world, 24).score_many(q, mixed)
         assert values == self._expected(base, world, q, mixed, 24)
+        # One block per consecutive run of one (id, length): ids and lengths
+        # that come back later in the list start a new run.
+        assert [rows // 24 for rows in counting.batches] == [1, 1, 1, 1, 2, 1, 5, 4, 1]
 
     def test_an_out_of_range_score_fails_at_its_trial_in_docs_order(self):
         # Six trials of one document, stacked into one block; the third and
