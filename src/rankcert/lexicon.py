@@ -18,13 +18,15 @@ is treated as unattackable downstream, so the demotion is sound.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,12 +43,20 @@ class LexiconError(ValueError):
 class EmbeddingTable:
     """Token to dense-vector table with one fixed dimension.
 
-    The vectors are held once, as the rows of a read-only ``matrix`` in
-    sorted-token order, with ``index`` mapping each token to its row.
+    The vectors are held once, as the rows of a read-only ``vectors``
+    array in sorted-token order, with ``index`` mapping each token to its
+    row. One more row follows them, the +0.0 vector, at index
+    ``len(table)``: a scorer gathering rows by id points a token without a
+    vector there. ``matrix`` is the view of the tokens' rows alone.
     """
 
     index: Mapping[str, int]
-    matrix: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """``vectors`` without its +0.0 row."""
+        return self.vectors[:-1]
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[float]]]) -> "EmbeddingTable":
@@ -95,7 +105,7 @@ class EmbeddingTable:
     def _from_rows(
         cls, tokens: list[str], rows: list, where: Callable[[int], str]
     ) -> "EmbeddingTable":
-        """Stack non-empty ``rows`` into the sorted-token matrix. Raises for
+        """Stack non-empty ``rows`` into the sorted-token vectors. Raises for
         the first row, in order, whose dimension differs from the first
         row's, whose values are not all finite, or whose token came before;
         ``where(i)`` prefixes the message for row ``i``."""
@@ -125,9 +135,10 @@ class EmbeddingTable:
                 problem = f"duplicate embedding token {token!r}"
             raise LexiconError(where(first) + problem)
         order = sorted(range(n), key=tokens.__getitem__)
-        matrix = matrix[order]
-        matrix.setflags(write=False)
-        return cls(index={tokens[i]: row for row, i in enumerate(order)}, matrix=matrix)
+        vectors = np.zeros((n + 1, dim))
+        np.take(matrix, order, axis=0, out=vectors[:-1])
+        vectors.setflags(write=False)
+        return cls(index={tokens[i]: row for row, i in enumerate(order)}, vectors=vectors)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -257,6 +268,66 @@ def build_perturb_dict(
     return sets
 
 
+class WordIds:
+    """The integer form of a lexicon's perturbation sets.
+
+    ``tokens`` holds the vocabulary in sorted order, then every token met
+    outside it, in the order first met; a token's id is its index there,
+    ``ids`` maps it back, and an id never changes. The perturbation set of
+    each of the first ``size`` ids is a CSR row of int32 ids,
+    ``members[offsets[i]:offsets[i + 1]]``; a later id is its own singleton
+    set. New ids are assigned under a lock, and a token is listed before its
+    id is published, so threads may share one table.
+    """
+
+    def __init__(self, perturb: Mapping[str, Sequence[str]]) -> None:
+        self.tokens: list[str] = sorted(perturb)
+        self.ids: dict[str, int] = {w: i for i, w in enumerate(self.tokens)}
+        self.size = len(self.tokens)
+        self._lock = threading.Lock()
+        # Indexed by an id clipped to ``size``: slot ``size`` stands for any
+        # later id, a set of one member that ``table`` gathers from the
+        # spare last slot of ``_members`` and then replaces by the id.
+        self._sizes = np.ones(self.size + 1, dtype=np.int32)
+        self._sizes[:-1] = np.fromiter(map(len, map(perturb.__getitem__, self.tokens)),
+                                       dtype=np.int32, count=self.size)
+        self.offsets = np.zeros(self.size + 1, dtype=np.int32)
+        np.cumsum(self._sizes[:-1], dtype=np.int32, out=self.offsets[1:])
+        self._members = np.append(self.ids_of([m for w in self.tokens for m in perturb[w]]),
+                                  np.int32(0))
+        self.members = self._members[:-1]
+
+    def ids_of(self, tokens: Sequence[str]) -> np.ndarray:
+        """The int32 ids of ``tokens``, giving each new token the next id."""
+        ids = np.fromiter(map(self.ids.get, tokens, itertools.repeat(-1)),
+                          dtype=np.int32, count=len(tokens))
+        if ids.size and ids.min() < 0:
+            with self._lock:
+                for i in np.flatnonzero(ids < 0).tolist():
+                    token = tokens[i]
+                    known = self.ids.get(token)
+                    if known is None:
+                        known = len(self.tokens)
+                        self.tokens.append(token)
+                        self.ids[token] = known
+                    ids[i] = known
+        return ids
+
+    def table(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(the member ids of every ``T_w`` of a non-empty ``tokens`` in
+        order, the set sizes, the set offsets into the members), all int32."""
+        ids = self.ids_of(tokens)
+        slots = np.minimum(ids, self.size)
+        sizes = self._sizes[slots]
+        ends = np.cumsum(sizes, dtype=np.int32)
+        offsets = ends - sizes
+        members = self._members[np.repeat(self.offsets[slots] - offsets, sizes)
+                                + np.arange(ends[-1], dtype=np.int32)]
+        outside = ids >= self.size
+        members[offsets[outside]] = ids[outside]
+        return members, sizes, offsets
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Synonym sets ``S_w``, perturbation sets ``T_w`` built for size ``j``,
@@ -271,6 +342,9 @@ class Lexicon:
     synonyms: Mapping[str, frozenset[str]]
     perturb: Mapping[str, tuple[str, ...]]
     j: int
+    _compile_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, emb: EmbeddingTable, tau: float = 0.8, j: int = 4) -> "Lexicon":
@@ -322,6 +396,20 @@ class Lexicon:
     def overlap_of(self, word: str) -> float:
         """``o_w``; 1.0 for non-perturbable and out-of-vocabulary words."""
         return self.overlaps.get(word, 1.0)
+
+    @property
+    def word_ids(self) -> WordIds:
+        """The perturbation sets in integer form, compiled on first use, so
+        building, saving or loading a lexicon does not pay for it. Every
+        thread gets the one table: ids past the vocabulary are given in
+        the order tokens are met, so two tables would disagree on them."""
+        compiled = self.__dict__.get("_word_ids")
+        if compiled is None:
+            with self._compile_lock:
+                compiled = self.__dict__.get("_word_ids")
+                if compiled is None:
+                    compiled = self.__dict__["_word_ids"] = WordIds(self.perturb)
+        return compiled
 
     def space_size(self, tokens: Iterable[str]) -> int:
         """Number of joint perturbations of a token sequence."""
@@ -375,13 +463,14 @@ class Lexicon:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Lexicon":
         """The lexicon of :meth:`to_json_dict`'s payload; ``J`` must be a
-        JSON integer >= 1, as :func:`build_perturb_dict` requires."""
+        JSON integer >= 1, as :func:`build_perturb_dict` requires, and every
+        ``synonyms`` and ``perturb`` entry a JSON list of strings."""
         j = json_field(payload, "J", int)
         if j < 1:
             raise ValueError(f"field 'J' must be >= 1, got {j}")
         return cls(
-            synonyms={w: frozenset(s) for w, s in payload["synonyms"].items()},
-            perturb={w: tuple(t) for w, t in payload["perturb"].items()},
+            synonyms={w: frozenset(s) for w, s in _word_lists(payload, "synonyms").items()},
+            perturb={w: tuple(t) for w, t in _word_lists(payload, "perturb").items()},
             j=j,
         )
 
@@ -424,6 +513,21 @@ class Lexicon:
                 + (f"; and {more} more" if more > 0 else "")
             )
         return lexicon
+
+
+def _word_lists(payload: Mapping, name: str) -> Mapping[str, list[str]]:
+    """``payload[name]``, each of whose values must be a JSON list of
+    strings, so that a string is not split into letters and a ``null`` or a
+    number does not reach :meth:`Lexicon.validate`."""
+    entries = payload[name]
+    values = entries.values()
+    if not (set(map(type, values)) <= {list}
+            and set(map(type, itertools.chain.from_iterable(values))) <= {str}):
+        word, members = next((w, m) for w, m in entries.items()
+                             if type(m) is not list or not all(type(x) is str for x in m))
+        raise ValueError(f"entry {word!r} of {name!r} must be a JSON list of strings, "
+                         f"got {members!r}")
+    return entries
 
 
 def _lexicon_text(payload: Mapping) -> str:

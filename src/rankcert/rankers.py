@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, Query, RankedList, make_ranked
-from .lexicon import EmbeddingTable
+from .lexicon import EmbeddingTable, WordIds
 
 
 class ScoreModel(ABC):
@@ -35,15 +36,16 @@ class ScoreModel(ABC):
         return [self.score(query, d) for d in docs]
 
     def score_batch(
-        self, query: Query, doc: Document, members: np.ndarray, picks: np.ndarray
+        self, query: Query, doc: Document, words: WordIds, rows: np.ndarray
     ) -> np.ndarray:
-        """Base scores of the ``len(picks)`` documents named by the rows of
-        an ``(n, M)`` pick matrix: row ``i`` is ``doc`` with the tokens
-        ``members[picks[i]]``, where ``members`` is the document's flat
-        member table (see ``smoothing.PerturbationSampler.picks``)."""
+        """Base scores of the ``len(rows)`` documents named by the rows of
+        an ``(n, M)`` matrix of word ids: row ``i`` is ``doc`` with the
+        tokens ``words.tokens[rows[i]]`` (see ``lexicon.WordIds``)."""
+        tokens = words.tokens
         return np.fromiter(
-            (self.score(query, doc.with_tokens(members[row].tolist())) for row in picks),
-            dtype=float, count=len(picks),
+            (self.score(query, doc.with_tokens(map(tokens.__getitem__, row)))
+             for row in rows.tolist()),
+            dtype=float, count=len(rows),
         )
 
 
@@ -59,6 +61,17 @@ def sigmoid(z: float) -> float:
         return 1.0 / (1.0 + math.exp(-min(z, 500.0)))
     ez = math.exp(max(z, -500.0))
     return ez / (1.0 + ez)
+
+
+def sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """``sigmoid`` of every element of a float vector, bit for bit, NaN
+    included: ``math.exp`` of each clamped exponent, then numpy's correctly
+    rounded ``1 / (1 + e)`` and ``e / (1 + e)``. ``np.exp`` would move last
+    bits."""
+    upper = z >= 0
+    clamped = np.where(upper, -np.minimum(z, 500.0), np.maximum(z, -500.0))
+    e = np.fromiter(map(math.exp, clamped.tolist()), dtype=float, count=len(clamped))
+    return np.where(upper, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -170,6 +183,9 @@ class LinearEmbedScorer(ScoreModel):
     _queries: dict[tuple[str, ...], tuple[np.ndarray, float, frozenset[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _row_tables: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -215,48 +231,55 @@ class LinearEmbedScorer(ScoreModel):
     def score(self, query: Query, doc: Document) -> float:
         return sigmoid(self.decision(query, doc))
 
+    def _row_of(self, words: WordIds) -> np.ndarray:
+        """Each id's row of ``embeddings.vectors``, the +0.0 row for a word
+        without a vector, made once per vocabulary and extended when it has
+        grown."""
+        table = self._row_tables.get(words)
+        done = 0 if table is None else len(table)
+        if done < len(words.tokens):
+            tail = words.tokens[done:]
+            new = np.fromiter(map(self.embeddings.index.get, tail, repeat(len(self.embeddings))),
+                              dtype=np.int32, count=len(tail))
+            table = self._row_tables[words] = new if table is None else np.concatenate([table, new])
+        return table
+
     def score_batch(
-        self, query: Query, doc: Document, members: np.ndarray, picks: np.ndarray
+        self, query: Query, doc: Document, words: WordIds, rows: np.ndarray
     ) -> np.ndarray:
         """``score`` of every row, bit for bit. Each row's pooled vector is
-        a running sum of its members' rows, one position at a time (an
-        out-of-vocabulary member adds a zero row and is not counted), so
-        memory stays at ``(n, dim)``; the term-overlap fractions come from
-        integer counts. The norms, query dots and decisions are stacked
+        a running sum of its words' embedding rows, gathered by id, one
+        position at a time (a word without an embedding adds the +0.0 row
+        and is not counted), so memory stays at ``(n, dim)``; the
+        term-overlap fractions come from comparing ids with the query
+        terms' ids. The norms, query dots and decisions are stacked
         vector-vector matmuls, which numpy runs slice by slice through the
-        kernel that ``np.dot`` of two vectors uses; a matrix-vector product
-        (``F @ w``), ``einsum`` or ``np.exp`` in ``sigmoid`` would move last
-        bits.
+        kernel that ``np.dot`` of two vectors uses, and ``sigmoid_array``
+        keeps ``sigmoid``'s bits; a matrix-vector product (``F @ w``),
+        ``einsum`` or ``np.exp`` would move last bits.
 
         With one-dimensional embeddings ``_pool`` reduces along a
         contiguous axis, where numpy sums pairwise rather than in order, so
         there the rows go through ``score`` one by one."""
         if self.embeddings.dim == 1:
-            return super().score_batch(query, doc, members, picks)
+            return super().score_batch(query, doc, words, rows)
         qv, qn, q_terms = self._query_side(query)
-        index, matrix = self.embeddings.index, self.embeddings.matrix
-        count = len(members)
-        row_of = np.fromiter(map(index.get, members, repeat(-1, count)), dtype=np.intp, count=count)
-        term_ids = {t: i for i, t in enumerate(q_terms)}
-        term_of = np.fromiter(map(term_ids.get, members, repeat(-1, count)),
-                              dtype=np.intp, count=count)
-        in_vocab = row_of >= 0
-        vectors = np.zeros((count, self.embeddings.dim))
-        vectors[in_vocab] = matrix.take(row_of[in_vocab], axis=0)
-        pooled = vectors[picks[:, 0]]
-        for column in picks.T[1:]:
+        vectors = self.embeddings.vectors
+        emb_rows = self._row_of(words)[rows]
+        pooled = vectors[emb_rows[:, 0]]
+        for column in emb_rows.T[1:]:
             pooled += vectors[column]
-        pooled /= np.maximum(in_vocab[picks].sum(axis=1), 1)[:, None]
-        hits = term_of[picks]
-        coverage = sum((hits == t).any(axis=1) for t in range(len(term_ids))) / len(term_ids)
-        density = (hits >= 0).sum(axis=1) / picks.shape[1]
-        rows = pooled[:, None, :]
-        dn = np.sqrt(np.matmul(rows, pooled[:, :, None])).ravel()
-        cos = np.divide(np.matmul(rows, qv[:, None]).ravel(), qn * dn,
-                        out=np.zeros(len(picks)), where=(qn > 0) & (dn > 0))
+        pooled /= np.maximum((emb_rows < len(self.embeddings)).sum(axis=1), 1)[:, None]
+        hits = [rows == words.ids[t] for t in q_terms if t in words.ids]
+        coverage = sum((h.any(axis=1) for h in hits), np.zeros(len(rows))) / len(q_terms)
+        density = sum((h.sum(axis=1) for h in hits), np.zeros(len(rows))) / rows.shape[1]
+        stacked = pooled[:, None, :]
+        dn = np.sqrt(np.matmul(stacked, pooled[:, :, None])).ravel()
+        cos = np.divide(np.matmul(stacked, qv[:, None]).ravel(), qn * dn,
+                        out=np.zeros(len(rows)), where=(qn > 0) & (dn > 0))
         features = np.stack([cos, coverage, density], axis=1)
         z = np.matmul(features[:, None, :], self.weights[:, None]).ravel() + self.bias
-        return np.fromiter(map(sigmoid, z.tolist()), dtype=float, count=len(picks))
+        return sigmoid_array(z)
 
     def with_params(self, weights: np.ndarray, bias: float) -> "LinearEmbedScorer":
         return LinearEmbedScorer(

@@ -111,8 +111,9 @@ def derive_streams(
 class PerturbationSampler:
     """Draws documents from the product perturbation distribution.
 
-    The perturbation sets of a token sequence are looked up once and kept,
-    flattened, with their sizes and offsets. :meth:`picks` draws many
+    The perturbation sets of a token sequence are looked up once in the
+    lexicon's :class:`~rankcert.lexicon.WordIds` and kept, flattened, as
+    int32 member ids with their sizes and offsets. :meth:`picks` draws many
     samples as rows of flat member indices with one ``integers`` call, and
     :meth:`sample` turns one row into a document.
     """
@@ -121,17 +122,15 @@ class PerturbationSampler:
     _tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _strings: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def _table(self, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(all members of every ``T_w`` in order, set sizes, set offsets)."""
+        """(member ids of every ``T_w`` in order, set sizes, set offsets)."""
         table = self._tables.get(tokens)
         if table is None:
-            sets = [self.lexicon.perturb_set(w) for w in tokens]
-            sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-            members = np.empty(int(sizes.sum()), dtype=object)
-            members[:] = [w for s in sets for w in s]
-            offsets = np.cumsum(sizes) - sizes
-            table = self._tables[tokens] = (members, sizes, offsets)
+            table = self._tables[tokens] = self.lexicon.word_ids.table(tokens)
         return table
 
     def picks(self, doc: Document, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -144,9 +143,15 @@ class PerturbationSampler:
         return picks
 
     def sample(self, doc: Document, row: np.ndarray) -> Document:
-        """The document that one row of :meth:`picks` for ``doc`` names."""
-        members, _, _ = self._table(doc.tokens)
-        return doc.with_tokens(members[row].tolist())
+        """The document that one row of :meth:`picks` for ``doc`` names. The
+        members' words are gathered into an array on the first call for a
+        token sequence."""
+        words = self._strings.get(doc.tokens)
+        if words is None:
+            tokens = self.lexicon.word_ids.tokens
+            ids = self._table(doc.tokens)[0].tolist()
+            words = self._strings[doc.tokens] = np.array([tokens[i] for i in ids], dtype=object)
+        return doc.with_tokens(words[row].tolist())
 
 
 def enumerate_perturbations(doc: Document, lexicon: Lexicon) -> Iterator[tuple[str, ...]]:
@@ -287,37 +292,37 @@ class SmoothedModel(ScoreModel):
         repeated document once, are cut in ``docs`` order into consecutive
         runs of one document id and length, as a greedy step's trials come,
         and each run into blocks of ``_BLOCK_ROWS // n`` estimates (one when
-        ``n >= _BLOCK_ROWS``). A block's pick matrices are offset into the
-        concatenation of its member tables and scored with one
-        ``base.score_batch`` call; each estimate's mean is taken over its
-        own ``n`` rows, which gives the same mean as scoring it alone. The
-        memo is filled in ``docs`` order, and a base score outside [0, 1]
-        raises naming its document with the estimates before it memoized
-        and none after, as a one-by-one loop would.
+        ``n >= _BLOCK_ROWS``). A block's pick matrices are turned into rows
+        of word ids of the lexicon's ``word_ids``, stacked, and scored with
+        one ``base.score_batch`` call; each estimate's mean is taken over
+        its own ``n`` rows, which gives the same mean as scoring it alone.
+        The memo is filled in ``docs`` order, and a base score outside
+        [0, 1] raises naming its document with the estimates before it
+        memoized and none after, as a one-by-one loop would.
         """
         if self.n is None:
             return super().score_many(query, docs)
         misses = dict.fromkeys(d for d in docs if (query.id, d.id, d.tokens) not in self._memo)
         per_block = max(1, _BLOCK_ROWS // self.n)
         sampler = PerturbationSampler(self.lexicon)
+        words = self.lexicon.word_ids
         for _, same_doc in itertools.groupby(misses, key=lambda d: (d.id, d.length)):
             run = list(same_doc)
             for start in range(0, len(run), per_block):
                 block = run[start:start + per_block]
-                tables, picks, offset = [], [], 0
-                for doc in block:
-                    members, _, _ = sampler._table(doc.tokens)
+                rows = np.empty((len(block) * self.n, block[0].length), dtype=np.int32)
+                for i, doc in enumerate(block):
                     rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
-                    rows = sampler.picks(doc, rng, self.n)
-                    rows += offset
-                    offset += len(members)
-                    tables.append(members)
-                    picks.append(rows)
-                scores = self.base.score_batch(
-                    query, block[0], np.concatenate(tables), np.concatenate(picks)
-                )
-                for doc, row_scores in zip(block, scores.reshape(len(block), self.n)):
-                    self._memo[(query.id, doc.id, doc.tokens)] = _sample_mean(row_scores, query, doc)
+                    sampler._table(doc.tokens)[0].take(
+                        sampler.picks(doc, rng, self.n), out=rows[i * self.n:(i + 1) * self.n])
+                scores = self.base.score_batch(query, block[0], words, rows)
+                outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+                valid = len(block) if not outside.size else int(outside[0]) // self.n
+                means = scores.reshape(len(block), self.n).mean(axis=1).tolist()
+                for doc, mean in zip(block[:valid], means):
+                    self._memo[(query.id, doc.id, doc.tokens)] = mean
+                if outside.size:
+                    raise _out_of_range(float(scores[outside[0]]), query, block[valid])
         return [self._memo[(query.id, doc.id, doc.tokens)] for doc in docs]
 
     def smoothed(self, query: Query, doc: Document) -> SmoothedScore:

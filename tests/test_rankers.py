@@ -17,7 +17,8 @@ from rankcert import (
     Query,
     rank,
 )
-from rankcert.rankers import sigmoid
+from rankcert.lexicon import WordIds
+from rankcert.rankers import sigmoid, sigmoid_array
 
 from conftest import make_doc, make_query, random_linear_model, random_world
 
@@ -284,6 +285,9 @@ def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
         LinearEmbedScorer(weights=np.array([900.0, 1500.0, -2000.0]), bias=-700.0, embeddings=emb),
     ]
     members = np.array([*vocab[:150], "oov-a", "oov-b"], dtype=object)
+    # Every other word has a lexicon id; the rest get ids past the lexicon.
+    words = WordIds({t: (t,) for t in vocab[::2]})
+    ids = words.ids_of(members.tolist())
     queries = [Query(f"q{i}", tuple(rng.choice(members, size=4).tolist())) for i in range(3)]
     decisions = []
     for i, n in enumerate([1, 1000, *[8] * 18]):
@@ -293,11 +297,30 @@ def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
             for query in queries:
                 docs = [doc.with_tokens(members[row].tolist()) for row in picks]
                 rows = [model.score(query, d) for d in docs]
-                assert model.score_batch(query, doc, members, picks).tolist() == rows
+                assert model.score_batch(query, doc, words, ids[picks]).tolist() == rows
                 if model is models[1]:
                     decisions.extend(model.decision(query, d) for d in docs)
     assert min(decisions) < -500.0 and max(decisions) > 500.0
     assert any(-500.0 < z < 0.0 for z in decisions) and any(0.0 <= z < 500.0 for z in decisions)
+
+
+def test_sigmoid_array_equals_sigmoid():
+    # Both branches, signed zeros, the clamp at +-500 and just past it,
+    # arguments where exp overflows (709.8) or underflows (-745) unclamped,
+    # infinities and NaN, plus random decisions of every scale.
+    past = [np.nextafter(500.0, np.inf), np.nextafter(-500.0, -np.inf)]
+    special = [0.0, -0.0, 500.0, -500.0, *past, 1e300, -1e300, 709.0, 709.8, 710.0, -745.0,
+               -745.2, -708.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, -36.7]
+    rng = np.random.default_rng(3)
+    z = np.array([*special, *rng.normal(0.0, 1.0, 500), *rng.normal(0.0, 300.0, 500),
+                  *(rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, 200))])
+    batch = sigmoid_array(z)
+    reference = np.array([sigmoid(v) for v in z.tolist()])
+    assert np.array_equal(batch, reference, equal_nan=True)
+    finite = ~np.isnan(z)
+    assert batch[finite].tolist() == reference[finite].tolist()
+    assert np.array_equal(batch[finite].view(np.uint64), reference[finite].view(np.uint64))
+    assert np.isnan(batch[special.index(np.nan)])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 32, 48])
@@ -325,19 +348,24 @@ def test_linear_score_batch_keeps_the_pairwise_sum_of_one_dimensional_embeddings
     doc = Document("d", ("a", "a", "a", "b", "b", "b", "c", "c"))
     members = np.array([*doc.tokens, "oov"], dtype=object)
     picks = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [0, 8, 2, 3, 4, 5, 6, 7]])
+    words = WordIds({"a": ("a",), "b": ("b",), "c": ("c",)})
     query = Query("q", ("c",))
     assert model.features(query, doc)[0] == 0.0
     rows = [model.score(query, doc.with_tokens(members[row].tolist())) for row in picks]
-    assert model.score_batch(query, doc, members, picks).tolist() == rows
+    ids = words.ids_of(members.tolist())
+    assert model.score_batch(query, doc, words, ids[picks]).tolist() == rows
 
 
 def _batches(seed: int, n: int = 16):
-    """(document, member table, pick matrix) for every document of
+    """(document, word-id rows, pick matrix) for every document of
     ``_identity_cases``: out-of-vocabulary members, and one document with no
     in-vocabulary token at all."""
     rng, world, queries, docs = _identity_cases(seed)
     sampler = PerturbationSampler(world.lexicon)
-    batches = [(doc, sampler._table(doc.tokens)[0], sampler.picks(doc, rng, n)) for doc in docs]
+    batches = []
+    for doc in docs:
+        picks = sampler.picks(doc, rng, n)
+        batches.append((doc, sampler._table(doc.tokens)[0][picks], picks))
     return rng, world, queries, sampler, batches
 
 
@@ -349,22 +377,22 @@ def test_linear_score_batch_equals_per_row_score(seed):
     # its pooled vector is zero (qn = 0).
     queries = [*queries, Query("q3", ("oov-x", "oov-y", "oov-x"))]
     assert batches[0][0].id == "oov" and not any(t in world.emb.index for t in batches[0][0].tokens)
-    for doc, members, picks in batches:
+    for doc, rows, picks in batches:
         for query in queries:
-            batch = model.score_batch(query, doc, members, picks)
-            rows = [model.score(query, sampler.sample(doc, row)) for row in picks]
-            assert batch.tolist() == rows
+            batch = model.score_batch(query, doc, world.lexicon.word_ids, rows)
+            expected = [model.score(query, sampler.sample(doc, row)) for row in picks]
+            assert batch.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bm25_default_score_batch_equals_per_row_score(seed):
-    _, _, queries, sampler, batches = _batches(seed)
+    _, world, queries, sampler, batches = _batches(seed)
     corpus = {doc.id: doc for doc, _, _ in batches[::4]}
     model = Bm25Model.from_corpus(corpus).calibrated(
         [(q, d) for q in queries for d in corpus.values()])
-    for doc, members, picks in batches:
+    for doc, rows, picks in batches:
         for query in queries:
-            batch = model.score_batch(query, doc, members, picks)
+            batch = model.score_batch(query, doc, world.lexicon.word_ids, rows)
             assert batch.tolist() == [model.score(query, sampler.sample(doc, row)) for row in picks]
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rankcert import (
+    Bm25Model,
     Document,
     EmbeddingTable,
     Lexicon,
@@ -506,9 +507,9 @@ class CountingBatches(ScoreModel):
     def score(self, query, doc):
         return self.model.score(query, doc)
 
-    def score_batch(self, query, doc, members, picks):
-        self.batches.append(len(picks))
-        return self.model.score_batch(query, doc, members, picks)
+    def score_batch(self, query, doc, words, rows):
+        self.batches.append(len(rows))
+        return self.model.score_batch(query, doc, words, rows)
 
 
 def _counting_streams(monkeypatch):
@@ -691,6 +692,67 @@ class TestScoreMany:
         assert counting.batches == [len(trials) * n]
         assert stacked._memo == one_by_one._memo
         assert list(stacked._memo) == [(q.id, t.id, t.tokens) for t in trials[:2]]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 32, 255, 256, 257])
+    @pytest.mark.parametrize("kind", ["linear", "fingerprint"])
+    def test_block_means_equal_one_by_one_score(self, n, kind):
+        # Each block's means come from one reshape(k, n).mean(axis=1); they
+        # must be the values a one-by-one ``score`` memoizes, bit for bit.
+        rng = np.random.default_rng(60 + n)
+        world = random_world(rng, regime="loose")
+        doc = random_doc(rng, world, "target", min_len=5, max_len=8)
+        base = self._bases(rng, world)[kind]
+        trials = self._trials(world, doc)[:40]
+        q = make_query("q1", " ".join(world.vocab[:3]))
+        stacked, one_by_one = self._smoothed(base, world, n), self._smoothed(base, world, n)
+        stacked.score_many(q, trials)
+        for t in trials:
+            one_by_one.score(q, t)
+        assert stacked._memo == one_by_one._memo
+        assert list(stacked._memo) == list(one_by_one._memo)
+
+    def test_a_nan_score_is_out_of_range(self):
+        lexicon = singleton_lexicon([])
+        trials = [Document("target", ("w", "x")), Document("target", ("w", "bad:nan"))]
+        smoothed = SmoothedModel(MarkedScores(), lexicon, n=8)
+        with pytest.raises(ValueError, match=r"base score nan for query 'q1', document 'target'"):
+            smoothed.score_many(make_query("q1", "w"), trials)
+        assert list(smoothed._memo) == [("q1", "target", trials[0].tokens)]
+
+    @pytest.mark.parametrize("seed", [61, 62])
+    @pytest.mark.parametrize("kind", ["linear", "bm25"])
+    def test_tokens_outside_the_lexicon(self, seed, kind):
+        # Documents hold a word with an embedding but no lexicon entry and a
+        # word with neither; a query term is outside the lexicon too. Their
+        # ids lie past the lexicon's words, as singleton sets.
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, regime="mixed")
+        emb = EmbeddingTable.from_pairs(
+            [*((t, world.emb[t]) for t in world.vocab), ("emb-only", rng.normal(size=4))])
+        docs = []
+        for i in range(3):
+            tokens = list(random_doc(rng, world, f"d{i}", min_len=4, max_len=6).tokens)
+            tokens[1:1] = ["emb-only", "nowhere"][: i + 1]
+            docs.append(Document(f"d{i}", tuple(tokens)))
+        q = Query("q1", (world.vocab[0], "emb-only", "q-outside", world.vocab[1]))
+        if kind == "linear":
+            base = random_linear_model(rng, emb)
+        else:
+            corpus = {d.id: d for d in docs}
+            base = Bm25Model.from_corpus(corpus).calibrated([(q, d) for d in docs])
+        trials = [t for d in docs for t in self._trials(world, d)[:12]]
+        for n in (5, 64):
+            stacked, one_by_one = self._smoothed(base, world, n), self._smoothed(base, world, n)
+            values = stacked.score_many(q, trials)
+            assert values == [one_by_one.score(q, t) for t in trials]
+            assert values == self._expected(base, world, q, trials, n)
+        words = world.lexicon.word_ids
+        assert all(words.ids[t] >= words.size for t in ("emb-only", "nowhere"))
+        sampler = PerturbationSampler(world.lexicon)
+        for doc in docs:
+            members = [w for t in doc.tokens for w in world.lexicon.perturb_set(t)]
+            for row in sampler.picks(doc, np.random.default_rng(seed), 20):
+                assert sampler.sample(doc, row).tokens == tuple(members[i] for i in row)
 
     def test_memory_stays_at_one_trial_for_large_n(self):
         # At n=1000 every block holds one trial, so the peak of a call over
