@@ -42,7 +42,6 @@ from .smoothing import (
     SmoothedScore,
     hoeffding_radius,
     smooth_rank,
-    smoothed_score_exact,
     smoothed_score_mc,
 )
 from .training import TrainConfig, TrainingTriple, TrainResult, load_triples, train
@@ -87,7 +86,6 @@ __all__ = [
     "mrr",
     "rank",
     "smooth_rank",
-    "smoothed_score_exact",
     "smoothed_score_mc",
     "sr",
     "summarize",

@@ -32,12 +32,18 @@ from .lexicon import Lexicon
 from .smoothing import SmoothedModel, SmoothedScore, smoothed_score_mc
 
 
+def substitution_budget(delta: float, length: int) -> int:
+    """``floor(delta * M)`` as decimal arithmetic gives it: 63 for 0.7 of 90
+    words, although ``0.7 * 90 == 62.99999999999999``."""
+    return math.floor(delta * length + 1e-9)
+
+
 def attackable_count(doc: Document, lexicon: Lexicon, delta: float) -> int:
-    """Number of positions an attacker may substitute: ``floor(delta * M)``,
-    capped at the number of perturbable positions."""
+    """Number of positions an attacker may substitute: the
+    :func:`substitution_budget`, capped at the perturbable positions."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    budget = math.floor(delta * doc.length)
+    budget = substitution_budget(delta, doc.length)
     perturbable = sum(1 for w in doc.tokens if lexicon.is_perturbable(w))
     return min(budget, perturbable)
 

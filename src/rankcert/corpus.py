@@ -206,11 +206,12 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
 
 
 def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "rankcert") -> None:
-    """Write ranked lists in canonical 6-column run format, sorted by query id."""
+    """Write ranked lists in canonical 6-column run format, sorted by query id,
+    each score by ``repr`` so that ``load_run`` reads back the same list."""
     with open(path, "w", encoding="utf-8") as fh:
         for qid in sorted(run):
             for rank, e in enumerate(run[qid].entries, start=1):
-                fh.write(f"{qid} Q0 {e.doc_id} {rank} {e.score:.10g} {tag}\n")
+                fh.write(f"{qid} Q0 {e.doc_id} {rank} {e.score!r} {tag}\n")
 
 
 def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:

@@ -155,7 +155,10 @@ class Bm25Model(ScoreModel):
         raws = [self.raw_score(q, d) for q, d in pairs]
         if not raws:
             raise ValueError("calibration pool is empty")
-        c = sum(raws) / len(raws)
+        total = 0.0  # left to right: the built-in sum is compensated on 3.12+
+        for raw in raws:
+            total += raw
+        c = total / len(raws)
         return replace(self, squash_c=c if c > 0 else 1.0)
 
 

@@ -20,9 +20,9 @@ generator in the same state, as ``n`` one-row draws in order. An estimate
 runs on one thread, so estimates are reproducible and safe to compute
 concurrently across queries and documents.
 
-Base scores must lie in [0, 1], the range the Hoeffding radius assumes; both
-estimators reject a score outside it, NaN included, with a ``ValueError``
-naming the query and the document.
+Base scores must lie in [0, 1], the range the Hoeffding radius assumes; exact
+and Monte Carlo smoothing both reject a score outside it, NaN included, with
+a ``ValueError`` naming the query and the document.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, MutableMapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -206,48 +206,19 @@ def _out_of_range(score: float, query: Query, doc: Document) -> ValueError:
     )
 
 
-def smoothed_score_exact(
-    model: ScoreModel,
-    query: Query,
-    doc: Document,
-    lexicon: Lexicon,
-    _cache: MutableMapping[tuple[str, tuple[str, ...]], float] | None = None,
-) -> float:
-    """Exact smoothed score by full enumeration of the perturbation space.
-
-    Every joint outcome is equally likely under the product distribution, so
-    the expectation is the plain mean over outcomes. ``_cache`` may be shared
-    across calls to memoize base scores by (query id, token tuple).
-    """
-    total = 0.0
-    count = 0
-    for tokens in enumerate_perturbations(doc, lexicon):
-        if _cache is None:
-            s = model.score(query, Document(doc.id, tokens))
-        else:
-            key = (query.id, tokens)
-            s = _cache.get(key)
-            if s is None:
-                s = model.score(query, Document(doc.id, tokens))
-                _cache[key] = s
-        if not 0.0 <= s <= 1.0:
-            raise _out_of_range(s, query, doc)
-        total += s
-        count += 1
-    return total / count
-
-
 class SmoothedModel(ScoreModel):
     """The smoothed ranker: a base model, the lexicon it is smoothed over,
     and how its scores are estimated, with the smoothed score as ``score``.
 
-    With ``n=None`` the expectation is computed exactly by enumeration (of
-    at most ``ENUMERATION_CAP`` outcomes); otherwise by Monte Carlo from
-    ``n`` draws of per-document derived streams seeded by ``root_seed``,
-    each with a Hoeffding radius at level ``alpha`` (both checked here).
-    Results are memoized by (query id, doc id, token tuple), the same inputs
-    the Monte Carlo streams derive from; concurrent readers may race on the
-    memo but always write identical values.
+    With ``n=None`` the expectation is exact: the in-order sum of the base
+    scores of every equally likely outcome of ``enumerate_perturbations``
+    (at most ``ENUMERATION_CAP``) over the size of the space, each base
+    score memoized per query by its token tuple. Otherwise it is estimated
+    by Monte Carlo from ``n`` draws of per-document derived streams seeded
+    by ``root_seed``, each with a Hoeffding radius at level ``alpha`` (both
+    checked here). Results are memoized by (query id, doc id, token tuple),
+    the same inputs the Monte Carlo streams derive from; concurrent readers
+    may race on the memos but always write identical values.
     """
 
     def __init__(
@@ -266,7 +237,7 @@ class SmoothedModel(ScoreModel):
         self.alpha = alpha
         self.root_seed = root_seed
         self._memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
-        self._base_scores: dict[tuple[str, tuple[str, ...]], float] = {}
+        self._base_scores: dict[str, dict[tuple[str, ...], float]] = {}
 
     def score(self, query: Query, doc: Document) -> float:
         key = (query.id, doc.id, doc.tokens)
@@ -274,9 +245,19 @@ class SmoothedModel(ScoreModel):
         if cached is not None:
             return cached
         if self.n is None:
-            value = smoothed_score_exact(
-                self.base, query, doc, self.lexicon, _cache=self._base_scores
-            )
+            # Each base score is range-checked before the per-query memo
+            # stores it, so a rejected score is never read back.
+            base_scores = self._base_scores.setdefault(query.id, {})
+            total = 0.0
+            for tokens in enumerate_perturbations(doc, self.lexicon):
+                s = base_scores.get(tokens)
+                if s is None:
+                    s = self.base.score(query, Document(doc.id, tokens))
+                    if not 0.0 <= s <= 1.0:
+                        raise _out_of_range(s, query, doc)
+                    base_scores[tokens] = s
+                total += s
+            value = total / self.lexicon.space_size(doc.tokens)
         else:
             value = smoothed_score_mc(
                 self.base, query, doc, self.lexicon, self.n, self.alpha, self.root_seed

@@ -7,6 +7,9 @@ certificate's bound:
   substitution set (at most ``floor(delta * M)`` words replaced, each by one
   of its synonyms) and the exhaustive attacker over it, the ground truth a
   certified list must withstand;
+* ``exact_smoothed_score``: the smoothed score as the plain in-order mean of
+  the base scores over ``enumerate_perturbations``, with no memo, the value
+  ``SmoothedModel(n=None)`` must reproduce bit for bit;
 * ``perturbation_prob``: the probability of one outcome of the perturbation
   distribution around a document;
 * ``excess_mass_closed_form`` and ``excess_mass_by_enumeration``: the
@@ -29,6 +32,7 @@ from typing import Iterator
 
 from rankcert import Document, Lexicon, Query, RankedList, ScoreModel
 from rankcert.attack import AttackOutcome, rank_after, substitutions_between
+from rankcert.certify import substitution_budget
 from rankcert.smoothing import ENUMERATION_CAP, enumerate_perturbations
 
 
@@ -41,7 +45,7 @@ def sd_size(doc: Document, delta: float, lexicon: Lexicon) -> int:
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    e = math.floor(delta * doc.length)
+    e = substitution_budget(delta, doc.length)
     counts = [1] + [0] * e
     for w in doc.tokens:
         a = len(lexicon.attack_set(w)) - 1
@@ -61,7 +65,7 @@ def enumerate_sd(doc: Document, delta: float, lexicon: Lexicon) -> Iterator[Docu
             f"substitution set of {doc.id!r} has {total} members, above the cap of "
             f"{ENUMERATION_CAP}"
         )
-    e = math.floor(delta * doc.length)
+    e = substitution_budget(delta, doc.length)
     options = {
         i: [t for t in lexicon.attack_set(w) if t != w]
         for i, w in enumerate(doc.tokens)
@@ -110,6 +114,19 @@ def brute_force_attack(
         success=best_rank < original_rank,
         substitutions=substitutions_between(doc, best_doc),
     )
+
+
+def exact_smoothed_score(
+    model: ScoreModel, query: Query, doc: Document, lexicon: Lexicon
+) -> float:
+    """Sum of the base scores of every joint perturbation of ``doc``, in
+    ``enumerate_perturbations`` order, divided by their count."""
+    total = 0.0
+    count = 0
+    for tokens in enumerate_perturbations(doc, lexicon):
+        total += model.score(query, Document(doc.id, tokens))
+        count += 1
+    return total / count
 
 
 def perturbation_prob(doc: Document, perturbed: Document, lexicon: Lexicon) -> float:
@@ -196,7 +213,7 @@ def optimal_adversary(doc: Document, delta: float, lexicon: Lexicon) -> Document
     synonyms. Ties break by position, then lexicographic token order."""
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
-    e = math.floor(delta * doc.length)
+    e = substitution_budget(delta, doc.length)
     choices = [_min_overlap_substitute(w, lexicon) for w in doc.tokens]
     order = sorted(range(doc.length), key=lambda i: (choices[i][1], i))
     tokens = list(doc.tokens)

@@ -28,7 +28,6 @@ from rankcert import (
     make_ranked,
     mrr,
     smooth_rank,
-    smoothed_score_exact,
     smoothed_score_mc,
     sr,
 )
@@ -141,23 +140,23 @@ def test_upper_bound_dominates_and_is_attained():
         model = _random_model(rng, world, docs, q)
         delta = float(rng.choice([0.5, 1.0]))
 
-        fbar = smoothed_score_exact(model, q, doc, world.lexicon)
+        smoothed = SmoothedModel(model, world.lexicon, n=None)
+        fbar = smoothed.score(q, doc)
         od = doc_overlap_bound(doc, world.lexicon, delta)
         bound = certified_upper_bound(fbar, od)
         exhaustive = max(
-            smoothed_score_exact(model, q, cand, world.lexicon)
-            for cand in enumerate_sd(doc, delta, world.lexicon)
+            smoothed.score(q, cand) for cand in enumerate_sd(doc, delta, world.lexicon)
         )
         assert exhaustive <= bound + 1e-12
         dominance_checks += 1
 
         p_r = float(rng.random())
         ranker = bound_attaining_ranker(doc, q, p_r, world.lexicon, delta=delta)
-        achieved = smoothed_score_exact(ranker, q, doc, world.lexicon)
+        smoothed_ranker = SmoothedModel(ranker, world.lexicon, n=None)
+        achieved = smoothed_ranker.score(q, doc)
         assert achieved == pytest.approx(ranker.achieved_p, abs=1e-9)
         best = max(
-            smoothed_score_exact(ranker, q, cand, world.lexicon)
-            for cand in enumerate_sd(doc, delta, world.lexicon)
+            smoothed_ranker.score(q, cand) for cand in enumerate_sd(doc, delta, world.lexicon)
         )
         assert best == pytest.approx(min(ranker.achieved_p + ranker.od, 1.0), abs=1e-9)
         tightness_checks += 1
@@ -237,7 +236,7 @@ def test_estimation_error_and_coverage():
     }
     model = TokenTableModel(table)
     query = make_query("q1", "x")
-    exact = smoothed_score_exact(model, query, doc, lex)
+    exact = SmoothedModel(model, lex, n=None).score(query, doc)
     hits = 0
     trials = 200
     for seed in range(trials):

@@ -1,7 +1,6 @@
 """Exhaustive and greedy synonym-substitution attackers."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from rankcert import (
     make_ranked,
 )
 from rankcert.attack import rank_after
+from rankcert.certify import substitution_budget
 from rankcert.smoothing import ENUMERATION_CAP
 
 from conftest import (
@@ -106,7 +106,7 @@ def test_enumerated_candidates_are_admissible(seed):
     world = random_world(rng)
     doc = random_doc(rng, world, "d", min_len=2, max_len=5)
     delta = float(rng.choice([0.4, 1.0]))
-    budget = math.floor(delta * doc.length)
+    budget = substitution_budget(delta, doc.length)
     for cand in enumerate_sd(doc, delta, world.lexicon):
         hamming = sum(1 for a, b in zip(doc.tokens, cand.tokens) if a != b)
         assert hamming <= budget

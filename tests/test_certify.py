@@ -1,5 +1,7 @@
 """Overlap bounds, certificates, and the proof-oracle constructions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,8 @@ from rankcert import (
     doc_overlap_bound,
     hoeffding_radius,
     smooth_rank,
-    smoothed_score_exact,
 )
-from rankcert.certify import attackable_count
+from rankcert.certify import attackable_count, substitution_budget
 
 from conftest import (
     TokenTableModel,
@@ -93,6 +94,26 @@ class TestDocOverlapBound:
         assert attackable_count(doc, lex, delta=1.0) == 0
         assert doc_overlap_bound(doc, lex, delta=1.0) == 0.0
 
+    @pytest.mark.parametrize("delta, length, words", [
+        (0.7, 90, 63), (0.58, 50, 29), (0.29, 100, 29), (0.35, 180, 63)])
+    def test_decimal_deltas_keep_every_word(self, delta, length, words):
+        # Each float product falls just short of the integer, so a plain
+        # floor would cover one word less than the report's delta says.
+        assert delta * length < words
+        lex = hand_lexicon({"a": {"a", "b"}, "b": {"a", "b"}},
+                           {"a": ("a", "b"), "b": ("a", "b")}, j=2)
+        doc = Document("d", ("a",) * length)
+        assert attackable_count(doc, lex, delta) == words
+        assert substitution_budget(delta, length) == words
+
+    def test_budget_is_never_below_the_plain_floor(self):
+        for length in range(1, 301):
+            for step in range(1, 101):
+                delta = step / 100
+                budget = substitution_budget(delta, length)
+                assert math.floor(delta * length) <= budget <= math.floor(delta * length) + 1
+                assert budget == step * length // 100
+
     def test_delta_out_of_range_rejected(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p",))
         for delta in (0.0, -0.5, 1.5):
@@ -134,11 +155,12 @@ class TestCertifiedUpperBound:
             world = random_world(rng)
             doc = random_doc(rng, world, f"d{trial}")
             model = random_token_model(rng, world, [doc])
-            fbar = smoothed_score_exact(model, q, doc, world.lexicon)
+            smoothed = SmoothedModel(model, world.lexicon, n=None)
+            fbar = smoothed.score(q, doc)
             od = doc_overlap_bound(doc, world.lexicon, delta=1.0)
             bound = certified_upper_bound(fbar, od)
             for cand in enumerate_sd(doc, 1.0, world.lexicon):
-                val = smoothed_score_exact(model, q, cand, world.lexicon)
+                val = smoothed.score(q, cand)
                 assert val <= bound + 1e-12
                 checked += 1
         assert checked > 100
@@ -437,9 +459,10 @@ class TestBoundAttainingRanker:
         ranker = bound_attaining_ranker(doc, q, 0.0, triple_cluster_lexicon)
         assert ranker.achieved_p == 0.0
         assert ranker.od == pytest.approx(0.5)
-        assert smoothed_score_exact(ranker, q, doc, triple_cluster_lexicon) == 0.0
+        smoothed = SmoothedModel(ranker, triple_cluster_lexicon, n=None)
+        assert smoothed.score(q, doc) == 0.0
         best = max(
-            smoothed_score_exact(ranker, q, cand, triple_cluster_lexicon)
+            smoothed.score(q, cand)
             for cand in enumerate_sd(doc, 1.0, triple_cluster_lexicon)
         )
         assert best == pytest.approx(ranker.od, abs=1e-12)
@@ -449,8 +472,9 @@ class TestBoundAttainingRanker:
         q = make_query("q1", "x")
         ranker = bound_attaining_ranker(doc, q, 1.0, triple_cluster_lexicon)
         assert ranker.achieved_p == 1.0
+        smoothed = SmoothedModel(ranker, triple_cluster_lexicon, n=None)
         best = max(
-            smoothed_score_exact(ranker, q, cand, triple_cluster_lexicon)
+            smoothed.score(q, cand)
             for cand in enumerate_sd(doc, 1.0, triple_cluster_lexicon)
         )
         assert best == pytest.approx(1.0, abs=1e-12)
@@ -470,10 +494,11 @@ class TestBoundAttainingRanker:
             # Achieved p is the closest representable value to the request.
             space = world.lexicon.space_size(doc.tokens)
             assert abs(ranker.achieved_p - p_r) <= 0.5 / space + 1e-12
-            got_p = smoothed_score_exact(ranker, q, doc, world.lexicon)
+            smoothed = SmoothedModel(ranker, world.lexicon, n=None)
+            got_p = smoothed.score(q, doc)
             assert got_p == pytest.approx(ranker.achieved_p, abs=1e-9)
             best = max(
-                smoothed_score_exact(ranker, q, cand, world.lexicon)
+                smoothed.score(q, cand)
                 for cand in enumerate_sd(doc, delta, world.lexicon)
             )
             assert best == pytest.approx(

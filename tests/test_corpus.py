@@ -98,6 +98,16 @@ class TestLoadRun:
         write_run(load_run(out), out2)
         assert out.read_text() == out2.read_text()
 
+    def test_round_trip_keeps_near_ties_and_values(self, tmp_path):
+        # The two scores agree to ten significant digits; the written run
+        # must still read back in the order and with the values it had.
+        run = {"q1": make_ranked("q1", [("d1", 0.12345678901), ("d2", 0.12345678902),
+                                        ("d3", 1e-17), ("d4", 1 / 3)])}
+        assert [e.doc_id for e in run["q1"].entries] == ["d4", "d2", "d1", "d3"]
+        out = tmp_path / "out.txt"
+        write_run(run, out)
+        assert load_run(out) == run
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_score_names_the_line(self, tmp_path, score):
         path = tmp_path / "run.txt"

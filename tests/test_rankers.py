@@ -62,6 +62,20 @@ class TestBm25:
         # Sanity: the oracle itself produced the intended ordering.
         assert raws["d1"] > raws["d2"] > raws["d3"] == 0.0
 
+    def test_calibration_adds_left_to_right(self, toy_corpus):
+        # A compensated sum (Python 3.12's built-in) would give
+        # (1e16 + 2) / 3; the squash constant must not depend on the version.
+        class Raw(Bm25Model):
+            def raw_score(self, query, doc):
+                return self.raws.pop(0)
+
+        model = Raw.from_corpus(toy_corpus, k1=0.9, b=0.4)
+        object.__setattr__(model, "raws", [1e16, 1.0, 1.0])
+        q = make_query("q1", "cheap")
+        calibrated = model.calibrated([(q, doc) for doc in toy_corpus.values()])
+        assert calibrated.squash_c == ((1e16 + 1.0) + 1.0) / 3
+        assert calibrated.squash_c != (1e16 + 2.0) / 3
+
     def test_no_term_overlap_scores_squash_of_zero(self, toy_corpus):
         q = make_query("q1", "quantum mechanics")
         model = Bm25Model.from_corpus(toy_corpus, k1=0.9, b=0.4).calibrated(

@@ -22,7 +22,6 @@ from rankcert import (
     hoeffding_radius,
     make_ranked,
     smooth_rank,
-    smoothed_score_exact,
     smoothed_score_mc,
 )
 from rankcert.smoothing import (
@@ -45,7 +44,7 @@ from conftest import (
     random_world,
     singleton_lexicon,
 )
-from oracles import perturbation_prob
+from oracles import exact_smoothed_score, perturbation_prob
 
 
 @pytest.fixture
@@ -182,12 +181,12 @@ class TestSmoothedExact:
         lex = singleton_lexicon(["a", "b"])
         doc = make_doc("d", "a b")
         model = TokenTableModel({("a", "b"): 0.77})
-        assert smoothed_score_exact(model, make_query("q", "x"), doc, lex) == 0.77
+        assert SmoothedModel(model, lex, n=None).score(make_query("q", "x"), doc) == 0.77
 
     def test_two_outcome_space_averages(self, two_by_three_lexicon):
         doc = Document("d", ("p",))
         model = TokenTableModel({("p",): 0.2, ("p2",): 0.6})
-        value = smoothed_score_exact(model, make_query("q", "x"), doc, two_by_three_lexicon)
+        value = SmoothedModel(model, two_by_three_lexicon, n=None).score(make_query("q", "x"), doc)
         assert value == pytest.approx(0.4)
 
     def test_twelve_outcome_space_matches_per_outcome_mean(self, two_by_three_lexicon):
@@ -199,7 +198,7 @@ class TestSmoothedExact:
             table[tokens] = float(rng.random())
         model = TokenTableModel(table)
         oracle = sum(table.values()) / 12
-        value = smoothed_score_exact(model, make_query("q", "x"), doc, two_by_three_lexicon)
+        value = SmoothedModel(model, two_by_three_lexicon, n=None).score(make_query("q", "x"), doc)
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_cap_exceeded_mentions_monte_carlo(self, two_by_three_lexicon):
@@ -210,13 +209,98 @@ class TestSmoothedExact:
         model = TokenTableModel({})
         q = make_query("q", "x")
         with pytest.raises(ValueError, match="Monte Carlo"):
-            smoothed_score_exact(model, q, doc, two_by_three_lexicon)
+            SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc)
         # An exact certificate estimates the rank-K document the same way.
         ranked = make_ranked("q", [("d", 0.5), ("e", 0.4)])
         docs = {"d": doc, "e": Document("e", ("q",))}
         with pytest.raises(ValueError, match="Monte Carlo"):
             certify_topk(SmoothedModel(model, two_by_three_lexicon, n=None), q, ranked, docs,
                          k=1, delta=1.0)
+
+
+class CountingScores(ScoreModel):
+    """The wrapped model, recording the (query id, tokens) of each call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def score(self, query, doc):
+        self.calls.append((query.id, doc.tokens))
+        return self.model.score(query, doc)
+
+
+class QueryScores(ScoreModel):
+    """A different score for every (query, token tuple): the query id's
+    fingerprint mixed into the tuple's, scaled into [0, 1)."""
+
+    def score(self, query, doc):
+        return token_fingerprint((query.id, *doc.tokens)) / 2.0**64
+
+
+class TestExactMemo:
+    """``SmoothedModel(n=None)`` against ``exact_smoothed_score``, the
+    in-order sum with no memo: every value must be equal, bit for bit, and
+    each base score of a query is computed and range-checked once."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_in_order_reference_on_random_worlds(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        world = random_world(rng)
+        docs = [random_doc(rng, world, f"d{i}") for i in range(6)]
+        query = Query("q1", tuple(str(t) for t in rng.choice(world.vocab, size=3)))
+        models = [
+            random_linear_model(rng, world.emb),
+            random_token_model(rng, world, docs),
+            Bm25Model.from_corpus({d.id: d for d in docs}, k1=0.9, b=0.4).calibrated(
+                [(query, d) for d in docs]),
+        ]
+        for model in models:
+            smoothed = SmoothedModel(model, world.lexicon, n=None)
+            for doc in docs:
+                assert smoothed.score(query, doc) == exact_smoothed_score(
+                    model, query, doc, world.lexicon)
+
+    def test_overlapping_spaces_score_each_outcome_once(self, two_by_three_lexicon):
+        # p and p2 draw from one set, as do q and q2, so the two documents
+        # have the same six outcomes.
+        first, second = Document("d1", ("p", "q")), Document("d2", ("p2", "q2"))
+        counting = CountingScores(FingerprintScores())
+        smoothed = SmoothedModel(counting, two_by_three_lexicon, n=None)
+        q = make_query("q1", "x")
+        values = [smoothed.score(q, d) for d in (first, second)]
+        assert values == [exact_smoothed_score(FingerprintScores(), q, d, two_by_three_lexicon)
+                          for d in (first, second)]
+        assert len(counting.calls) == len(set(counting.calls)) == 6
+        assert set(smoothed._base_scores) == {"q1"}
+        assert set(smoothed._base_scores["q1"]) == set(
+            enumerate_perturbations(first, two_by_three_lexicon))
+
+    def test_no_base_score_leaks_across_queries(self, two_by_three_lexicon):
+        doc = Document("d1", ("p", "q", "p2"))
+        queries = [make_query("q1", "x"), make_query("q2", "x")]
+        counting = CountingScores(QueryScores())
+        smoothed = SmoothedModel(counting, two_by_three_lexicon, n=None)
+        values = [smoothed.score(q, doc) for q in queries]
+        assert values == [exact_smoothed_score(QueryScores(), q, doc, two_by_three_lexicon)
+                          for q in queries]
+        assert values[0] != values[1]
+        assert len(counting.calls) == len(set(counting.calls)) == 2 * 12
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan")])
+    def test_a_rejected_score_is_never_memoized(self, two_by_three_lexicon, bad):
+        first, second = Document("d1", ("p", "q")), Document("d2", ("p2", "q2"))
+        model = CountingScores(TokenTableModel({("p2", "q3"): bad}, default=0.5))
+        smoothed = SmoothedModel(model, two_by_three_lexicon, n=None)
+        q = make_query("q1", "x")
+        with pytest.raises(ValueError, match=r"'q1'.*'d1'"):
+            smoothed.score(q, first)
+        assert ("p2", "q3") not in smoothed._base_scores["q1"]
+        with pytest.raises(ValueError, match=r"'q1'.*'d2'"):
+            smoothed.score(q, second)
+        assert ("p2", "q3") not in smoothed._base_scores["q1"]
+        assert model.calls.count(("q1", ("p2", "q3"))) == 2
+        assert smoothed._memo == {}
 
 
 class TestHoeffdingRadius:
@@ -269,7 +353,7 @@ class TestSmoothedMc:
         }
         model = TokenTableModel(table)
         q = make_query("q1", "x")
-        exact = smoothed_score_exact(model, q, doc, two_by_three_lexicon)
+        exact = SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc)
         n, alpha = 1000, 0.05
         radius = hoeffding_radius(n, alpha)
         hits = 0
@@ -313,7 +397,7 @@ class TestSmoothedMc:
             {t: float(i) / 6 for i, t in enumerate(itertools.product(("p", "p2"), ("q", "q2", "q3")))}
         )
         q = make_query("q1", "x")
-        exact = smoothed_score_exact(model, q, doc, two_by_three_lexicon)
+        exact = SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc)
         medians = []
         for n in (100, 1000, 10000):
             errs = [
@@ -400,16 +484,17 @@ class TestBaseScoreRange:
         doc = Document("d7", ("p", "q"))
         model = TokenTableModel({("p2", "q3"): bad}, default=0.5)
         q = make_query("q9", "x")
+        smoothed = SmoothedModel(model, two_by_three_lexicon, n=None)
         with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
-            smoothed_score_exact(model, q, doc, two_by_three_lexicon)
+            smoothed.score(q, doc)
         with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
-            SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc)
+            smoothed.score_many(q, [doc])
 
     def test_unit_interval_endpoints_are_accepted(self, two_by_three_lexicon):
         doc = Document("d7", ("p", "q"))
         model = TokenTableModel({("p2", "q3"): 1.0}, default=0.0)
         q = make_query("q9", "x")
-        assert smoothed_score_exact(model, q, doc, two_by_three_lexicon) == 1 / 6
+        assert SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc) == 1 / 6
         assert 0.0 <= smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=100).mean <= 1.0
 
 
@@ -423,9 +508,7 @@ class TestSmoothRankAndModel:
         ranked = smooth_rank(SmoothedModel(model, world.lexicon, n=None), q, docs)
         for entry in ranked.entries:
             doc = next(d for d in docs if d.id == entry.doc_id)
-            assert entry.score == pytest.approx(
-                smoothed_score_exact(model, q, doc, world.lexicon), abs=0
-            )
+            assert entry.score == exact_smoothed_score(model, q, doc, world.lexicon)
 
     def test_smoothed_model_exact_is_cached_and_consistent(self):
         rng = np.random.default_rng(32)
@@ -436,7 +519,7 @@ class TestSmoothRankAndModel:
         smoothed = SmoothedModel(model, world.lexicon, n=None)
         first = smoothed.score(q, doc)
         assert first == smoothed.score(q, doc)
-        assert first == pytest.approx(smoothed_score_exact(model, q, doc, world.lexicon), abs=0)
+        assert first == exact_smoothed_score(model, q, doc, world.lexicon)
         assert smoothed.smoothed(q, doc) == SmoothedScore.exact(first)
 
     def test_smoothed_model_mc_matches_function(self):
@@ -561,7 +644,7 @@ class TestScoreMany:
         q = make_query("q1", "whatever")
         smoothed = SmoothedModel(model, world.lexicon, n=None)
         values = smoothed.score_many(q, docs)
-        assert values == [smoothed_score_exact(model, q, d, world.lexicon) for d in docs]
+        assert values == [exact_smoothed_score(model, q, d, world.lexicon) for d in docs]
         assert values == [smoothed.score(q, d) for d in docs]
 
     @pytest.mark.parametrize("n, alpha", [(0, 0.05), (10, 0.0), (10, 1.0)])
