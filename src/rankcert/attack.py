@@ -4,7 +4,7 @@
 until a substitution budget is exhausted, a cheap stand-in for published
 black-box attacks at evaluation time. The ``attack`` command caps each
 document's budget at the words the certificate covers (``floor(delta * M)``,
-at most its perturbable words), so the attacker and the certificate share
+``certify.substitution_budget``), so the attacker and the certificate share
 one threat model. The exhaustive attacker that validates certificates is a
 test oracle, in ``tests/oracles.py``.
 
@@ -91,7 +91,8 @@ def greedy_attack(
 
     Each step applies the strictly score-improving move with the largest
     gain, ties broken by (position, lexicographic word), while keeping at
-    most ``budget`` positions changed from the original document. A step
+    most ``budget`` positions changed from the original document: once that
+    many are changed, only they are tried, with swaps and reverts. A step
     scores all its trial documents with one ``model.score_many`` call. The
     trials share the document's id and length, so a ``SmoothedModel`` takes
     them as one consecutive run and stacks their draws into capped blocks of
@@ -110,14 +111,13 @@ def greedy_attack(
     while True:
         best_move: tuple[int, str] | None = None
         best_score = current_score
-        changed = {i for i, w in enumerate(doc.tokens) if current[i] != w}
+        spent = sum(a != b for a, b in zip(current, doc.tokens)) >= budget
         moves, trials = [], []
         for pos in range(doc.length):
+            if spent and current[pos] == doc.tokens[pos]:
+                continue
             for tok in options[pos]:
                 if tok == current[pos]:
-                    continue
-                will_change = changed | {pos} if tok != doc.tokens[pos] else changed - {pos}
-                if len(will_change) > budget:
                     continue
                 trial = current.copy()
                 trial[pos] = tok

@@ -3,10 +3,10 @@
 The certificate rests on two pieces, both computed here:
 
 * ``doc_overlap_bound``: the per-document slack ``od``. Sort the document's
-  positions by their overlap ratio ``o_w`` ascending; with ``E`` attackable
-  positions, ``od = 1 - product of the E smallest o_w``. Any synonym
-  substitution of at most ``E`` words can raise the smoothed score by at most
-  ``od`` (see ``certified_upper_bound``).
+  positions by their overlap ratio ``o_w`` ascending; with a budget of ``E``
+  words (``substitution_budget``), ``od = 1 - product of the E smallest
+  o_w``. Any synonym substitution of at most ``E`` words can raise the
+  smoothed score by at most ``od`` (see ``certified_upper_bound``).
 * ``certify_topk``: the list-level criterion. With ``sK`` and ``sK1`` the
   smoothed scores at ranks K and K+1, the margin
   ``sK - sK1 - max tail od - total estimation radius`` being positive
@@ -33,24 +33,19 @@ from .smoothing import SmoothedModel, SmoothedScore, smoothed_score_mc
 
 
 def substitution_budget(delta: float, length: int) -> int:
-    """``floor(delta * M)`` as decimal arithmetic gives it: 63 for 0.7 of 90
-    words, although ``0.7 * 90 == 62.99999999999999``."""
+    """The words of a ``length``-word document an attacker may substitute at
+    ``delta`` in (0, 1]: ``floor(delta * M)`` as decimal arithmetic gives it,
+    63 for 0.7 of 90 words, although ``0.7 * 90 == 62.99999999999999``."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
     return math.floor(delta * length + 1e-9)
 
 
-def attackable_count(doc: Document, lexicon: Lexicon, delta: float) -> int:
-    """Number of positions an attacker may substitute: the
-    :func:`substitution_budget`, capped at the perturbable positions."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    budget = substitution_budget(delta, doc.length)
-    perturbable = sum(1 for w in doc.tokens if lexicon.is_perturbable(w))
-    return min(budget, perturbable)
-
-
 def doc_overlap_bound(doc: Document, lexicon: Lexicon, delta: float) -> float:
-    """Slack ``od = 1 - product of the E smallest per-position overlaps``."""
-    e = attackable_count(doc, lexicon, delta)
+    """Slack ``od = 1 - product of the E smallest per-position overlaps``,
+    ``E`` the :func:`substitution_budget`. Positions past the perturbable
+    ones add factors of exactly 1.0."""
+    e = substitution_budget(delta, doc.length)
     overlaps = sorted(lexicon.overlap_of(w) for w in doc.tokens)
     return 1.0 - math.prod(overlaps[:e])
 
@@ -158,7 +153,7 @@ def certify_topk(
         entry = ranked.entry_at(rank)
         doc = docs[entry.doc_id]
         if smoothed.n is None:
-            est = smoothed.smoothed(query, doc)
+            est = SmoothedScore.exact(smoothed.score(query, doc))
         else:
             est = smoothed_score_mc(smoothed.base, query, doc, smoothed.lexicon,
                                     smoothed.n, smoothed.alpha, smoothed.root_seed)

@@ -90,7 +90,8 @@ def _load_model(
     kind = payload.get("type")
     if kind == "linear":
         if embeddings is None:
-            raise click.ClickException("--embeddings is required for a linear scorer model")
+            raise click.ClickException(
+                f"--embeddings is required for the linear scorer model in {model_path}")
         return _linear_from(payload, model_path, embeddings)
     if kind == "bm25":
         with _naming(model_path):
@@ -320,8 +321,8 @@ def cmd_attack(
     """Greedy synonym-substitution attack on documents beyond rank K.
 
     Each document's budget is capped at the number of words the certificate
-    lets an attacker substitute at ``--delta``; a document with none is
-    reported unchanged.
+    lets an attacker substitute at ``--delta``, ``floor(delta * M)``; a
+    document with a budget of 0 is reported unchanged.
     """
     corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
@@ -334,7 +335,7 @@ def cmd_attack(
         outcomes = []
         for e in ranked.tail(k)[:max_attacked]:
             doc = corpus[e.doc_id]
-            doc_budget = min(budget, certify_mod.attackable_count(doc, lexicon, delta))
+            doc_budget = min(budget, certify_mod.substitution_budget(delta, doc.length))
             outcomes.append(attack_mod.greedy_attack(scorer, query, doc, ranked, doc_budget, lexicon))
         return outcomes
 

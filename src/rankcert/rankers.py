@@ -101,6 +101,10 @@ class Bm25Model(ScoreModel):
             raise ValueError(f"k1 must be a finite positive number, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
+        if self.n_docs < 1:
+            raise ValueError(f"n_docs must be >= 1, got {self.n_docs}")
+        if not (math.isfinite(self.avg_len) and self.avg_len > 0):
+            raise ValueError(f"avg_len must be a finite positive number, got {self.avg_len}")
 
     @classmethod
     def from_corpus(
@@ -126,8 +130,6 @@ class Bm25Model(ScoreModel):
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
     def raw_score(self, query: Query, doc: Document) -> float:
-        if self.n_docs <= 0 or self.avg_len <= 0:
-            raise RuntimeError("BM25 statistics not initialized; build from a corpus first")
         terms = self._queries.get(query.tokens)
         if terms is None:
             terms = self._queries[query.tokens] = tuple(

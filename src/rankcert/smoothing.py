@@ -70,10 +70,6 @@ class SmoothedScore:
     radius: float
 
     @classmethod
-    def from_mc(cls, mean: float, n: int, alpha: float) -> "SmoothedScore":
-        return cls(mean=mean, n=n, alpha=alpha, radius=hoeffding_radius(n, alpha))
-
-    @classmethod
     def exact(cls, mean: float) -> "SmoothedScore":
         return cls(mean=mean, n=0, alpha=0.0, radius=0.0)
 
@@ -305,11 +301,6 @@ class SmoothedModel(ScoreModel):
                 if outside.size:
                     raise _out_of_range(float(scores[outside[0]]), query, block[valid])
         return [self._memo[(query.id, doc.id, doc.tokens)] for doc in docs]
-
-    def smoothed(self, query: Query, doc: Document) -> SmoothedScore:
-        if self.n is None:
-            return SmoothedScore.exact(self.score(query, doc))
-        return SmoothedScore.from_mc(self.score(query, doc), self.n, self.alpha)
 
 
 def smooth_rank(smoothed: SmoothedModel, query: Query, docs: Sequence[Document]) -> RankedList:

@@ -43,8 +43,6 @@ def sd_size(doc: Document, delta: float, lexicon: Lexicon) -> int:
     alternatives at position ``i``, the count is the sum over ``r <= E`` of
     the elementary symmetric polynomials ``e_r(a_1, ..., a_M)``.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
     e = substitution_budget(delta, doc.length)
     counts = [1] + [0] * e
     for w in doc.tokens:
@@ -211,8 +209,6 @@ def optimal_adversary(doc: Document, delta: float, lexicon: Lexicon) -> Document
     """The provably worst-case substitution: replace the ``floor(delta * M)``
     positions with the smallest overlap ratios by their ratio-minimizing
     synonyms. Ties break by position, then lexicographic token order."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
     e = substitution_budget(delta, doc.length)
     choices = [_min_overlap_substitute(w, lexicon) for w in doc.tokens]
     order = sorted(range(doc.length), key=lambda i: (choices[i][1], i))

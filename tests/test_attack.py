@@ -256,6 +256,68 @@ class TestGreedy:
         assert outcome == AttackOutcome("q1", "e", 2, 2, doc, 0.4, False, ())
 
 
+class RecordingModel(ScoreModel):
+    """Scores with the model it wraps and records the token tuples of every
+    ``score_many`` call, one list per greedy step."""
+
+    def __init__(self, model: ScoreModel):
+        self.model = model
+        self.steps: list[list[tuple[str, ...]]] = []
+
+    def score(self, query, doc):
+        return self.model.score(query, doc)
+
+    def score_many(self, query, docs):
+        self.steps.append([d.tokens for d in docs])
+        return super().score_many(query, docs)
+
+
+class TestGreedyBudget:
+    """Once the changed positions use up the budget, a step tries only those
+    positions, by a swap to another synonym or a revert to the original."""
+
+    @pytest.fixture
+    def world(self):
+        synonyms = {w: {"a", "a2", "a3"} for w in ("a", "a2", "a3")}
+        synonyms |= {w: {"b", "b2"} for w in ("b", "b2")} | {w: {"c", "c2"} for w in ("c", "c2")}
+        perturb = {w: (w, w) for w in synonyms}
+        model = TokenTableModel({
+            ("a", "b", "c"): 0.1,
+            ("a2", "b", "c"): 0.5, ("a3", "b", "c"): 0.2, ("a", "b2", "c"): 0.3,
+            ("a", "b", "c2"): 0.3, ("a2", "b2", "c"): 0.6, ("a2", "b", "c2"): 0.4,
+            ("a3", "b2", "c"): 0.7, ("a2", "b2", "c2"): 0.9,
+        })
+        return hand_lexicon(synonyms, perturb, j=2), model
+
+    def test_trials_of_every_step(self, world):
+        lexicon, model = world
+        recording = RecordingModel(model)
+        q = make_query("q1", "x")
+        doc = Document("target", ("a", "b", "c"))
+        ranked = make_ranked("q1", [("other", 0.65), ("target", 0.1)])
+        outcome = greedy_attack(recording, q, doc, ranked, budget=2, lexicon=lexicon)
+        assert recording.steps == [
+            [("a2", "b", "c"), ("a3", "b", "c"), ("a", "b2", "c"), ("a", "b", "c2")],
+            [("a", "b", "c"), ("a3", "b", "c"), ("a2", "b2", "c"), ("a2", "b", "c2")],
+            # At the budget: position 0 reverts or swaps, position 1 reverts,
+            # and position 2 is not tried, so (a2, b2, c2) at 0.9 is out of reach.
+            [("a", "b2", "c"), ("a3", "b2", "c"), ("a2", "b", "c")],
+            [("a", "b2", "c"), ("a2", "b2", "c"), ("a3", "b", "c")],
+        ]
+        assert outcome.substitutions == ((0, "a", "a3"), (1, "b", "b2"))
+        assert outcome.best_score == 0.7 and outcome.success
+
+    def test_a_budget_past_the_changes_tries_every_position(self, world):
+        lexicon, model = world
+        recording = RecordingModel(model)
+        q = make_query("q1", "x")
+        doc = Document("target", ("a", "b", "c"))
+        ranked = make_ranked("q1", [("other", 0.65), ("target", 0.1)])
+        outcome = greedy_attack(recording, q, doc, ranked, budget=3, lexicon=lexicon)
+        assert ("a2", "b2", "c2") in recording.steps[2]
+        assert outcome.substitutions == ((0, "a", "a2"), (1, "b", "b2"), (2, "c", "c2"))
+
+
 class ScoreOnly(ScoreModel):
     """Exposes only ``score`` of the model it wraps, so ``greedy_attack``
     scores its trials one at a time through the default ``score_many``."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcert import (
     Document,
@@ -15,7 +17,7 @@ from rankcert import (
     hoeffding_radius,
     smooth_rank,
 )
-from rankcert.certify import attackable_count, substitution_budget
+from rankcert.certify import substitution_budget
 
 from conftest import (
     TokenTableModel,
@@ -73,38 +75,40 @@ class TestDocOverlapBound:
         )
         doc = Document("d", ("a", "b", "a"))
         assert doc_overlap_bound(doc, lex, delta=1.0) == 0.0
-        assert attackable_count(doc, lex, delta=1.0) == 3
+        assert substitution_budget(1.0, doc.length) == 3
 
     def test_product_of_two_smallest(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p", "r"))
-        assert attackable_count(doc, half_and_four_fifths_lexicon, delta=1.0) == 2
+        assert substitution_budget(1.0, doc.length) == 2
         assert [half_and_four_fifths_lexicon.overlap_of(w) for w in doc.tokens] == [0.5, 0.8]
         od = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta=1.0)
         assert od == pytest.approx(1.0 - 0.5 * 0.8, abs=1e-15)  # 0.6
 
     def test_half_delta_takes_the_smallest_only(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p", "r"))
-        assert attackable_count(doc, half_and_four_fifths_lexicon, delta=0.5) == 1
+        assert substitution_budget(0.5, doc.length) == 1
         od = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta=0.5)
         assert od == pytest.approx(0.5, abs=1e-15)
 
     def test_no_attackable_positions_give_zero(self):
+        # The budget covers both words, but a non-perturbable word's overlap
+        # is 1.0 and adds no slack.
         lex = singleton_lexicon(["a", "b"])
         doc = Document("d", ("a", "b"))
-        assert attackable_count(doc, lex, delta=1.0) == 0
+        assert substitution_budget(1.0, doc.length) == 2
         assert doc_overlap_bound(doc, lex, delta=1.0) == 0.0
 
     @pytest.mark.parametrize("delta, length, words", [
         (0.7, 90, 63), (0.58, 50, 29), (0.29, 100, 29), (0.35, 180, 63)])
-    def test_decimal_deltas_keep_every_word(self, delta, length, words):
+    def test_decimal_deltas_keep_every_word(self, delta, length, words,
+                                            half_and_four_fifths_lexicon):
         # Each float product falls just short of the integer, so a plain
         # floor would cover one word less than the report's delta says.
         assert delta * length < words
-        lex = hand_lexicon({"a": {"a", "b"}, "b": {"a", "b"}},
-                           {"a": ("a", "b"), "b": ("a", "b")}, j=2)
-        doc = Document("d", ("a",) * length)
-        assert attackable_count(doc, lex, delta) == words
+        doc = Document("d", ("r",) * length)  # o_r = 4/5 at every position
         assert substitution_budget(delta, length) == words
+        od = doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta)
+        assert od == 1.0 - math.prod([0.8] * words) != 1.0 - math.prod([0.8] * (words - 1))
 
     def test_budget_is_never_below_the_plain_floor(self):
         for length in range(1, 301):
@@ -116,9 +120,11 @@ class TestDocOverlapBound:
 
     def test_delta_out_of_range_rejected(self, half_and_four_fifths_lexicon):
         doc = Document("d", ("p",))
-        for delta in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
+        for delta in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="delta must be in"):
                 doc_overlap_bound(doc, half_and_four_fifths_lexicon, delta)
+            with pytest.raises(ValueError, match="delta must be in"):
+                substitution_budget(delta, doc.length)
 
     def test_od_non_decreasing_in_delta(self):
         rng = np.random.default_rng(77)
@@ -130,6 +136,70 @@ class TestDocOverlapBound:
                 for delta in [x / 10 for x in range(1, 11)]
             ]
             assert all(a <= b + 1e-15 for a, b in zip(ods, ods[1:]))
+
+
+def capped_overlap_bound(doc: Document, lexicon, delta: float) -> float:
+    """The slack with ``E`` capped at the document's perturbable positions
+    as well: the reference :func:`doc_overlap_bound` must equal bit for bit."""
+    perturbable = sum(1 for w in doc.tokens if lexicon.is_perturbable(w))
+    e = min(substitution_budget(delta, doc.length), perturbable)
+    return 1.0 - math.prod(sorted(lexicon.overlap_of(w) for w in doc.tokens)[:e])
+
+
+# Overlaps 0 (a and b have the demoted synonym c), 1/2 (p, p2), 4/5 (r, r2)
+# and 1 (g, h); d and e are demoted synonyms of each other, u is isolated and
+# "oov" is out of the vocabulary.
+_MIXED_LEXICON = hand_lexicon(
+    {
+        "a": {"a", "b", "c"}, "b": {"a", "b", "c"}, "c": {"a", "b", "c"},
+        "p": {"p", "p2"}, "p2": {"p", "p2"}, "r": {"r", "r2"}, "r2": {"r", "r2"},
+        "g": {"g", "h"}, "h": {"g", "h"}, "d": {"d", "e"}, "e": {"d", "e"}, "u": {"u"},
+    },
+    {
+        "a": ("a", "b"), "b": ("b", "a"), "c": ("c",),
+        "p": ("p", "s"), "p2": ("p2", "s"),
+        "r": ("r", "c1", "c2", "c3", "c4"), "r2": ("r2", "c1", "c2", "c3", "c4"),
+        "g": ("g", "h"), "h": ("h", "g"), "d": ("d",), "e": ("e",), "u": ("u",),
+    },
+    j=2,
+)
+
+_deltas = st.one_of(st.integers(1, 100).map(lambda step: step / 100),
+                    st.sampled_from([0.58, 0.7, 1 / 3, 2 / 3]))
+
+
+class TestOneBudgetRule:
+    """``doc_overlap_bound`` takes ``E = substitution_budget(delta, M)``; a cap
+    at the perturbable positions would only multiply in factors of 1.0."""
+
+    def test_mixed_lexicon_overlaps(self):
+        overlaps = {w: _MIXED_LEXICON.overlap_of(w)
+                    for w in ("a", "b", "c", "p", "r", "g", "d", "u", "oov")}
+        assert overlaps == {"a": 0.0, "b": 0.0, "c": 1.0, "p": 0.5, "r": 0.8, "g": 1.0,
+                            "d": 1.0, "u": 1.0, "oov": 1.0}
+        assert [w for w in overlaps if _MIXED_LEXICON.is_perturbable(w)] == ["a", "b", "p", "r", "g"]
+
+    @given(tokens=st.lists(st.sampled_from(["a", "b", "c", "p", "p2", "r", "r2", "g", "h",
+                                            "d", "e", "u", "oov"]), min_size=1, max_size=16),
+           delta=_deltas)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_capped_form_on_a_hand_lexicon(self, tokens, delta):
+        doc = Document("d", tuple(tokens))
+        od = doc_overlap_bound(doc, _MIXED_LEXICON, delta)
+        reference = capped_overlap_bound(doc, _MIXED_LEXICON, delta)
+        assert od == reference and repr(od) == repr(reference)
+
+    @given(seed=st.integers(0, 10**6), delta=_deltas)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_capped_form_on_random_worlds(self, seed, delta):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng)
+        for i in range(10):
+            length = int(rng.integers(1, 30))
+            doc = Document(f"d{i}", tuple(str(w) for w in rng.choice(world.vocab + ["oov"], size=length)))
+            od = doc_overlap_bound(doc, world.lexicon, delta)
+            reference = capped_overlap_bound(doc, world.lexicon, delta)
+            assert od == reference and repr(od) == repr(reference)
 
 
 class TestCertifiedUpperBound:
@@ -254,6 +324,12 @@ class TestCertifyTopk:
         with pytest.raises(KeyError, match="dB"):
             certify_topk(smoothed, q, ranked, {k: v for k, v in docs.items() if k != "dB"},
                          k=1, delta=1.0)
+        # A ranker that disagrees with the list: delta is refused before any
+        # estimate could expose that.
+        other = SmoothedModel(TokenTableModel({}), lex, n=None)
+        for delta in (0.0, 1.5):
+            with pytest.raises(ValueError, match="delta must be in"):
+                certify_topk(other, q, ranked, docs, k=1, delta=delta)
 
     def test_refuses_a_list_ranked_with_another_root_seed(self, certifiable_world):
         # At K = 2 the boundary holds dC (a singleton, the same under any

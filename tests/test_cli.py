@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel, hoeffding_radius,
-                      load_corpus, load_queries, load_run, smooth_rank, write_run)
+from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel, greedy_attack,
+                      hoeffding_radius, load_corpus, load_queries, load_run, rank, smooth_rank,
+                      write_run)
+from rankcert.certify import substitution_budget
 from rankcert.cli import main
 
 from conftest import size_mismatch_lexicon
@@ -123,13 +125,13 @@ def certify_args(pipeline_dir, built_lexicon, trained_model, out, **over):
 
 
 def scoring_args(command, pipeline_dir, built_lexicon, trained_model, out, *extra,
-                 corpus=None, run=None):
+                 corpus=None, queries=None, run=None):
     """Arguments of a scoring command on the toy pipeline, optionally with
-    another corpus or run file."""
+    another corpus, queries or run file."""
     return [
         command,
         "--corpus", corpus or pipeline_dir / "corpus.jsonl",
-        "--queries", pipeline_dir / "queries.tsv",
+        "--queries", queries or pipeline_dir / "queries.tsv",
         "--run", run or pipeline_dir / "run.txt",
         "--lexicon", built_lexicon,
         "--model", trained_model,
@@ -445,6 +447,32 @@ class TestAttackAndEvaluate:
         for o in outcomes:
             if not o["substitutions"]:
                 assert not o["success"] and o["best_rank_after"] == o["original_rank"]
+
+    def test_base_target_attacks_the_base_ranking(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+    ):
+        out = tmp_path / "outcomes.jsonl"
+        result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", "--delta", "0.5", "--budget", "2",
+                                       "--target", "base"))
+        assert result.exit_code == 0, result.output
+        corpus = load_corpus(pipeline_dir / "corpus.jsonl")
+        queries = load_queries(pipeline_dir / "queries.tsv")
+        run = load_run(pipeline_dir / "run.txt")
+        lexicon = Lexicon.load(built_lexicon)
+        model = LinearEmbedScorer.from_json_dict(
+            json.loads(trained_model.read_text()),
+            EmbeddingTable.load(pipeline_dir / "embeddings.txt"))
+        expected = []
+        for qid in ("q1", "q2"):
+            ranked = rank(model, queries[qid], [corpus[d] for d in run[qid].doc_ids])
+            for e in ranked.tail(2):
+                doc = corpus[e.doc_id]
+                budget = min(2, substitution_budget(0.5, doc.length))
+                outcome = greedy_attack(model, queries[qid], doc, ranked, budget, lexicon)
+                expected.append(json.dumps(outcome.to_json_dict(), sort_keys=True))
+        assert out.read_text().splitlines() == expected
+        assert read_meta(out)["params"]["target"] == "base"
 
     def test_sidecar_records_skipped_queries(
         self, pipeline_dir, built_lexicon, trained_model, run_with_textless_query, tmp_path
@@ -818,6 +846,50 @@ class TestMalformedFiles:
         result = run_cli(*args)
         assert result.exit_code == 1
         assert f"{model}: " in result.output and message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, content, message", [
+        ("corpus", '{"id": "d1", "text": "h h"}\n{"id": "d2"}\n',
+         "{path}:2: expected object with 'id' and 'text'"),
+        ("corpus", '{"id": "d1", "text": "h h"}\n{"id": "d1", "text": "u"}\n',
+         "{path}:2: duplicate document id 'd1'"),
+        ("corpus", '{"id": "d1", "text": "h h"}\n\n{"id": "d2", "text": "?!"}\n',
+         "{path}:3: document 'd2' tokenizes to nothing"),
+        ("queries", "q1\th h\nq2 g0 u\n", "{path}:2: expected 'qid<TAB>text'"),
+        ("queries", "q1\th h\nq1\tu\n", "{path}:2: duplicate query id 'q1'"),
+        ("queries", "q1\th h\nq2\t--\n", "{path}:2: query 'q2' tokenizes to nothing"),
+        ("run", "q1 Q0 d1 1 0.9 x\nq1 Q0 d2 2 0.5\n", "{path}:2: expected 6 columns, got 5"),
+        ("run", "q1 Q0 d1 1 0.9 x\nq1 Q0 d2 two 0.5 x\n", "{path}:2: bad rank/score"),
+        ("run", "q1 Q0 d1 1 0.9 x\nq1 Q0 d2 2 high x\n", "{path}:2: bad rank/score"),
+        ("qrels", "q1 0 d1 1\nq2 0 d5\n", "{path}:2: expected 4 columns, got 3"),
+        ("qrels", "q1 0 d1 1\nq2 0 d5 yes\n", "{path}:2: bad relevance grade"),
+        ("model", '{"type": "neural"}', "unknown model type 'neural' in {path}"),
+        ("model-without-embeddings", '{"type": "linear", "weights": [0, 0, 0], "bias": 0}',
+         "--embeddings is required for the linear scorer model in {path}"),
+    ], ids=["corpus-columns", "corpus-duplicate", "corpus-empty-text", "queries-columns",
+            "queries-duplicate", "queries-empty-text", "run-columns", "run-rank", "run-score",
+            "qrels-columns", "qrels-grade", "model-type", "model-without-embeddings"])
+    def test_input_errors_name_the_file_and_line(
+        self, pipeline_dir, built_lexicon, trained_model, certify_out, attack_out, tmp_path,
+        kind, content, message,
+    ):
+        path, out = tmp_path / f"{kind}.in", tmp_path / "out"
+        path.write_text(content)
+        if kind == "qrels":
+            args = ["evaluate", "--reports", certify_out, "--outcomes", attack_out,
+                    "--run", pipeline_dir / "run.txt", "--qrels", path, "--out", out]
+        elif kind.startswith("model"):
+            args = scoring_args("certify", pipeline_dir, built_lexicon, path, out, "--k", "2")
+            if kind == "model-without-embeddings":
+                at = args.index("--embeddings")
+                del args[at:at + 2]
+        else:
+            args = scoring_args("certify", pipeline_dir, built_lexicon, trained_model, out,
+                                "--k", "2", **{kind: path})
+        result = run_cli(*args)
+        assert result.exit_code == 1, result.output
+        assert message.format(path=path) in result.output
+        assert "Traceback" not in result.output
         assert not out.exists()
 
 

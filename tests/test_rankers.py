@@ -118,6 +118,18 @@ class TestBm25:
         with pytest.raises(ValueError):
             Bm25Model.from_corpus(toy_corpus, b=1.5)
 
+    @pytest.mark.parametrize("n_docs, avg_len, message", [
+        (0, 1.0, "n_docs must be >= 1"),
+        (-2, 1.0, "n_docs must be >= 1"),
+        (3, 0.0, "avg_len must be a finite positive number"),
+        (3, -1.0, "avg_len must be a finite positive number"),
+        (3, math.nan, "avg_len must be a finite positive number"),
+        (3, math.inf, "avg_len must be a finite positive number"),
+    ])
+    def test_statistics_are_checked_at_construction(self, n_docs, avg_len, message):
+        with pytest.raises(ValueError, match=message):
+            Bm25Model(k1=0.9, b=0.4, doc_freq={}, n_docs=n_docs, avg_len=avg_len)
+
 
 class TestRank:
     def test_single_candidate_is_rank_one(self, toy_corpus):

