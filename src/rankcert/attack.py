@@ -3,9 +3,9 @@
 ``greedy_attack`` applies the best single (position, synonym) improvement
 until a substitution budget is exhausted, a cheap stand-in for published
 black-box attacks at evaluation time. The ``attack`` command caps each
-document's budget at the words the certificate covers (``floor(delta * M)``,
-``certify.substitution_budget``), so the attacker and the certificate share
-one threat model. The exhaustive attacker that validates certificates is a
+document's budget at ``certify.substitution_budget(delta, M)``, the words the
+certificate covers, so the attacker and the certificate share one threat
+model. The exhaustive attacker that validates certificates is a
 test oracle, in ``tests/oracles.py``.
 
 Documents ranked in the top K are never attacked; callers select targets
@@ -14,7 +14,7 @@ from the tail of the ranked list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .corpus import Document, Query, RankedList, json_field, make_ranked
@@ -34,6 +34,11 @@ class AttackOutcome:
     best_score: float
     success: bool
     substitutions: tuple[tuple[int, str, str], ...]
+    # Search counters of ``greedy_attack``: the ``attack`` command totals them
+    # in its sidecar. They are not part of the record, so neither JSON nor
+    # equality carries them.
+    trials_scored: int = field(default=0, compare=False)
+    trials_pruned: int = field(default=0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,14 +97,24 @@ def greedy_attack(
     Each step applies the strictly score-improving move with the largest
     gain, ties broken by (position, lexicographic word), while keeping at
     most ``budget`` positions changed from the original document: once that
-    many are changed, only they are tried, with swaps and reverts. A step
-    scores all its trial documents with one ``model.score_many`` call. The
-    trials share the document's id and length, so a ``SmoothedModel`` takes
-    them as one consecutive run and stacks their draws into capped blocks of
-    ``base.score_batch`` calls, with each trial's own draws and the values
-    ``score`` gives.
-    Stops when no move improves the score; with ``budget == 0`` that is at
-    once, and the document comes back unchanged.
+    many are changed, only they are tried, with swaps and reverts. Stops
+    when no move improves the score; with ``budget == 0`` that is at once,
+    and the document comes back unchanged.
+
+    A position's options are the original word's ``attack_set``, scanned in
+    word order, and a step skips the options that cannot change the true
+    score: those whose ``model.substitution_key`` equals the current word's,
+    and every option after the first (the smallest word) of a key already
+    kept. For a base model each word is its own key and nothing is skipped;
+    on a ``SmoothedModel`` the key is the multiset of the word's perturbation
+    set, so a swap inside one set is never scored. The outcome counts the trials scored
+    and skipped (``trials_scored``, ``trials_pruned``).
+
+    A step scores all its trial documents with one ``model.score_many``
+    call. The trials share the document's id and length, so a
+    ``SmoothedModel`` takes them as one consecutive run and stacks their
+    draws into capped blocks of ``base.score_batch`` calls, with each
+    trial's own draws and the values ``score`` gives.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -107,22 +122,28 @@ def greedy_attack(
     current = list(doc.tokens)
     current_score = model.score(query, doc)
 
-    options = {i: lexicon.attack_set(w) for i, w in enumerate(doc.tokens)}
+    key = model.substitution_key
+    options = [{tok: key(tok) for tok in lexicon.attack_set(w)} for w in doc.tokens]
+    scored = pruned = 0
     while True:
         best_move: tuple[int, str] | None = None
         best_score = current_score
         spent = sum(a != b for a, b in zip(current, doc.tokens)) >= budget
         moves, trials = [], []
-        for pos in range(doc.length):
+        for pos, keys in enumerate(options):
             if spent and current[pos] == doc.tokens[pos]:
                 continue
-            for tok in options[pos]:
-                if tok == current[pos]:
+            seen = {keys[current[pos]]}
+            for tok, k in keys.items():
+                if k in seen:
+                    pruned += tok != current[pos]
                     continue
+                seen.add(k)
                 trial = current.copy()
                 trial[pos] = tok
                 moves.append((pos, tok))
                 trials.append(doc.with_tokens(trial))
+        scored += len(trials)
         # Moves are listed in ascending (position, token) order and only a
         # strictly larger score replaces the incumbent, which realizes the
         # tie rule: maximal gain, then smallest position, then smallest word.
@@ -146,4 +167,6 @@ def greedy_attack(
         best_score=current_score,
         success=best_rank < original_rank,
         substitutions=substitutions_between(doc, best_doc),
+        trials_scored=scored,
+        trials_pruned=pruned,
     )

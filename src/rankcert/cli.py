@@ -311,7 +311,7 @@ def cmd_certify(
 
 @main.command("attack")
 @_scoring_options
-@click.option("--budget", default=3, show_default=True, type=click.IntRange(min=1), help="Greedy substitution budget.")
+@click.option("--budget", default=3, show_default=True, type=click.IntRange(min=1), help="Greedy substitution budget, capped per document at certify.substitution_budget(delta, M).")
 @click.option("--target", type=click.Choice(["smoothed", "base"]), default="smoothed", show_default=True)
 @click.option("--max-attacked", default=None, type=click.IntRange(min=0), help="Attack at most this many tail documents per query.")
 def cmd_attack(
@@ -321,8 +321,10 @@ def cmd_attack(
     """Greedy synonym-substitution attack on documents beyond rank K.
 
     Each document's budget is capped at the number of words the certificate
-    lets an attacker substitute at ``--delta``, ``floor(delta * M)``; a
-    document with a budget of 0 is reported unchanged.
+    lets an attacker substitute at ``--delta``,
+    ``certify.substitution_budget(delta, M)``; a document with a budget of 0
+    is reported unchanged. The sidecar totals the greedy trials scored and
+    the trials skipped as unable to change the score.
     """
     corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
@@ -342,7 +344,9 @@ def cmd_attack(
     results = _map_queries(work, qids, jobs)
     outcomes = [o for per_query in results.values() for o in per_query]
     _write_jsonl(out_path, outcomes)
-    _write_meta(skipped=skipped)
+    _write_meta(skipped=skipped,
+                trials_scored=sum(o.trials_scored for o in outcomes),
+                trials_pruned=sum(o.trials_pruned for o in outcomes))
     if outcomes:
         click.echo(f"SR: {metrics_mod.sr(outcomes):.2f}% over {len(outcomes)} attacked documents")
     else:

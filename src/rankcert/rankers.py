@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,13 @@ class ScoreModel(ABC):
     @abstractmethod
     def score(self, query: Query, doc: Document) -> float:
         raise NotImplementedError
+
+    def substitution_key(self, word: str) -> Hashable:
+        """Words with equal keys are interchangeable for this model: putting
+        one in place of the other, anywhere in a document, leaves its true
+        score unchanged. The default, the word itself, merges no two words.
+        A wrapper that re-exposes a model forwards it."""
+        return word
 
     def score_many(self, query: Query, docs: Sequence[Document]) -> list[float]:
         """``score`` of each document, in order."""

@@ -235,6 +235,12 @@ class SmoothedModel(ScoreModel):
         self._memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
         self._base_scores: dict[str, dict[tuple[str, ...], float]] = {}
 
+    def substitution_key(self, word: str) -> tuple[str, ...]:
+        """``T_w`` as a sorted tuple, the multiset of draws at the word's
+        position: the smoothed score sees a word only through it, so words
+        with equal multisets give documents with the same distribution."""
+        return tuple(sorted(self.lexicon.perturb_set(word)))
+
     def score(self, query: Query, doc: Document) -> float:
         key = (query.id, doc.id, doc.tokens)
         cached = self._memo.get(key)

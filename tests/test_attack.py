@@ -1,6 +1,8 @@
 """Exhaustive and greedy synonym-substitution attackers."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from rankcert import (
 )
 from rankcert.attack import rank_after
 from rankcert.certify import substitution_budget
-from rankcert.smoothing import ENUMERATION_CAP
+from rankcert.smoothing import ENUMERATION_CAP, enumerate_perturbations
 
 from conftest import (
     TokenTableModel,
@@ -267,6 +269,9 @@ class RecordingModel(ScoreModel):
     def score(self, query, doc):
         return self.model.score(query, doc)
 
+    def substitution_key(self, word):
+        return self.model.substitution_key(word)
+
     def score_many(self, query, docs):
         self.steps.append([d.tokens for d in docs])
         return super().score_many(query, docs)
@@ -328,6 +333,9 @@ class ScoreOnly(ScoreModel):
     def score(self, query, doc):
         return self.model.score(query, doc)
 
+    def substitution_key(self, word):
+        return self.model.substitution_key(word)
+
 
 class TestGreedyOnSmoothedModel:
     """Each step scores its trials with one ``SmoothedModel.score_many``
@@ -385,6 +393,147 @@ class TestGreedyOnSmoothedModel:
         assert batched.substitutions == ((1, "b", "b2"), (2, "c", "c2"))
         assert batched.success and batched.best_score == pytest.approx(0.8)
 
+
+class TestSubstitutionKey:
+    """On the smoothed ranker a word is its perturbation set, as a multiset:
+    words with equal multisets merge, and nothing else does."""
+
+    def test_one_set_listed_in_two_orders_merges(self):
+        lex = hand_lexicon({"a": {"a", "b"}, "b": {"a", "b"}}, {"a": ("a", "b"), "b": ("b", "a")},
+                           j=2)
+        model = TokenTableModel({})
+        smoothed = SmoothedModel(model, lex, n=None)
+        assert smoothed.substitution_key("a") == smoothed.substitution_key("b") == ("a", "b")
+        assert model.substitution_key("a") != model.substitution_key("b")
+
+    def test_multisets_with_other_counts_do_not_merge(self):
+        # Unvalidated sets that repeat a member: the same members, drawn
+        # with other probabilities.
+        lex = hand_lexicon({"a": {"a", "b"}, "b": {"a", "b"}},
+                           {"a": ("a", "a", "b"), "b": ("a", "b", "b")}, j=3)
+        smoothed = SmoothedModel(TokenTableModel({}), lex, n=None)
+        assert smoothed.substitution_key("a") == ("a", "a", "b")
+        assert smoothed.substitution_key("b") == ("a", "b", "b")
+
+    def test_out_of_vocabulary_words_keep_their_own_key(self):
+        smoothed = SmoothedModel(TokenTableModel({}), singleton_lexicon(["a"]), n=None)
+        assert smoothed.substitution_key("zz") == ("zz",) != smoothed.substitution_key("a")
+
+
+class TestGreedySkipsInterchangeableWords:
+    """A step tries one word per key and none with the current word's key;
+    a base target, whose every word is its own key, tries every synonym."""
+
+    @pytest.fixture
+    def world(self):
+        # a-a3: one tight cluster, every member listing the same set in its
+        # own order. b-b4: one synonym set holding two perturbation sets.
+        tight = {"a", "a2", "a3"}
+        loose = {"b", "b2", "b3", "b4"}
+        synonyms = {w: tight for w in tight} | {w: loose for w in loose} | {"c": {"c"}}
+        perturb = {"a": ("a", "a2", "a3"), "a2": ("a2", "a", "a3"), "a3": ("a3", "a", "a2"),
+                   "b": ("b", "b2"), "b2": ("b2", "b"), "b3": ("b3", "b4"), "b4": ("b4", "b3"),
+                   "c": ("c",)}
+        return hand_lexicon(synonyms, perturb, j=2)
+
+    def _first_step(self, model, lexicon):
+        recording = RecordingModel(model)
+        q = make_query("q1", "x")
+        doc = Document("target", ("a", "b", "c"))
+        ranked = make_ranked("q1", [("other", 0.9), ("target", 0.5)])
+        outcome = greedy_attack(recording, q, doc, ranked, budget=2, lexicon=lexicon)
+        return recording.steps, outcome
+
+    def test_smoothed_target_tries_one_word_per_new_set(self, world):
+        smoothed = SmoothedModel(TokenTableModel({}, default=0.5), world, n=None)
+        steps, outcome = self._first_step(smoothed, world)
+        # a2 and a3 share T_a, b2 shares T_b, and b4 is T_b3's larger word.
+        assert steps == [[("a", "b3", "c")]]
+        keys = [smoothed.substitution_key(t[1]) for t in steps[0]]
+        assert smoothed.substitution_key("b") not in keys and len(set(keys)) == len(keys)
+        assert (outcome.trials_scored, outcome.trials_pruned) == (1, 4)
+
+    def test_base_target_tries_every_synonym(self, world):
+        steps, outcome = self._first_step(TokenTableModel({}, default=0.5), world)
+        assert steps == [[("a2", "b", "c"), ("a3", "b", "c"), ("a", "b2", "c"),
+                          ("a", "b3", "c"), ("a", "b4", "c")]]
+        assert (outcome.trials_scored, outcome.trials_pruned) == (5, 0)
+
+    def test_counters_stay_out_of_the_record(self, world):
+        _, outcome = self._first_step(TokenTableModel({}, default=0.5), world)
+        assert not {"trials_scored", "trials_pruned"} & set(outcome.to_json_dict())
+        assert outcome == dataclasses.replace(outcome, trials_scored=0, trials_pruned=0)
+
+
+def _replay_greedy_scan(model, q, doc, budget, lexicon, steps):
+    """Replay every step's full scan from the trials ``greedy_attack``
+    scored: yield (skipped trial, the trial or document that stands for it),
+    and check that the kept trials are the representatives, in scan order.
+    The step's move is the kept trial ``model.score`` ranks first, as the
+    tie rule picks it."""
+    key = model.substitution_key
+    current = doc
+    for step, kept in enumerate(steps, 1):
+        spent = sum(a != b for a, b in zip(current.tokens, doc.tokens)) >= budget
+        representatives = []
+        for pos, original in enumerate(doc.tokens):
+            if spent and current.tokens[pos] == original:
+                continue
+            first_of = {key(current.tokens[pos]): current}
+            for tok in lexicon.attack_set(original):
+                if tok == current.tokens[pos]:
+                    continue
+                trial = doc.with_tokens((*current.tokens[:pos], tok, *current.tokens[pos + 1:]))
+                if key(tok) in first_of:
+                    yield trial, first_of[key(tok)]
+                else:
+                    first_of[key(tok)] = trial
+                    representatives.append(trial.tokens)
+        assert kept == representatives
+        best = max(kept, key=lambda t: model.score(q, doc.with_tokens(t)), default=None)
+        if best is None or model.score(q, doc.with_tokens(best)) <= model.score(q, current):
+            assert step == len(steps), "the attack went on after a step with no move"
+            return
+        current = doc.with_tokens(best)
+    pytest.fail("the attack stopped on a step with a move")
+
+
+def _exact_mean(model, query, doc, lexicon):
+    """The mean base score over the perturbation space, correctly rounded:
+    it depends on the multiset of outcomes alone, not on the order in which
+    ``T_w`` lists its members."""
+    outcomes = list(enumerate_perturbations(doc, lexicon))
+    return math.fsum(model.score(query, Document(doc.id, t)) for t in outcomes) / len(outcomes)
+
+
+@given(seed=st.integers(0, 10**6), regime=st.sampled_from(["loose", "tight"]))
+@settings(max_examples=40, deadline=None)
+def test_every_skipped_trial_has_its_representatives_exact_score(seed, regime):
+    """On the exact smoothed ranker a skipped trial has the same outcomes as
+    the document or trial that stands for it, so the same exact score. The
+    in-order sum of ``SmoothedModel(n=None)`` may round it otherwise in the
+    last bits when the sets list their members in other orders."""
+    rng = np.random.default_rng(seed)
+    world = random_world(rng, regime=regime)
+    doc = random_doc(rng, world, "target", min_len=3, max_len=5)
+    q = make_query("q1", "x")
+    base = (random_linear_model(rng, world.emb) if rng.random() < 0.5
+            else random_token_model(rng, world, [doc]))
+    smoothed = SmoothedModel(base, world.lexicon, n=None)
+    recording = RecordingModel(smoothed)
+    budget = int(rng.integers(1, doc.length + 1))
+    ranked = make_ranked("q1", [("other", 1.0), ("target", 0.0)])
+    outcome = greedy_attack(recording, q, doc, ranked, budget, world.lexicon)
+    skipped = list(_replay_greedy_scan(smoothed, q, doc, budget, world.lexicon, recording.steps))
+    for trial, representative in skipped:
+        assert sorted(enumerate_perturbations(trial, world.lexicon)) == sorted(
+            enumerate_perturbations(representative, world.lexicon))
+        assert _exact_mean(base, q, trial, world.lexicon) == _exact_mean(
+            base, q, representative, world.lexicon)
+        assert smoothed.score(q, trial) == pytest.approx(
+            smoothed.score(q, representative), rel=1e-12, abs=1e-15)
+    assert outcome.trials_pruned == len(skipped)
+    assert outcome.trials_scored == sum(map(len, recording.steps))
 
 def test_attack_outcome_json_round_trip():
     outcome = AttackOutcome(

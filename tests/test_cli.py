@@ -474,6 +474,39 @@ class TestAttackAndEvaluate:
         assert out.read_text().splitlines() == expected
         assert read_meta(out)["params"]["target"] == "base"
 
+    @pytest.mark.parametrize("target", ["smoothed", "base"])
+    def test_sidecar_totals_the_greedy_trials(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, target
+    ):
+        out = tmp_path / "outcomes.jsonl"
+        result = run_cli(*scoring_args("attack", pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", "--budget", "2", "--target", target))
+        assert result.exit_code == 0, result.output
+        corpus = load_corpus(pipeline_dir / "corpus.jsonl")
+        queries = load_queries(pipeline_dir / "queries.tsv")
+        run = load_run(pipeline_dir / "run.txt")
+        lexicon = Lexicon.load(built_lexicon)
+        model = LinearEmbedScorer.from_json_dict(
+            json.loads(trained_model.read_text()),
+            EmbeddingTable.load(pipeline_dir / "embeddings.txt"))
+        scored = pruned = 0
+        for qid in ("q1", "q2"):
+            scorer = (SmoothedModel(model, lexicon, n=100, alpha=0.05, root_seed=1)
+                      if target == "smoothed" else model)
+            ranked = rank(scorer, queries[qid], [corpus[d] for d in run[qid].doc_ids])
+            for e in ranked.tail(2):
+                doc = corpus[e.doc_id]
+                budget = min(2, substitution_budget(1.0, doc.length))
+                outcome = greedy_attack(scorer, queries[qid], doc, ranked, budget, lexicon)
+                scored, pruned = scored + outcome.trials_scored, pruned + outcome.trials_pruned
+        meta = read_meta(out)
+        assert (meta["trials_scored"], meta["trials_pruned"]) == (scored, pruned)
+        # Each synonym set of the toy lexicon is one perturbation set, so the
+        # smoothed target has no move that can change its score.
+        assert (scored > 0, pruned > 0) == ((False, True) if target == "smoothed" else (True, False))
+        for line in out.read_text().splitlines():
+            assert not {"trials_scored", "trials_pruned"} & set(json.loads(line))
+
     def test_sidecar_records_skipped_queries(
         self, pipeline_dir, built_lexicon, trained_model, run_with_textless_query, tmp_path
     ):
@@ -588,6 +621,26 @@ class TestJobsByteIdentity:
             assert result.exit_code == 0, result.output
             outs.append(written(out).read_bytes())
         assert outs[0] and outs[0] == outs[1]
+
+    def test_a_smoothed_attack_with_moves_is_byte_identical(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+    ):
+        # The toy lexicon's one cluster is one perturbation set, which leaves
+        # the smoothed attack no move; split it in two so greedy steps run.
+        payload = json.loads(built_lexicon.read_text())
+        payload["perturb"] |= {"g0": ["g0", "g1"], "g1": ["g1", "g0"],
+                               "g2": ["g2", "g3"], "g3": ["g3", "g2"]}
+        split = tmp_path / "split-lexicon.json"
+        split.write_text(json.dumps(payload))
+        outs = []
+        for jobs in (1, 4):
+            out = tmp_path / f"attack-j{jobs}.out"
+            result = run_cli(*scoring_args("attack", pipeline_dir, split, trained_model, out,
+                                           "--k", "2", "--budget", "2", "--jobs", jobs))
+            assert result.exit_code == 0, result.output
+            assert read_meta(out)["trials_scored"] > 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestOptionRanges:
