@@ -22,7 +22,7 @@ from . import certify as certify_mod
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import training as train_mod
-from .corpus import Document, Query, RankedList
+from .corpus import Document, Query, RankedList, json_field
 from .lexicon import EmbeddingTable, Lexicon
 from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
 from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
@@ -95,7 +95,8 @@ def _load_model(
         return _linear_from(payload, model_path, embeddings)
     if kind == "bm25":
         with _naming(model_path):
-            k1, b = float(payload.get("k1", 0.9)), float(payload.get("b", 0.4))
+            fields = {"k1": 0.9, "b": 0.4, **payload}
+            k1, b = json_field(fields, "k1", float), json_field(fields, "b", float)
         model = Bm25Model.from_corpus(corpus, k1=k1, b=b)
         return model.calibrated(
             (queries[qid], corpus[e.doc_id]) for qid in qids for e in run[qid].entries)

@@ -120,8 +120,15 @@ def make_ranked(query_id: str, scored: Iterable[tuple[str, float]]) -> RankedLis
 
 
 def load_corpus(path: str | Path) -> dict[str, Document]:
-    """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects."""
+    """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects.
+
+    ``text`` must be a JSON string and ``id`` a JSON string or integer (an
+    integer id ``7`` is the doc id ``"7"``); any other value is an error
+    naming the line and the field. Equal words share one string object
+    across the whole corpus, so memory holds one pointer per token plus
+    the vocabulary, not a string per occurrence."""
     docs: dict[str, Document] = {}
+    words: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -132,13 +139,20 @@ def load_corpus(path: str | Path) -> dict[str, Document]:
                 raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise ValueError(f"{path}:{lineno}: expected object with 'id' and 'text'")
-            doc_id = str(obj["id"])
+            raw_id, text = obj["id"], obj["text"]
+            if type(raw_id) not in (str, int):
+                raise ValueError(f"{path}:{lineno}: field 'id' must be a JSON string or "
+                                 f"integer, got {raw_id!r}")
+            if type(text) is not str:
+                raise ValueError(f"{path}:{lineno}: field 'text' must be a JSON string, "
+                                 f"got {text!r}")
+            doc_id = str(raw_id)
             if doc_id in docs:
                 raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            tokens = tokenize(str(obj["text"]))
+            tokens = tokenize(text)
             if not tokens:
                 raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
-            docs[doc_id] = Document(doc_id, tokens)
+            docs[doc_id] = Document(doc_id, tuple(map(words.setdefault, tokens, tokens)))
     return docs
 
 
@@ -236,14 +250,19 @@ def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:
     return {qid: frozenset(ids) for qid, ids in rel.items()}
 
 
-def json_field(payload: Mapping, name: str, kind: type[bool] | type[int]) -> bool | int:
-    """``payload[name]``, which must be a JSON boolean (``kind=bool``) or
-    integer (``kind=int``; a boolean is not one). Anything else, such as
-    ``"false"`` or ``2.7``, raises a ``ValueError`` naming the field instead
-    of being coerced."""
+def json_field(
+    payload: Mapping, name: str, kind: type[bool] | type[int] | type[float]
+) -> bool | int | float:
+    """``payload[name]``, which must be a JSON boolean (``kind=bool``),
+    integer (``kind=int``) or number (``kind=float``, returned as a
+    ``float``); a boolean is neither an integer nor a number. Anything else,
+    such as ``"false"``, ``2.7`` for an integer or ``true`` for a number,
+    raises a ``ValueError`` naming the field instead of being coerced."""
     value = payload[name]
+    if kind is float and type(value) in (int, float):
+        return float(value)
     if type(value) is not kind:
-        what = "boolean" if kind is bool else "integer"
+        what = {bool: "boolean", int: "integer", float: "number"}[kind]
         raise ValueError(f"field {name!r} must be a JSON {what}, got {value!r}")
     return value
 

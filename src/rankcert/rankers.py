@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, Query, RankedList, make_ranked
+from .corpus import Document, Query, RankedList, json_field, make_ranked
 from .lexicon import EmbeddingTable, WordIds
 
 
@@ -312,9 +312,12 @@ class LinearEmbedScorer(ScoreModel):
             raise ValueError(f"not a linear scorer payload: {payload.get('type')!r}")
         if list(payload.get("features", FEATURE_NAMES)) != list(FEATURE_NAMES):
             raise ValueError("scorer payload uses an unknown feature set")
+        weights = payload["weights"]
+        if type(weights) is not list or any(type(w) not in (int, float) for w in weights):
+            raise ValueError(f"field 'weights' must be a list of JSON numbers, got {weights!r}")
         return cls(
-            weights=np.array(payload["weights"], dtype=float),
-            bias=float(payload["bias"]),
+            weights=np.array(weights, dtype=float),
+            bias=json_field(payload, "bias", float),
             embeddings=embeddings,
         )
 

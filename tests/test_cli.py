@@ -885,7 +885,11 @@ class TestMalformedFiles:
         ("[0.5, 1.0]", "holds a JSON object, not a list"),
         ('{"type": "linear", "bias": 0.5}', "missing key 'weights'"),
         ('{"type": "linear", "weights": [0.5,', "Expecting value"),
-    ], ids=["list", "no-weights", "truncated"])
+        ('{"type": "linear", "weights": ["0.5", 1, true], "bias": 0}',
+         "field 'weights' must be a list of JSON numbers, got ['0.5', 1, True]"),
+        ('{"type": "linear", "weights": [0.5, 1, 0], "bias": false}',
+         "field 'bias' must be a JSON number, got False"),
+    ], ids=["list", "no-weights", "truncated", "string-weights", "bool-bias"])
     @pytest.mark.parametrize("command", ["certify", "train"])
     def test_model_file_errors_name_the_file(
         self, pipeline_dir, built_lexicon, tmp_path, command, content, message
@@ -919,9 +923,14 @@ class TestMalformedFiles:
         ("model", '{"type": "neural"}', "unknown model type 'neural' in {path}"),
         ("model-without-embeddings", '{"type": "linear", "weights": [0, 0, 0], "bias": 0}',
          "--embeddings is required for the linear scorer model in {path}"),
+        ("model-bm25", '{"type": "bm25", "k1": true}',
+         "{path}: field 'k1' must be a JSON number, got True"),
+        ("model-bm25", '{"type": "bm25", "b": "0.4"}',
+         "{path}: field 'b' must be a JSON number, got '0.4'"),
     ], ids=["corpus-columns", "corpus-duplicate", "corpus-empty-text", "queries-columns",
             "queries-duplicate", "queries-empty-text", "run-columns", "run-rank", "run-score",
-            "qrels-columns", "qrels-grade", "model-type", "model-without-embeddings"])
+            "qrels-columns", "qrels-grade", "model-type", "model-without-embeddings",
+            "model-bm25-bool-k1", "model-bm25-string-b"])
     def test_input_errors_name_the_file_and_line(
         self, pipeline_dir, built_lexicon, trained_model, certify_out, attack_out, tmp_path,
         kind, content, message,

@@ -57,6 +57,31 @@ class TestLoadCorpus:
         with pytest.raises(ValueError, match=":2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line,error", [
+        ('{"id":"d1","text":null}', "field 'text' must be a JSON string, got None"),
+        ('{"id":null,"text":"cheap fares"}', "field 'id' must be a JSON string or integer"),
+        ('{"id":true,"text":["cheap","fares"]}', "field 'id' must be a JSON string or integer"),
+        ('{"id":7,"text":3.5}', "field 'text' must be a JSON string, got 3.5"),
+        ('{"id":7,"text":"Cheap fares"}', None),
+    ], ids=["null-text", "null-id", "bool-id", "float-text", "int-id"])
+    def test_fields_of_the_wrong_json_type_name_the_line(self, tmp_path, line, error):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id":"d0","text":"one"}\n' + line + "\n")
+        if error is None:
+            assert load_corpus(path)["7"].tokens == ("cheap", "fares")
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: {error}")):
+                load_corpus(path)
+
+    def test_equal_words_share_one_object(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"id": f"d{i}", "text": text}) + "\n" for i, text in
+                                enumerate(["cheap fares", "Cheap flights, cheap!", "fares"])))
+        d0, d1, d2 = load_corpus(path).values()
+        assert d0.tokens == ("cheap", "fares") and d1.tokens == ("cheap", "flights", "cheap")
+        assert d1.tokens[0] is d0.tokens[0] and d1.tokens[2] is d0.tokens[0]
+        assert d2.tokens[0] is d0.tokens[1]
+
 
 class TestLoadRun:
     def test_two_lines_sorted(self, tmp_path):
