@@ -54,17 +54,27 @@ class AttackOutcome:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "AttackOutcome":
+        """The outcome ``to_json_dict`` wrote. Ids and tokens must be JSON
+        strings, and each substitution a JSON ``[integer, string, string]``;
+        any other value raises a ``ValueError`` naming the field."""
+        tokens, subs = payload["best_tokens"], payload["substitutions"]
+        if type(tokens) is not list or not all(type(t) is str for t in tokens):
+            raise ValueError(f"field 'best_tokens' must be a list of JSON strings, got {tokens!r}")
+        if type(subs) is not list or not all(
+            type(s) is list and [type(v) for v in s] == [int, str, str] for s in subs
+        ):
+            raise ValueError("field 'substitutions' must be a list of JSON "
+                             f"[integer, string, string] entries, got {subs!r}")
+        doc_id = json_field(payload, "doc_id", str)
         return cls(
-            query_id=str(payload["query_id"]),
-            doc_id=str(payload["doc_id"]),
+            query_id=json_field(payload, "query_id", str),
+            doc_id=doc_id,
             original_rank=json_field(payload, "original_rank", int),
             best_rank_after=json_field(payload, "best_rank_after", int),
-            best_doc=Document(str(payload["doc_id"]), tuple(payload["best_tokens"])),
-            best_score=float(payload["best_score"]),
+            best_doc=Document(doc_id, tuple(tokens)),
+            best_score=json_field(payload, "best_score", float),
             success=json_field(payload, "success", bool),
-            substitutions=tuple(
-                (int(p), str(old), str(new)) for p, old, new in payload["substitutions"]
-            ),
+            substitutions=tuple(map(tuple, subs)),
         )
 
 

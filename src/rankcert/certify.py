@@ -103,18 +103,19 @@ class CertificateReport:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "CertificateReport":
         return cls(
-            query_id=str(payload["query_id"]),
+            query_id=json_field(payload, "query_id", str),
             k=json_field(payload, "K", int),
-            delta=float(payload["delta"]),
+            delta=json_field(payload, "delta", float),
             n=json_field(payload, "n", int),
-            alpha=float(payload["alpha"]),
-            fbar_k=float(payload["fbarK"]),
-            fbar_k1=float(payload["fbarK1"]),
-            radius=float(payload["radius"]),
-            max_od=float(payload["max_od"]),
-            delta_lq=float(payload["delta_Lq"]),
+            alpha=json_field(payload, "alpha", float),
+            fbar_k=json_field(payload, "fbarK", float),
+            fbar_k1=json_field(payload, "fbarK1", float),
+            radius=json_field(payload, "radius", float),
+            max_od=json_field(payload, "max_od", float),
+            delta_lq=json_field(payload, "delta_Lq", float),
             certified=json_field(payload, "certified", bool),
-            per_doc_od=tuple((str(e["doc_id"]), float(e["od"])) for e in payload["per_doc_od"]),
+            per_doc_od=tuple((json_field(e, "doc_id", str), json_field(e, "od", float))
+                             for e in payload["per_doc_od"]),
         )
 
 
@@ -155,8 +156,7 @@ def certify_topk(
         if smoothed.n is None:
             est = SmoothedScore.exact(smoothed.score(query, doc))
         else:
-            est = smoothed_score_mc(smoothed.base, query, doc, smoothed.lexicon,
-                                    smoothed.n, smoothed.alpha, smoothed.root_seed)
+            est = smoothed_score_mc(smoothed, query, doc)
         if est.mean != entry.score:
             raise ValueError(
                 f"rank {rank} of the list for query {query.id!r} holds document {doc.id!r} "

@@ -135,7 +135,7 @@ def load_corpus(path: str | Path) -> dict[str, Document]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
                 raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                 raise ValueError(f"{path}:{lineno}: expected object with 'id' and 'text'")
@@ -251,18 +251,19 @@ def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:
 
 
 def json_field(
-    payload: Mapping, name: str, kind: type[bool] | type[int] | type[float]
-) -> bool | int | float:
+    payload: Mapping, name: str, kind: type[bool] | type[int] | type[float] | type[str]
+) -> bool | int | float | str:
     """``payload[name]``, which must be a JSON boolean (``kind=bool``),
-    integer (``kind=int``) or number (``kind=float``, returned as a
-    ``float``); a boolean is neither an integer nor a number. Anything else,
-    such as ``"false"``, ``2.7`` for an integer or ``true`` for a number,
-    raises a ``ValueError`` naming the field instead of being coerced."""
+    integer (``kind=int``), number (``kind=float``, returned as a
+    ``float``) or string (``kind=str``); a boolean is neither an integer nor
+    a number. Anything else, such as ``"false"``, ``2.7`` for an integer,
+    ``true`` for a number or ``null`` for a string, raises a ``ValueError``
+    naming the field instead of being coerced."""
     value = payload[name]
     if kind is float and type(value) in (int, float):
         return float(value)
     if type(value) is not kind:
-        what = {bool: "boolean", int: "integer", float: "number"}[kind]
+        what = {bool: "boolean", int: "integer", float: "number", str: "string"}[kind]
         raise ValueError(f"field {name!r} must be a JSON {what}, got {value!r}")
     return value
 

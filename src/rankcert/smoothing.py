@@ -7,18 +7,21 @@ from its perturbation set ``T_{w_i}``. The smoothed score of a base model
 either exactly (full enumeration of small spaces) or by Monte Carlo with a
 Hoeffding confidence radius per estimate.
 
-A :class:`SmoothedModel` is one smoothed ranker: it holds the base model,
-the lexicon, ``n`` (``None`` for exact enumeration), ``alpha`` and the root
-seed, and both :func:`smooth_rank` and ``certify.certify_topk`` read every
-smoothing setting from it.
+A :class:`SmoothedModel` is one smoothed ranker and the only holder of the
+smoothing settings: the base model, the lexicon, ``n`` (``None`` for exact
+enumeration), ``alpha``, the root seed and the Hoeffding radius they give,
+all checked once at construction. :func:`smoothed_score_mc`,
+:func:`smooth_rank` and ``certify.certify_topk`` take the model and read
+every setting from it.
 
 Randomness is derived, never shared: a root seed plus hashes of the query
 id, document id, and token sequence seed one generator per estimate. The
 estimate draws its ``n`` samples from it with one ``integers`` call, as an
 ``(n, M)`` matrix of picks; that call gives the same values, and leaves the
-generator in the same state, as ``n`` one-row draws in order. An estimate
-runs on one thread, so estimates are reproducible and safe to compute
-concurrently across queries and documents.
+generator in the same state, as ``n`` one-row draws in order. One
+``SmoothedModel`` helper applies that rule for the per-draw and the batched
+estimates alike. An estimate runs on one thread, so estimates are
+reproducible and safe to compute concurrently across queries and documents.
 
 Base scores must lie in [0, 1], the range the Hoeffding radius assumes; exact
 and Monte Carlo smoothing both reject a score outside it, NaN included, with
@@ -66,20 +69,11 @@ class SmoothedScore:
 
     mean: float
     n: int
-    alpha: float
     radius: float
 
     @classmethod
     def exact(cls, mean: float) -> "SmoothedScore":
-        return cls(mean=mean, n=0, alpha=0.0, radius=0.0)
-
-    @property
-    def lower(self) -> float:
-        return self.mean - self.radius
-
-    @property
-    def upper(self) -> float:
-        return self.mean + self.radius
+        return cls(mean=mean, n=0, radius=0.0)
 
 
 def _entropy(text: str) -> int:
@@ -161,38 +155,33 @@ def enumerate_perturbations(doc: Document, lexicon: Lexicon) -> Iterator[tuple[s
     return itertools.product(*(lexicon.perturb_set(w) for w in doc.tokens))
 
 
-def smoothed_score_mc(
-    model: ScoreModel,
-    query: Query,
-    doc: Document,
-    lexicon: Lexicon,
-    n: int = 1000,
-    alpha: float = 0.05,
-    root_seed: int = 0,
-) -> SmoothedScore:
-    """Monte Carlo estimate of the smoothed score from ``n`` i.i.d. draws,
-    taken as one pick matrix from the estimate's one derived stream.
+def smoothed_score_mc(smoothed: SmoothedModel, query: Query, doc: Document) -> SmoothedScore:
+    """Monte Carlo estimate of the smoothed score of ``smoothed``, a model
+    with ``n`` set, from its ``n`` i.i.d. draws: one pick matrix from the
+    estimate's one derived stream, and one base ``score`` call per draw.
 
-    ``n`` and ``alpha`` are checked before anything is drawn. The sample
-    scores are reduced in a fixed order, so the result is bit-stable
-    regardless of how callers parallelize across documents.
+    The sample scores are reduced in a fixed order, so the result is
+    bit-stable regardless of how callers parallelize across documents.
     """
-    radius = hoeffding_radius(n, alpha)
-    sampler = PerturbationSampler(lexicon)
-    rng = derive_streams(root_seed, query.id, doc.id, doc.tokens)
-    scores = np.empty(n, dtype=float)
-    for i, row in enumerate(sampler.picks(doc, rng, n)):
-        scores[i] = model.score(query, sampler.sample(doc, row))
-    return SmoothedScore(mean=_sample_mean(scores, query, doc), n=n, alpha=alpha, radius=radius)
+    if smoothed.n is None:
+        raise ValueError("smoothed_score_mc needs a Monte Carlo SmoothedModel, got n=None")
+    sampler = PerturbationSampler(smoothed.lexicon)
+    scores = np.empty(smoothed.n, dtype=float)
+    for i, row in enumerate(smoothed._picks(sampler, query, doc)):
+        scores[i] = smoothed.base.score(query, sampler.sample(doc, row))
+    (mean,) = _run_means(scores, query, [doc])
+    return SmoothedScore(mean=mean, n=smoothed.n, radius=smoothed.radius)
 
 
-def _sample_mean(scores: np.ndarray, query: Query, doc: Document) -> float:
-    """Mean of one estimate's sample scores, after rejecting any outside
-    [0, 1] (NaN included)."""
-    outside = ~((scores >= 0.0) & (scores <= 1.0))
-    if outside.any():
-        raise _out_of_range(float(scores[outside][0]), query, doc)
-    return float(scores.mean())
+def _run_means(scores: np.ndarray, query: Query, docs: Sequence[Document]) -> list[float]:
+    """The mean of each document's run of ``len(scores) // len(docs)``
+    consecutive scores, after rejecting any score outside [0, 1] (NaN
+    included) with an error naming the first document that has one."""
+    outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
+    if outside.size:
+        first = int(outside[0])
+        raise _out_of_range(float(scores[first]), query, docs[first // (len(scores) // len(docs))])
+    return scores.reshape(len(docs), -1).mean(axis=1).tolist()
 
 
 def _out_of_range(score: float, query: Query, doc: Document) -> ValueError:
@@ -211,8 +200,9 @@ class SmoothedModel(ScoreModel):
     (at most ``ENUMERATION_CAP``) over the size of the space, each base
     score memoized per query by its token tuple. Otherwise it is estimated
     by Monte Carlo from ``n`` draws of per-document derived streams seeded
-    by ``root_seed``, each with a Hoeffding radius at level ``alpha`` (both
-    checked here). Results are memoized by (query id, doc id, token tuple),
+    by ``root_seed``, each with the Hoeffding radius ``radius`` at level
+    ``alpha`` (``n`` and ``alpha`` are checked here; ``radius`` is 0.0 when
+    exact). Results are memoized by (query id, doc id, token tuple),
     the same inputs the Monte Carlo streams derive from; concurrent readers
     may race on the memos but always write identical values.
     """
@@ -225,8 +215,7 @@ class SmoothedModel(ScoreModel):
         alpha: float = 0.05,
         root_seed: int = 0,
     ) -> None:
-        if n is not None:
-            hoeffding_radius(n, alpha)
+        self.radius = 0.0 if n is None else hoeffding_radius(n, alpha)
         self.base = base
         self.lexicon = lexicon
         self.n = n
@@ -234,6 +223,12 @@ class SmoothedModel(ScoreModel):
         self.root_seed = root_seed
         self._memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
         self._base_scores: dict[str, dict[tuple[str, ...], float]] = {}
+
+    def _picks(self, sampler: PerturbationSampler, query: Query, doc: Document) -> np.ndarray:
+        """The ``(n, M)`` pick matrix of the estimate of ``doc`` for
+        ``query``, drawn from that estimate's one derived stream."""
+        rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
+        return sampler.picks(doc, rng, self.n)
 
     def substitution_key(self, word: str) -> tuple[str, ...]:
         """``T_w`` as a sorted tuple, the multiset of draws at the word's
@@ -261,9 +256,7 @@ class SmoothedModel(ScoreModel):
                 total += s
             value = total / self.lexicon.space_size(doc.tokens)
         else:
-            value = smoothed_score_mc(
-                self.base, query, doc, self.lexicon, self.n, self.alpha, self.root_seed
-            ).mean
+            value = smoothed_score_mc(self, query, doc).mean
         self._memo[key] = value
         return value
 
@@ -279,9 +272,8 @@ class SmoothedModel(ScoreModel):
         of word ids of the lexicon's ``word_ids``, stacked, and scored with
         one ``base.score_batch`` call; each estimate's mean is taken over
         its own ``n`` rows, which gives the same mean as scoring it alone.
-        The memo is filled in ``docs`` order, and a base score outside
-        [0, 1] raises naming its document with the estimates before it
-        memoized and none after, as a one-by-one loop would.
+        The memo is filled in ``docs`` order. A base score outside [0, 1]
+        raises naming its document; no estimate of its block is memoized.
         """
         if self.n is None:
             return super().score_many(query, docs)
@@ -295,17 +287,11 @@ class SmoothedModel(ScoreModel):
                 block = run[start:start + per_block]
                 rows = np.empty((len(block) * self.n, block[0].length), dtype=np.int32)
                 for i, doc in enumerate(block):
-                    rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
                     sampler._table(doc.tokens)[0].take(
-                        sampler.picks(doc, rng, self.n), out=rows[i * self.n:(i + 1) * self.n])
+                        self._picks(sampler, query, doc), out=rows[i * self.n:(i + 1) * self.n])
                 scores = self.base.score_batch(query, block[0], words, rows)
-                outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))
-                valid = len(block) if not outside.size else int(outside[0]) // self.n
-                means = scores.reshape(len(block), self.n).mean(axis=1).tolist()
-                for doc, mean in zip(block[:valid], means):
+                for doc, mean in zip(block, _run_means(scores, query, block)):
                     self._memo[(query.id, doc.id, doc.tokens)] = mean
-                if outside.size:
-                    raise _out_of_range(float(scores[outside[0]]), query, block[valid])
         return [self._memo[(query.id, doc.id, doc.tokens)] for doc in docs]
 
 

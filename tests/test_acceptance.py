@@ -240,7 +240,8 @@ def test_estimation_error_and_coverage():
     hits = 0
     trials = 200
     for seed in range(trials):
-        est = smoothed_score_mc(model, query, doc, lex, n=1000, alpha=0.05, root_seed=seed)
+        est = smoothed_score_mc(SmoothedModel(model, lex, n=1000, alpha=0.05, root_seed=seed),
+                                query, doc)
         if abs(est.mean - exact) <= radius:
             hits += 1
     assert hits / trials >= 0.95

@@ -872,6 +872,48 @@ class TestMalformedFiles:
         assert result.exit_code == 1
         assert f"{outcomes}:1: field {field!r} must be a JSON " in result.output
 
+    @pytest.mark.parametrize("kind,field,value,message", [
+        ("reports", "query_id", None, "field 'query_id' must be a JSON string, got None"),
+        ("reports", "delta", True, "field 'delta' must be a JSON number, got True"),
+        ("reports", "alpha", "0.05", "field 'alpha' must be a JSON number, got '0.05'"),
+        ("reports", "per_doc_od", [{"doc_id": 3, "od": 0.5}],
+         "field 'doc_id' must be a JSON string, got 3"),
+        ("reports", "per_doc_od", [{"doc_id": "d3", "od": "0.5"}],
+         "field 'od' must be a JSON number, got '0.5'"),
+        ("outcomes", "query_id", None, "field 'query_id' must be a JSON string, got None"),
+        ("outcomes", "doc_id", True, "field 'doc_id' must be a JSON string, got True"),
+        ("outcomes", "best_score", "0.5", "field 'best_score' must be a JSON number, got '0.5'"),
+        ("outcomes", "best_tokens", "abc",
+         "field 'best_tokens' must be a list of JSON strings, got 'abc'"),
+        ("outcomes", "best_tokens", ["a", 1], "field 'best_tokens' must be a list of JSON strings"),
+        ("outcomes", "substitutions", [["1", 2.0, None]],
+         "field 'substitutions' must be a list of JSON [integer, string, string] entries"),
+        ("outcomes", "substitutions", [[0, "a"]],
+         "field 'substitutions' must be a list of JSON [integer, string, string] entries"),
+        ("outcomes", "substitutions", [[True, "a", "b"]],
+         "field 'substitutions' must be a list of JSON [integer, string, string] entries"),
+    ], ids=["report-null-id", "report-bool-delta", "report-string-alpha", "report-int-doc-id",
+            "report-string-od", "outcome-null-id", "outcome-bool-doc-id",
+            "outcome-string-score", "outcome-string-tokens", "outcome-int-token",
+            "outcome-mistyped-substitution", "outcome-short-substitution",
+            "outcome-bool-position"])
+    def test_a_value_is_not_coerced(self, tmp_path, certify_out, attack_out, kind, field, value,
+                                    message):
+        # Each value loaded quietly once, coerced by str(), float(), int()
+        # or tuple(): "abc" as the tokens ('a', 'b', 'c'), null as 'None'.
+        source = certify_out if kind == "reports" else attack_out
+        broken_path = tmp_path / f"{kind}.jsonl"
+        lines = source.read_text().splitlines()
+        broken = json.loads(lines[-1])
+        broken[field] = value
+        broken_path.write_text("\n".join([*lines[:-1], json.dumps(broken)]) + "\n")
+        files = {"reports": certify_out, "outcomes": attack_out, kind: broken_path}
+        result = run_cli("evaluate", "--reports", files["reports"], "--outcomes",
+                         files["outcomes"], "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        assert f"{broken_path}:{len(lines)}: {message}" in result.output
+        assert not (tmp_path / "summary.json").exists()
+
     def test_outcome_line_that_is_not_json(self, tmp_path, certify_out, attack_out):
         outcomes = tmp_path / "outcomes.jsonl"
         outcomes.write_text(attack_out.read_text() + '{"query_id": "q1",\n')

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -55,6 +56,17 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id":"d1","text":"one"}\nnot json\n')
         with pytest.raises(ValueError, match=":2"):
+            load_corpus(path)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter has no integer string conversion limit")
+    def test_an_integer_too_long_to_convert_names_the_line(self, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer longer than the interpreter's conversion limit.
+        digits = sys.get_int_max_str_digits() + 700
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id":"d0","text":"one"}\n{"id":' + "9" * digits + ',"text":"a b"}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed JSON: ")):
             load_corpus(path)
 
     @pytest.mark.parametrize("line,error", [

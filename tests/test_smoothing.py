@@ -326,7 +326,8 @@ class TestSmoothedMc:
         doc = make_doc("d", "a b")
         model = TokenTableModel({("a", "b"): 0.31})
         for n in (1, 7, 100):
-            est = smoothed_score_mc(model, make_query("q", "x"), doc, lex, n=n, alpha=0.05)
+            smoothed = SmoothedModel(model, lex, n=n, alpha=0.05)
+            est = smoothed_score_mc(smoothed, make_query("q", "x"), doc)
             assert est.mean == pytest.approx(0.31, abs=1e-15)
             assert est.n == n
 
@@ -336,9 +337,9 @@ class TestSmoothedMc:
             {t: float(i) / 6 for i, t in enumerate(itertools.product(("p", "p2"), ("q", "q2", "q3")))}
         )
         q = make_query("q1", "x")
-        a = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=200, root_seed=5)
-        b = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=200, root_seed=5)
-        c = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=200, root_seed=6)
+        a = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200, root_seed=5), q, doc)
+        b = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200, root_seed=5), q, doc)
+        c = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200, root_seed=6), q, doc)
         assert a.mean == b.mean
         assert a.mean != c.mean
 
@@ -359,8 +360,8 @@ class TestSmoothedMc:
         hits = 0
         trials = 200
         for seed in range(trials):
-            est = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=n, alpha=alpha,
-                                    root_seed=seed)
+            smoothed = SmoothedModel(model, two_by_three_lexicon, n=n, alpha=alpha, root_seed=seed)
+            est = smoothed_score_mc(smoothed, q, doc)
             if abs(est.mean - exact) <= radius:
                 hits += 1
         assert hits / trials >= 0.95
@@ -371,23 +372,36 @@ class TestSmoothedMc:
         doc = Document("d1", ("p", "q", "p2", "q3"))
         outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
         model = TokenTableModel({t: i / (len(outcomes) - 1) for i, t in enumerate(outcomes)})
-        est = smoothed_score_mc(model, make_query("q1", "x"), doc, two_by_three_lexicon,
-                                n=257, root_seed=2024)
+        smoothed = SmoothedModel(model, two_by_three_lexicon, n=257, root_seed=2024)
+        est = smoothed_score_mc(smoothed, make_query("q1", "x"), doc)
         assert est.mean == float.fromhex("0x1.e92cc49a7b75fp-2")
 
     @pytest.mark.parametrize("n,alpha", [(0, 0.05), (-3, 0.05), (5, 0.0), (5, 1.0)])
     def test_bad_n_or_alpha_fails_before_any_draw(self, two_by_three_lexicon, n, alpha):
-        calls = []
-
-        class Counting(TokenTableModel):
-            def score(self, query, doc):
-                calls.append(doc)
-                return 0.5
-
+        # The SmoothedModel checks its settings on construction, before any
+        # base score, so no estimate can run with them.
+        model = CountingScores(TokenTableModel({}, default=0.5))
         with pytest.raises(ValueError, match="n must be|alpha must be"):
-            smoothed_score_mc(Counting({}), make_query("q1", "x"), Document("d", ("p", "q")),
-                              two_by_three_lexicon, n=n, alpha=alpha)
-        assert calls == []
+            SmoothedModel(model, two_by_three_lexicon, n=n, alpha=alpha)
+        assert model.calls == []
+
+    def test_an_exact_model_is_not_estimated(self, two_by_three_lexicon):
+        model = CountingScores(TokenTableModel({}, default=0.5))
+        smoothed = SmoothedModel(model, two_by_three_lexicon, n=None)
+        with pytest.raises(ValueError, match="n=None"):
+            smoothed_score_mc(smoothed, make_query("q1", "x"), Document("d", ("p", "q")))
+        assert model.calls == []
+        assert smoothed._memo == {}
+
+    @pytest.mark.parametrize("n,alpha", [(1, 0.5), (1000, 0.05), (257, 0.01)])
+    def test_the_model_holds_the_radius_of_its_estimates(self, two_by_three_lexicon, n, alpha):
+        smoothed = SmoothedModel(TokenTableModel({}, default=0.5), two_by_three_lexicon,
+                                 n=n, alpha=alpha)
+        assert smoothed.radius == hoeffding_radius(n, alpha)
+        est = smoothed_score_mc(smoothed, make_query("q1", "x"), Document("d", ("p", "q")))
+        assert (est.n, est.radius) == (n, smoothed.radius)
+        exact = SmoothedModel(TokenTableModel({}, default=0.5), two_by_three_lexicon, n=None)
+        assert exact.radius == 0.0
 
     def test_error_shrinks_with_sample_count(self, two_by_three_lexicon):
         # Median |MC - exact| over 50 seeds must be non-increasing as n grows
@@ -401,8 +415,8 @@ class TestSmoothedMc:
         medians = []
         for n in (100, 1000, 10000):
             errs = [
-                abs(smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=n,
-                                      root_seed=seed).mean - exact)
+                abs(smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=n,
+                                                    root_seed=seed), q, doc).mean - exact)
                 for seed in range(50)
             ]
             medians.append(float(np.median(errs)))
@@ -446,7 +460,8 @@ class TestStreams:
         expected = np.mean(
             [model.score(q, sampler.sample(doc, sampler.picks(doc, rng, 1)[0])) for _ in range(50)]
         )
-        est = smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=50, root_seed=3)
+        est = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=50, root_seed=3),
+                                q, doc)
         assert est.mean == expected
 
     def test_sampler_memo_keeps_documents_apart(self, two_by_three_lexicon):
@@ -474,7 +489,8 @@ class TestBaseScoreRange:
         doc = Document("d7", ("p", "q"))
         model = TokenTableModel({("p2", "q3"): bad}, default=0.5)
         with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
-            smoothed_score_mc(model, make_query("q9", "x"), doc, two_by_three_lexicon, n=200)
+            smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200),
+                              make_query("q9", "x"), doc)
         smoothed = SmoothedModel(model, two_by_three_lexicon, n=200)
         with pytest.raises(ValueError, match=r"'q9'.*'d7'"):
             smoothed.score_many(make_query("q9", "x"), [doc])
@@ -495,7 +511,8 @@ class TestBaseScoreRange:
         model = TokenTableModel({("p2", "q3"): 1.0}, default=0.0)
         q = make_query("q9", "x")
         assert SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc) == 1 / 6
-        assert 0.0 <= smoothed_score_mc(model, q, doc, two_by_three_lexicon, n=100).mean <= 1.0
+        mc = SmoothedModel(model, two_by_three_lexicon, n=100)
+        assert 0.0 <= smoothed_score_mc(mc, q, doc).mean <= 1.0
 
 
 class TestSmoothRankAndModel:
@@ -520,7 +537,7 @@ class TestSmoothRankAndModel:
         first = smoothed.score(q, doc)
         assert first == smoothed.score(q, doc)
         assert first == exact_smoothed_score(model, q, doc, world.lexicon)
-        assert SmoothedScore.exact(first) == SmoothedScore(first, n=0, alpha=0.0, radius=0.0)
+        assert SmoothedScore.exact(first) == SmoothedScore(first, n=0, radius=0.0)
 
     def test_smoothed_model_mc_matches_function(self):
         rng = np.random.default_rng(33)
@@ -529,7 +546,7 @@ class TestSmoothRankAndModel:
         model = random_token_model(rng, world, [doc])
         q = make_query("q1", "whatever")
         smoothed = SmoothedModel(model, world.lexicon, n=64, alpha=0.05, root_seed=17)
-        expected = smoothed_score_mc(model, q, doc, world.lexicon, n=64, alpha=0.05, root_seed=17)
+        expected = smoothed_score_mc(smoothed, q, doc)
         assert smoothed.score(q, doc) == expected.mean
 
     def test_smoothed_model_mc_memo_keeps_doc_ids_apart(self):
@@ -542,10 +559,7 @@ class TestSmoothRankAndModel:
         model = random_token_model(rng, world, [doc])
         q = make_query("q1", "whatever")
         smoothed = SmoothedModel(model, world.lexicon, n=64, alpha=0.05, root_seed=17)
-        expected = [
-            smoothed_score_mc(model, q, d, world.lexicon, n=64, alpha=0.05, root_seed=17).mean
-            for d in (doc, twin)
-        ]
+        expected = [smoothed_score_mc(smoothed, q, d).mean for d in (doc, twin)]
         assert expected[0] != expected[1]
         assert [smoothed.score(q, d) for d in (doc, twin)] == expected
 
@@ -626,9 +640,8 @@ class TestScoreMany:
     def test_fills_the_memo_that_score_reads(self, seed, monkeypatch):
         world, docs, model = self._world(seed)
         q = make_query("q1", "whatever")
-        expected = [smoothed_score_mc(model, q, d, world.lexicon, n=48, alpha=0.1, root_seed=5).mean
-                    for d in docs]
         smoothed = SmoothedModel(model, world.lexicon, n=48, alpha=0.1, root_seed=5)
+        expected = [smoothed_score_mc(smoothed, q, d).mean for d in docs]
         assert smoothed.score(q, docs[2]) == expected[2]
         assert smoothed.score_many(q, docs) == expected
 
@@ -667,8 +680,7 @@ class TestScoreMany:
         return {"linear": random_linear_model(rng, world.emb), "fingerprint": FingerprintScores()}
 
     def _expected(self, base, world, q, docs, n):
-        return [smoothed_score_mc(base, q, d, world.lexicon, n=n, alpha=self.ALPHA,
-                                  root_seed=self.SEED).mean for d in docs]
+        return [smoothed_score_mc(self._smoothed(base, world, n), q, d).mean for d in docs]
 
     def _smoothed(self, base, world, n):
         return SmoothedModel(base, world.lexicon, n=n, alpha=self.ALPHA, root_seed=self.SEED)
@@ -755,8 +767,8 @@ class TestScoreMany:
 
     def test_an_out_of_range_score_fails_at_its_trial_in_docs_order(self):
         # Six trials of one document, stacked into one block; the third and
-        # the fifth score outside [0, 1]. The error must be the third's and
-        # leave the memo as a one-by-one loop over ``score`` leaves it.
+        # the fifth score outside [0, 1]. The error must be the third's, as
+        # a one-by-one loop over ``score`` reports it.
         lexicon = singleton_lexicon([])
         trials = [Document("target", ("w", f"x{i}")) for i in range(6)]
         trials[2] = Document("target", ("w", "bad:3.0"))
@@ -773,8 +785,6 @@ class TestScoreMany:
         with pytest.raises(ValueError, match=message):
             ScoreModel.score_many(one_by_one, q, trials)
         assert counting.batches == [len(trials) * n]
-        assert stacked._memo == one_by_one._memo
-        assert list(stacked._memo) == [(q.id, t.id, t.tokens) for t in trials[:2]]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 32, 255, 256, 257])
     @pytest.mark.parametrize("kind", ["linear", "fingerprint"])
@@ -800,7 +810,6 @@ class TestScoreMany:
         smoothed = SmoothedModel(MarkedScores(), lexicon, n=8)
         with pytest.raises(ValueError, match=r"base score nan for query 'q1', document 'target'"):
             smoothed.score_many(make_query("q1", "w"), trials)
-        assert list(smoothed._memo) == [("q1", "target", trials[0].tokens)]
 
     @pytest.mark.parametrize("seed", [61, 62])
     @pytest.mark.parametrize("kind", ["linear", "bm25"])
