@@ -102,6 +102,14 @@ class CertificateReport:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "CertificateReport":
+        """The report ``to_json_dict`` wrote. ``per_doc_od`` must be a
+        non-empty JSON list of objects, as ``certify_topk`` always bounds at
+        least one tail document; any value of the wrong JSON type raises a
+        ``ValueError`` naming the field."""
+        per_doc = payload["per_doc_od"]
+        if type(per_doc) is not list or not per_doc or not all(type(e) is dict for e in per_doc):
+            raise ValueError(f"field 'per_doc_od' must be a non-empty list of JSON objects, "
+                             f"got {per_doc!r}")
         return cls(
             query_id=json_field(payload, "query_id", str),
             k=json_field(payload, "K", int),
@@ -115,7 +123,7 @@ class CertificateReport:
             delta_lq=json_field(payload, "delta_Lq", float),
             certified=json_field(payload, "certified", bool),
             per_doc_od=tuple((json_field(e, "doc_id", str), json_field(e, "od", float))
-                             for e in payload["per_doc_od"]),
+                             for e in per_doc),
         )
 
 

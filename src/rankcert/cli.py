@@ -22,7 +22,7 @@ from . import certify as certify_mod
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import training as train_mod
-from .corpus import Document, Query, RankedList, json_field
+from .corpus import Document, Query, RankedList, json_field, numbered_lines
 from .lexicon import EmbeddingTable, Lexicon
 from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
 from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
@@ -138,11 +138,10 @@ def _queries_to_score(
 
 def _read_jsonl(path: str, from_json_dict: Callable) -> list:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                with _naming(f"{path}:{lineno}"):
-                    records.append(from_json_dict(json.loads(line)))
+    for lineno, line in numbered_lines(path):
+        if line.strip():
+            with _naming(f"{path}:{lineno}"):
+                records.append(from_json_dict(json.loads(line)))
     return records
 
 

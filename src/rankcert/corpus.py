@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 logger = logging.getLogger(__name__)
 
@@ -129,51 +129,49 @@ def load_corpus(path: str | Path) -> dict[str, Document]:
     the vocabulary, not a string per occurrence."""
     docs: dict[str, Document] = {}
     words: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ValueError(f"{path}:{lineno}: expected object with 'id' and 'text'")
-            raw_id, text = obj["id"], obj["text"]
-            if type(raw_id) not in (str, int):
-                raise ValueError(f"{path}:{lineno}: field 'id' must be a JSON string or "
-                                 f"integer, got {raw_id!r}")
-            if type(text) is not str:
-                raise ValueError(f"{path}:{lineno}: field 'text' must be a JSON string, "
-                                 f"got {text!r}")
-            doc_id = str(raw_id)
-            if doc_id in docs:
-                raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-            tokens = tokenize(text)
-            if not tokens:
-                raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
-            docs[doc_id] = Document(doc_id, tuple(map(words.setdefault, tokens, tokens)))
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise ValueError(f"{path}:{lineno}: expected object with 'id' and 'text'")
+        raw_id, text = obj["id"], obj["text"]
+        if type(raw_id) not in (str, int):
+            raise ValueError(f"{path}:{lineno}: field 'id' must be a JSON string or "
+                             f"integer, got {raw_id!r}")
+        if type(text) is not str:
+            raise ValueError(f"{path}:{lineno}: field 'text' must be a JSON string, "
+                             f"got {text!r}")
+        doc_id = str(raw_id)
+        if doc_id in docs:
+            raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+        tokens = tokenize(text)
+        if not tokens:
+            raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
+        docs[doc_id] = Document(doc_id, tuple(map(words.setdefault, tokens, tokens)))
     return docs
 
 
 def load_queries(path: str | Path) -> dict[str, Query]:
     """Load TSV queries, one ``qid<TAB>text`` per line."""
     queries: dict[str, Query] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>text'")
-            qid, text = parts
-            if qid in queries:
-                raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            tokens = tokenize(text)
-            if not tokens:
-                raise ValueError(f"{path}:{lineno}: query {qid!r} tokenizes to nothing")
-            queries[qid] = Query(qid, tokens)
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>text'")
+        qid, text = parts
+        if qid in queries:
+            raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
+        tokens = tokenize(text)
+        if not tokens:
+            raise ValueError(f"{path}:{lineno}: query {qid!r} tokenizes to nothing")
+        queries[qid] = Query(qid, tokens)
     return queries
 
 
@@ -188,26 +186,25 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
     """
     rows: dict[str, list[tuple[str, int, float]]] = {}
     first_line: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-            qid, _, doc_id, rank_s, score_s, _tag = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: score {score_s!r} is not finite")
-            first = first_line.setdefault((qid, doc_id), lineno)
-            if first != lineno:
-                raise ValueError(f"{path}:{lineno}: duplicate document {doc_id!r} for query "
-                                 f"{qid!r} (first on line {first})")
-            rows.setdefault(qid, []).append((doc_id, rank, score))
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        qid, _, doc_id, rank_s, score_s, _tag = parts
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
+        if not math.isfinite(score):
+            raise ValueError(f"{path}:{lineno}: score {score_s!r} is not finite")
+        first = first_line.setdefault((qid, doc_id), lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: duplicate document {doc_id!r} for query "
+                             f"{qid!r} (first on line {first})")
+        rows.setdefault(qid, []).append((doc_id, rank, score))
 
     run: dict[str, RankedList] = {}
     for qid, entries in rows.items():
@@ -231,22 +228,21 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "rankc
 def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:
     """Load 4-column qrels ``qid 0 docid rel``; relevant means rel > 0."""
     rel: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            qid, _, doc_id, rel_s = parts
-            try:
-                grade = int(rel_s)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad relevance grade: {exc}") from exc
-            if grade > 0:
-                rel.setdefault(qid, set()).add(doc_id)
-            else:
-                rel.setdefault(qid, set())
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        qid, _, doc_id, rel_s = parts
+        try:
+            grade = int(rel_s)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad relevance grade: {exc}") from exc
+        if grade > 0:
+            rel.setdefault(qid, set()).add(doc_id)
+        else:
+            rel.setdefault(qid, set())
     return {qid: frozenset(ids) for qid, ids in rel.items()}
 
 
@@ -266,6 +262,29 @@ def json_field(
         what = {bool: "boolean", int: "integer", float: "number", str: "string"}[kind]
         raise ValueError(f"field {name!r} must be a JSON {what}, got {value!r}")
     return value
+
+
+def numbered_lines(
+    path: str | Path, error: type[ValueError] = ValueError
+) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for every line of the UTF-8 text file
+    ``path``, numbered from 1 as a text-mode read splits them. A byte that
+    does not decode raises ``error`` as ``<path>:<line>: not UTF-8 text:
+    ...``, naming the line of the first such byte: only then are the file's
+    bytes read, and ``\\n``, ``\\r\\n`` and ``\\r`` each end a line there too."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                lines = (data[:first.start] + b"x").splitlines()
+                raise error(f"{path}:{len(lines)}: not UTF-8 text: byte "
+                            f"{data[first.start]:#04x} at column {len(lines[-1])}: "
+                            f"{first.reason}") from exc
+            raise
 
 
 def corpus_fingerprint(corpus: Mapping[str, Document]) -> str:

@@ -26,11 +26,11 @@ import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import json_field
+from .corpus import json_field, numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +48,10 @@ class EmbeddingTable:
     row. One more row follows them, the +0.0 vector, at index
     ``len(table)``: a scorer gathering rows by id points a token without a
     vector there. ``matrix`` is the view of the tokens' rows alone.
+
+    Building a table fills the rows, in input order, into float64 blocks of
+    ``_BLOCK_ROWS`` rows, then scatters the blocks into ``vectors``: the
+    transient memory is about one more copy of the table.
     """
 
     index: Mapping[str, int]
@@ -60,27 +64,31 @@ class EmbeddingTable:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Iterable[float]]]) -> "EmbeddingTable":
-        tokens: list[str] = []
-        rows: list[np.ndarray] = []
-        for token, values in pairs:
-            arr = np.asarray(list(values), dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise LexiconError(f"embedding for {token!r} is not a non-empty vector")
-            tokens.append(token)
-            rows.append(arr)
-        return cls._from_rows(tokens, rows, lambda i: "")
+        def rows() -> Iterator[tuple[str, np.ndarray]]:
+            for token, values in pairs:
+                arr = np.asarray(list(values), dtype=float)
+                if arr.ndim != 1 or arr.size == 0:
+                    raise LexiconError(f"embedding for {token!r} is not a non-empty vector")
+                yield token, arr
+
+        return cls._from_rows(rows(), lambda i: "")
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
         """Parse ``token v1 v2 ... vD`` lines; a leading ``count dim`` header
-        (a line of exactly two integers) is detected and skipped. Errors
-        name the file and the line."""
-        tokens: list[str] = []
-        rows: list[list[float]] = []
+        (a line of exactly two integers) is detected and skipped. Each
+        line's D fields are converted by ``float()``'s rules straight into
+        a row of a float64 block, never held as Python floats, so loading
+        holds about two copies of the table. Errors name the file and the
+        line: a token without a vector, a bad component or a byte that is
+        not UTF-8 at once, in file order, and after the whole file is read,
+        the first line whose dimension differs from the first line's, whose
+        values are not all finite, or whose token came before."""
         linenos: list[int] = []
-        with open(path, encoding="utf-8") as fh:
+
+        def rows() -> Iterator[tuple[str, list[str]]]:
             first = True
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in numbered_lines(path, LexiconError):
                 parts = line.split()
                 if not parts:
                     continue
@@ -88,34 +96,50 @@ class EmbeddingTable:
                     first = False
                     if len(parts) == 2 and _all_ints(parts):
                         continue
-                try:
-                    values = list(map(float, parts[1:]))
-                except ValueError as exc:
-                    raise LexiconError(f"{path}:{lineno}: bad vector component: {exc}") from exc
-                if not values:
+                if len(parts) == 1:
                     raise LexiconError(f"{path}:{lineno}: token without vector")
-                tokens.append(parts[0])
-                rows.append(values)
                 linenos.append(lineno)
-        if not rows:
-            raise LexiconError(f"{path}: embedding table is empty")
-        return cls._from_rows(tokens, rows, lambda i: f"{path}:{linenos[i]}: ")
+                yield parts[0], parts[1:]
+            if not linenos:
+                raise LexiconError(f"{path}: embedding table is empty")
+
+        return cls._from_rows(rows(), lambda i: f"{path}:{linenos[i]}: ")
 
     @classmethod
     def _from_rows(
-        cls, tokens: list[str], rows: list, where: Callable[[int], str]
+        cls, rows: Iterable[tuple[str, Sequence]], where: Callable[[int], str]
     ) -> "EmbeddingTable":
-        """Stack non-empty ``rows`` into the sorted-token vectors. Raises for
-        the first row, in order, whose dimension differs from the first
-        row's, whose values are not all finite, or whose token came before;
-        ``where(i)`` prefixes the message for row ``i``."""
-        if not rows:
+        """The table of the non-empty ``(token, values)`` ``rows``, whose
+        values are floats or strings that ``float()`` reads. Raises for a
+        bad value at once, and after the last row for the first row, in
+        order, whose dimension differs from the first row's, whose values
+        are not all finite, or whose token came before; ``where(i)``
+        prefixes the message for row ``i``."""
+        tokens: list[str] = []
+        blocks: list[np.ndarray] = []
+        dim = bad_dim = bad_width = 0
+        for i, (token, values) in enumerate(rows):
+            dim = dim or len(values)
+            row = i % _BLOCK_ROWS
+            if not row:
+                blocks.append(np.empty((_BLOCK_ROWS, dim)))
+            try:
+                if len(values) == dim:
+                    blocks[-1][row] = values
+                else:  # parsed only so that a bad value on it is raised first
+                    np.asarray(values, dtype=float)
+                    if not bad_width:
+                        bad_dim, bad_width = i, len(values)
+            except ValueError as exc:
+                raise LexiconError(f"{where(i)}bad vector component: {exc}") from exc
+            tokens.append(token)
+        n = len(tokens)
+        if not n:
             raise LexiconError("embedding table is empty")
-        dim = len(rows[0])
-        n = len(rows)
-        bad_dim = next((i for i, row in enumerate(rows) if len(row) != dim), n)
-        matrix = np.array(rows[:bad_dim], dtype=float)
-        non_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if not bad_width:
+            bad_dim = n
+        finite = np.concatenate([np.isfinite(block).all(axis=1) for block in blocks])
+        non_finite = np.flatnonzero(~finite[:bad_dim])
         bad_value = int(non_finite[0]) if non_finite.size else n
         bad_token = n
         if len(set(tokens)) < n:
@@ -128,15 +152,18 @@ class EmbeddingTable:
         if first < n:
             token = tokens[first]
             if first == bad_dim:
-                problem = f"embedding for {token!r} has dimension {len(rows[first])}, expected {dim}"
+                problem = f"embedding for {token!r} has dimension {bad_width}, expected {dim}"
             elif first == bad_value:
                 problem = f"embedding for {token!r} has non-finite values"
             else:
                 problem = f"duplicate embedding token {token!r}"
             raise LexiconError(where(first) + problem)
         order = sorted(range(n), key=tokens.__getitem__)
+        dest = np.empty(n, dtype=np.intp)
+        dest[order] = np.arange(n)
         vectors = np.zeros((n + 1, dim))
-        np.take(matrix, order, axis=0, out=vectors[:-1])
+        for start, block in zip(range(0, n, _BLOCK_ROWS), blocks):
+            vectors[dest[start:start + _BLOCK_ROWS]] = block[:n - start]
         vectors.setflags(write=False)
         return cls(index={tokens[i]: row for row, i in enumerate(order)}, vectors=vectors)
 
@@ -166,6 +193,11 @@ def _all_ints(parts: list[str]) -> bool:
         return False
     return True
 
+
+# Rows per float64 block that an embedding table is read into before its
+# rows are scattered into sorted-token order: 1,024 rows of 300 values are
+# 2.4 MB, and a table holds at most one partly filled block.
+_BLOCK_ROWS = 1 << 10
 
 # Similarities computed at once by the synonym search: 2**20 float64 values
 # (8 MB) per block of rows, whatever the vocabulary size.
@@ -488,23 +520,17 @@ class Lexicon:
 
         Raises :class:`LexiconError` when the file is not JSON or a key is
         missing or malformed, and one listing the violations when the file
-        breaks an invariant or carries the older ``perturbable`` flags and
-        one of them disagrees with ``|T_w| >= 2``.
+        breaks an invariant. Keys other than ``J``, ``synonyms`` and
+        ``perturb`` are ignored, the ``perturbable`` flags of older files
+        among them: ``|T_w| >= 2`` alone makes a word perturbable.
         """
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             lexicon = cls.from_json_dict(payload)
-            flags = sorted(payload.get("perturbable", {}).items())
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise LexiconError(f"{path}: malformed lexicon file: {exc!r}") from exc
         problems = lexicon.validate()
-        for w, flag in flags:
-            if bool(flag) != lexicon.is_perturbable(w):
-                problems.append(
-                    f"perturbable-flag: {w!r} is marked {bool(flag)} but "
-                    f"|T_{w}| = {len(lexicon.perturb_set(w))}"
-                )
         if problems:
             shown = "; ".join(problems[:_SHOWN_PROBLEMS])
             more = len(problems) - _SHOWN_PROBLEMS

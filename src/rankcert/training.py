@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, Query
+from .corpus import Document, Query, numbered_lines
 from .lexicon import Lexicon
 from .rankers import LinearEmbedScorer, sigmoid
 from .smoothing import PerturbationSampler
@@ -41,18 +41,17 @@ class TrainingTriple:
 def load_triples(path: str | Path) -> list[TrainingTriple]:
     """Load TSV triples ``qid<TAB>pos_doc<TAB>neg_doc``."""
     triples: list[TrainingTriple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>pos<TAB>neg'")
-            try:
-                triples.append(TrainingTriple(*parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'qid<TAB>pos<TAB>neg'")
+        try:
+            triples.append(TrainingTriple(*parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return triples
 
 

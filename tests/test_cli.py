@@ -567,7 +567,7 @@ class TestAttackAndEvaluate:
             report = CertificateReport(
                 query_id=qid, k=2, delta=1.0, n=300, alpha=0.05,
                 fbar_k=0.5, fbar_k1=0.5, radius=0.078, max_od=0.0,
-                delta_lq=-0.156, certified=False, per_doc_od=(),
+                delta_lq=-0.156, certified=False, per_doc_od=(("d3", 0.0),),
             )
             lines.append(json.dumps(report.to_json_dict()))
         reports_path.write_text("\n".join(lines) + "\n")
@@ -586,7 +586,7 @@ class TestAttackAndEvaluate:
         report = CertificateReport(
             query_id="q1", k=2, delta=1.0, n=300, alpha=0.05,
             fbar_k=0.9, fbar_k1=0.5, radius=0.078, max_od=0.0,
-            delta_lq=0.24, certified=True, per_doc_od=(),
+            delta_lq=0.24, certified=True, per_doc_od=(("d3", 0.0),),
         )
         reports_path.write_text(json.dumps(report.to_json_dict()) + "\n")
         result = CliRunner().invoke(
@@ -880,6 +880,10 @@ class TestMalformedFiles:
          "field 'doc_id' must be a JSON string, got 3"),
         ("reports", "per_doc_od", [{"doc_id": "d3", "od": "0.5"}],
          "field 'od' must be a JSON number, got '0.5'"),
+        ("reports", "per_doc_od", {"d1": 0.5},
+         "field 'per_doc_od' must be a non-empty list of JSON objects, got {'d1': 0.5}"),
+        ("reports", "per_doc_od", [],
+         "field 'per_doc_od' must be a non-empty list of JSON objects, got []"),
         ("outcomes", "query_id", None, "field 'query_id' must be a JSON string, got None"),
         ("outcomes", "doc_id", True, "field 'doc_id' must be a JSON string, got True"),
         ("outcomes", "best_score", "0.5", "field 'best_score' must be a JSON number, got '0.5'"),
@@ -893,7 +897,8 @@ class TestMalformedFiles:
         ("outcomes", "substitutions", [[True, "a", "b"]],
          "field 'substitutions' must be a list of JSON [integer, string, string] entries"),
     ], ids=["report-null-id", "report-bool-delta", "report-string-alpha", "report-int-doc-id",
-            "report-string-od", "outcome-null-id", "outcome-bool-doc-id",
+            "report-string-od", "report-object-per-doc", "report-empty-per-doc",
+            "outcome-null-id", "outcome-bool-doc-id",
             "outcome-string-score", "outcome-string-tokens", "outcome-int-token",
             "outcome-mistyped-substitution", "outcome-short-substitution",
             "outcome-bool-position"])
@@ -913,6 +918,15 @@ class TestMalformedFiles:
         assert result.exit_code == 1
         assert f"{broken_path}:{len(lines)}: {message}" in result.output
         assert not (tmp_path / "summary.json").exists()
+
+    def test_outcome_line_that_is_not_utf8(self, tmp_path, certify_out, attack_out):
+        outcomes = tmp_path / "outcomes.jsonl"
+        outcomes.write_bytes(attack_out.read_bytes() + b'{"query_id": "q\xff"}\n')
+        bad_line = len(attack_out.read_text().splitlines()) + 1
+        result = run_cli("evaluate", "--reports", certify_out, "--outcomes", outcomes,
+                         "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        assert f"{outcomes}:{bad_line}: not UTF-8 text: byte 0xff at column 16" in result.output
 
     def test_outcome_line_that_is_not_json(self, tmp_path, certify_out, attack_out):
         outcomes = tmp_path / "outcomes.jsonl"

@@ -8,16 +8,19 @@ import pytest
 
 from rankcert import (
     Document,
+    EmbeddingTable,
     RankedList,
     RankEntry,
     load_corpus,
     load_qrels,
     load_queries,
     load_run,
+    load_triples,
     make_ranked,
     tokenize,
     write_run,
 )
+from rankcert.lexicon import LexiconError
 
 
 class TestTokenize:
@@ -200,3 +203,32 @@ class TestQueriesAndQrels:
 def test_document_requires_tokens():
     with pytest.raises(ValueError):
         Document("d", ())
+
+
+_CORPUS_LINES = b"".join(b'{"id": "d%d", "text": "cheap flights"}\n' % i for i in range(300))
+
+
+@pytest.mark.parametrize("load,head,bad_line,bad,tail,lineno,reason", [
+    # The bad byte lies past the first 8 KiB that a text-mode read decodes.
+    (load_corpus, _CORPUS_LINES, b'{"id": "x", "text": "caf', b"\xff", b'"}\n', 301,
+     "invalid start byte"),
+    (load_queries, b"q1\tcheap\r\n", b"q2\tbad", b"\xff", b"\r\n", 2, "invalid start byte"),
+    (load_run, b"q1 Q0 d1 1 0.9 x\r", b"q1 Q0 d", b"\xfe", b" 2 0.5 x\r", 2,
+     "invalid start byte"),
+    (load_qrels, b"\n\n", b"q1 0 d1 ", b"\xff", b"\n", 3, "invalid start byte"),
+    (load_triples, b"q1\td1\td2\n", b"q1\td1\td3", b"\xc3", b"\n", 2,
+     "invalid continuation byte"),
+    (EmbeddingTable.load, b"2 2\ncat 1 0\n", b"dog 0 1", b"\xff", b"\n", 3,
+     "invalid start byte"),
+], ids=["corpus", "queries-crlf", "run-cr", "qrels", "triples", "embeddings"])
+def test_input_that_is_not_utf8_names_the_file_and_line(
+    tmp_path, load, head, bad_line, bad, tail, lineno, reason
+):
+    path = tmp_path / "input.txt"
+    path.write_bytes(head + bad_line + bad + tail)
+    error = LexiconError if load == EmbeddingTable.load else ValueError
+    with pytest.raises(error) as err:
+        load(path)
+    assert type(err.value) is error
+    assert str(err.value) == (f"{path}:{lineno}: not UTF-8 text: byte {bad[0]:#04x} at column "
+                              f"{len(bad_line) + 1}: {reason}")

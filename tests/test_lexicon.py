@@ -135,6 +135,98 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match="read-only"):
             emb.vectors[2, 0] = 1.0
 
+    def test_load_peak_stays_near_the_table(self, tmp_path):
+        # The fields go straight into float64 blocks, so loading holds about
+        # the blocks and the vectors, not a Python float per value.
+        rng = np.random.default_rng(7)
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"w{i:04d} " + " ".join(map(repr, row)) + "\n"
+                                for i, row in enumerate(rng.normal(size=(5000, 100)).tolist())))
+        tracemalloc.start()
+        try:
+            emb = EmbeddingTable.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert emb.matrix.shape == (5000, 100)
+        assert peak <= 3 * emb.vectors.nbytes
+
+
+def _table_text(rows, header, dim=3):
+    """An embedding file of ``rows`` seeded rows in reverse token order,
+    with blank lines, tabs and ``float()``'s edge spellings."""
+    rng = np.random.default_rng(rows)
+    spellings = ["-0", "+.5", "1_0", "4.9e-324", "-1E+2"]
+    lines = [f"{rows} {dim}"] if header else []
+    for i in reversed(range(rows)):
+        values = [repr(v) for v in rng.normal(size=dim).tolist()]
+        values[i % dim] = spellings[i % len(spellings)]
+        lines += [f"w{i:02d}\t" + " ".join(values), "" if i % 2 else " \t"]
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockedEmbeddingLoad:
+    """``EmbeddingTable.load`` over 3-row blocks: the checks of
+    ``TestEmbeddingTable`` again, and tables that end just before, on and
+    just past a block boundary."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(lexicon_mod, "_BLOCK_ROWS", 3)
+
+    test_load_matches_the_per_line_parse_bit_for_bit = (
+        TestEmbeddingTable.test_load_matches_the_per_line_parse_bit_for_bit)
+    test_load_names_the_line_of_every_error = (
+        TestEmbeddingTable.test_load_names_the_line_of_every_error)
+    test_load_reports_the_first_bad_line = TestEmbeddingTable.test_load_reports_the_first_bad_line
+
+    @pytest.mark.parametrize("header", [False, True], ids=["plain", "header"])
+    @pytest.mark.parametrize("rows", [2, 3, 4, 7])
+    def test_load_matches_the_per_line_parse_at_block_edges(self, tmp_path, rows, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(_table_text(rows, header))
+        emb = EmbeddingTable.load(path)
+        tokens, matrix = _per_line_table(path)
+        assert len(tokens) == rows and emb.tokens == tokens
+        assert emb.matrix.tobytes() == matrix.tobytes()
+        assert emb.vectors[-1].tobytes() == bytes(8 * 3)
+
+    @pytest.mark.parametrize("row", [3, 5], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("bad,message", [
+        ("{w} 1 oops 2", "bad vector component: could not convert string to float: 'oops'"),
+        ("{w}", "token without vector"),
+        ("{w} 1 2", "embedding for '{w}' has dimension 2, expected 3"),
+        ("{w} 1 nan 2", "embedding for '{w}' has non-finite values"),
+        ("w00 1 2 3", "duplicate embedding token 'w00'"),
+    ], ids=["component", "no-vector", "dimension", "nan", "duplicate"])
+    def test_a_bad_line_in_the_second_block_is_named(self, tmp_path, bad, message, row):
+        lines = [f"w{i:02d} 1 2 3" for i in range(7)]
+        lines[row] = bad.format(w=f"w{row:02d}")
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3\n" + "\n".join(lines) + "\n")
+        with pytest.raises(LexiconError) as err:
+            EmbeddingTable.load(path)
+        assert str(err.value) == f"{path}:{row + 2}: " + message.format(w=f"w{row:02d}")
+
+    def test_errors_keep_their_order_across_blocks(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        # A bad component in the third block comes before a wrong
+        # dimension in the first, and a bad component on a line of the
+        # wrong dimension before that dimension.
+        path.write_text("a 1 2\nb 1\nc 1 2\nd 1 2\ne 1 2\nf 1 2\ng 1 x\n")
+        with pytest.raises(LexiconError, match=r"bad\.txt:7: bad vector component"):
+            EmbeddingTable.load(path)
+        path.write_text("a 1 2\nb 1\nc 1 2\nd x 2 3\n")
+        with pytest.raises(LexiconError, match=r"bad\.txt:4: bad vector component"):
+            EmbeddingTable.load(path)
+        # Then the earliest row check wins: a duplicate in the first block
+        # before a non-finite value in the second and a dimension in the third.
+        path.write_text("a 1 2\nb 1 2\na 3 4\nd inf 2\ne 1 2\nf 1 2\ng 1\n")
+        with pytest.raises(LexiconError, match=r"bad\.txt:3: duplicate embedding token 'a'$"):
+            EmbeddingTable.load(path)
+        path.write_text("a 1 2\nb 1 2\nc 3 4\nd inf 2\ne 1 2\nf 1 2\ng 1\n")
+        with pytest.raises(LexiconError, match=r"bad\.txt:4: .*'d' has non-finite values$"):
+            EmbeddingTable.load(path)
 
 class TestBuildSynonymDict:
     def test_identical_vectors_are_mutual_synonyms(self):
@@ -477,8 +569,6 @@ class TestLexiconJson:
         {"J": 2, "perturb": {}},
         {"J": 2, "synonyms": [], "perturb": {}},
         pytest.param('{"J": 2, "synonyms": {', id="truncated"),
-        pytest.param({"J": 2, "synonyms": {}, "perturb": {}, "perturbable": []},
-                     id="perturbable-list"),
         *(pytest.param({"J": j, "synonyms": {}, "perturb": {}}, id=f"J={j!r}")
           for j in (2.7, True, "4", 0, -3)),
         # A set must be a JSON list of strings: a string is not split into
@@ -503,16 +593,19 @@ class TestLexiconJson:
             Lexicon.load(path)
 
     def test_load_checks_legacy_perturbable_flags(self, tmp_path):
+        # Older files carried a ``perturbable`` flag per word. Load ignores
+        # them, whatever they say and whatever their JSON type: |T_w| alone
+        # makes a word perturbable, so a stale flag cannot weaken the bound.
         world = random_world(np.random.default_rng(11), regime="mixed")
         payload = world.lexicon.to_json_dict()
         flags = {w: world.lexicon.is_perturbable(w) for w in world.lexicon.vocab}
-        path = tmp_path / "lexicon.json"
-        path.write_text(json.dumps({**payload, "perturbable": flags}))
-        assert Lexicon.load(path) == world.lexicon
         flipped = next(w for w, flag in flags.items() if not flag)
-        path.write_text(json.dumps({**payload, "perturbable": {**flags, flipped: True}}))
-        with pytest.raises(LexiconError, match=f"perturbable-flag: '{flipped}' is marked True"):
-            Lexicon.load(path)
+        path = tmp_path / "lexicon.json"
+        for legacy in (flags, {**flags, flipped: True}, [], "yes"):
+            path.write_text(json.dumps({**payload, "perturbable": legacy}))
+            loaded = Lexicon.load(path)
+            assert loaded == world.lexicon
+            assert loaded.to_json_dict() == payload and not loaded.is_perturbable(flipped)
 
 
 class TestWordIds:
