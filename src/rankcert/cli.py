@@ -22,7 +22,7 @@ from . import certify as certify_mod
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import training as train_mod
-from .corpus import Document, Query, RankedList, json_field, numbered_lines
+from .corpus import Document, Query, RankedList, json_field, numbered_lines, read_text
 from .lexicon import EmbeddingTable, Lexicon
 from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
 from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
@@ -63,9 +63,9 @@ def _naming(where: object):
 
 
 def _read_model_file(path: str | Path) -> dict:
+    text = read_text(path)
     with _naming(path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError(f"a model file holds a JSON object, not a {type(payload).__name__}")
     return payload

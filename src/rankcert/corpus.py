@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -269,22 +270,38 @@ def numbered_lines(
 ) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for every line of the UTF-8 text file
     ``path``, numbered from 1 as a text-mode read splits them. A byte that
-    does not decode raises ``error`` as ``<path>:<line>: not UTF-8 text:
-    ...``, naming the line of the first such byte: only then are the file's
-    bytes read, and ``\\n``, ``\\r\\n`` and ``\\r`` each end a line there too."""
-    with open(path, encoding="utf-8") as fh:
+    does not decode raises ``error`` naming its line (see :func:`_utf8`)."""
+    with open(path, encoding="utf-8") as fh, _utf8(path, error):
+        yield from enumerate(fh, start=1)
+
+
+def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
+    """The text of the UTF-8 file ``path``, as a text-mode read gives it. A
+    byte that does not decode raises ``error`` naming its line (see
+    :func:`_utf8`)."""
+    with open(path, encoding="utf-8") as fh, _utf8(path, error):
+        return fh.read()
+
+
+@contextmanager
+def _utf8(path: str | Path, error: type[ValueError]) -> Iterator[None]:
+    """Re-raise a ``UnicodeDecodeError`` met while reading ``path`` as
+    ``error``, ``<path>:<line>: not UTF-8 text: ...``, naming the line and
+    column of the file's first byte that does not decode: only then are the
+    file's bytes read, and ``\\n``, ``\\r\\n`` and ``\\r`` each end a line
+    there, as they do in a text-mode read."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
         try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as first:
-                lines = (data[:first.start] + b"x").splitlines()
-                raise error(f"{path}:{len(lines)}: not UTF-8 text: byte "
-                            f"{data[first.start]:#04x} at column {len(lines[-1])}: "
-                            f"{first.reason}") from exc
-            raise
+            data.decode("utf-8")
+        except UnicodeDecodeError as first:
+            lines = (data[:first.start] + b"x").splitlines()
+            raise error(f"{path}:{len(lines)}: not UTF-8 text: byte "
+                        f"{data[first.start]:#04x} at column {len(lines[-1])}: "
+                        f"{first.reason}") from exc
+        raise
 
 
 def corpus_fingerprint(corpus: Mapping[str, Document]) -> str:

@@ -22,7 +22,6 @@ import itertools
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import json_field, numbered_lines
+from .corpus import json_field, numbered_lines, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +45,9 @@ class EmbeddingTable:
     The vectors are held once, as the rows of a read-only ``vectors``
     array in sorted-token order, with ``index`` mapping each token to its
     row. One more row follows them, the +0.0 vector, at index
-    ``len(table)``: a scorer gathering rows by id points a token without a
-    vector there. ``matrix`` is the view of the tokens' rows alone.
+    ``len(table)``: a scorer gathering the rows of a document's words
+    points a word without a vector there. ``matrix`` is the view of the
+    tokens' rows alone.
 
     Building a table fills the rows, in input order, into float64 blocks of
     ``_BLOCK_ROWS`` rows, then scatters the blocks into ``vectors``: the
@@ -300,66 +300,6 @@ def build_perturb_dict(
     return sets
 
 
-class WordIds:
-    """The integer form of a lexicon's perturbation sets.
-
-    ``tokens`` holds the vocabulary in sorted order, then every token met
-    outside it, in the order first met; a token's id is its index there,
-    ``ids`` maps it back, and an id never changes. The perturbation set of
-    each of the first ``size`` ids is a CSR row of int32 ids,
-    ``members[offsets[i]:offsets[i + 1]]``; a later id is its own singleton
-    set. New ids are assigned under a lock, and a token is listed before its
-    id is published, so threads may share one table.
-    """
-
-    def __init__(self, perturb: Mapping[str, Sequence[str]]) -> None:
-        self.tokens: list[str] = sorted(perturb)
-        self.ids: dict[str, int] = {w: i for i, w in enumerate(self.tokens)}
-        self.size = len(self.tokens)
-        self._lock = threading.Lock()
-        # Indexed by an id clipped to ``size``: slot ``size`` stands for any
-        # later id, a set of one member that ``table`` gathers from the
-        # spare last slot of ``_members`` and then replaces by the id.
-        self._sizes = np.ones(self.size + 1, dtype=np.int32)
-        self._sizes[:-1] = np.fromiter(map(len, map(perturb.__getitem__, self.tokens)),
-                                       dtype=np.int32, count=self.size)
-        self.offsets = np.zeros(self.size + 1, dtype=np.int32)
-        np.cumsum(self._sizes[:-1], dtype=np.int32, out=self.offsets[1:])
-        self._members = np.append(self.ids_of([m for w in self.tokens for m in perturb[w]]),
-                                  np.int32(0))
-        self.members = self._members[:-1]
-
-    def ids_of(self, tokens: Sequence[str]) -> np.ndarray:
-        """The int32 ids of ``tokens``, giving each new token the next id."""
-        ids = np.fromiter(map(self.ids.get, tokens, itertools.repeat(-1)),
-                          dtype=np.int32, count=len(tokens))
-        if ids.size and ids.min() < 0:
-            with self._lock:
-                for i in np.flatnonzero(ids < 0).tolist():
-                    token = tokens[i]
-                    known = self.ids.get(token)
-                    if known is None:
-                        known = len(self.tokens)
-                        self.tokens.append(token)
-                        self.ids[token] = known
-                    ids[i] = known
-        return ids
-
-    def table(self, tokens: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(the member ids of every ``T_w`` of a non-empty ``tokens`` in
-        order, the set sizes, the set offsets into the members), all int32."""
-        ids = self.ids_of(tokens)
-        slots = np.minimum(ids, self.size)
-        sizes = self._sizes[slots]
-        ends = np.cumsum(sizes, dtype=np.int32)
-        offsets = ends - sizes
-        members = self._members[np.repeat(self.offsets[slots] - offsets, sizes)
-                                + np.arange(ends[-1], dtype=np.int32)]
-        outside = ids >= self.size
-        members[offsets[outside]] = ids[outside]
-        return members, sizes, offsets
-
-
 @dataclass(frozen=True)
 class Lexicon:
     """Synonym sets ``S_w``, perturbation sets ``T_w`` built for size ``j``,
@@ -374,9 +314,6 @@ class Lexicon:
     synonyms: Mapping[str, frozenset[str]]
     perturb: Mapping[str, tuple[str, ...]]
     j: int
-    _compile_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def build(cls, emb: EmbeddingTable, tau: float = 0.8, j: int = 4) -> "Lexicon":
@@ -428,20 +365,6 @@ class Lexicon:
     def overlap_of(self, word: str) -> float:
         """``o_w``; 1.0 for non-perturbable and out-of-vocabulary words."""
         return self.overlaps.get(word, 1.0)
-
-    @property
-    def word_ids(self) -> WordIds:
-        """The perturbation sets in integer form, compiled on first use, so
-        building, saving or loading a lexicon does not pay for it. Every
-        thread gets the one table: ids past the vocabulary are given in
-        the order tokens are met, so two tables would disagree on them."""
-        compiled = self.__dict__.get("_word_ids")
-        if compiled is None:
-            with self._compile_lock:
-                compiled = self.__dict__.get("_word_ids")
-                if compiled is None:
-                    compiled = self.__dict__["_word_ids"] = WordIds(self.perturb)
-        return compiled
 
     def space_size(self, tokens: Iterable[str]) -> int:
         """Number of joint perturbations of a token sequence."""
@@ -518,16 +441,16 @@ class Lexicon:
     def load(cls, path: str | Path) -> "Lexicon":
         """Read a lexicon file and validate it.
 
-        Raises :class:`LexiconError` when the file is not JSON or a key is
-        missing or malformed, and one listing the violations when the file
-        breaks an invariant. Keys other than ``J``, ``synonyms`` and
-        ``perturb`` are ignored, the ``perturbable`` flags of older files
-        among them: ``|T_w| >= 2`` alone makes a word perturbable.
+        Raises :class:`LexiconError` naming the line of a byte that is not
+        UTF-8, when the file is not JSON or a key is missing or malformed,
+        and one listing the violations when the file breaks an invariant.
+        Keys other than ``J``, ``synonyms`` and ``perturb`` are ignored,
+        the ``perturbable`` flags of older files among them: ``|T_w| >= 2``
+        alone makes a word perturbable.
         """
+        text = read_text(path, LexiconError)
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            lexicon = cls.from_json_dict(payload)
+            lexicon = cls.from_json_dict(json.loads(text))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise LexiconError(f"{path}: malformed lexicon file: {exc!r}") from exc
         problems = lexicon.validate()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -15,7 +14,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Document, Query, RankedList, json_field, make_ranked
-from .lexicon import EmbeddingTable, WordIds
+from .lexicon import EmbeddingTable
 
 
 class ScoreModel(ABC):
@@ -43,14 +42,14 @@ class ScoreModel(ABC):
         return [self.score(query, d) for d in docs]
 
     def score_batch(
-        self, query: Query, doc: Document, words: WordIds, rows: np.ndarray
+        self, query: Query, doc: Document, members: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
         """Base scores of the ``len(rows)`` documents named by the rows of
-        an ``(n, M)`` matrix of word ids: row ``i`` is ``doc`` with the
-        tokens ``words.tokens[rows[i]]`` (see ``lexicon.WordIds``)."""
-        tokens = words.tokens
+        an ``(n, M)`` index matrix into ``members``, an object array of
+        words: row ``i`` is ``doc`` with the tokens ``members[rows[i]]``."""
+        words = members.tolist()
         return np.fromiter(
-            (self.score(query, doc.with_tokens(map(tokens.__getitem__, row)))
+            (self.score(query, doc.with_tokens(map(words.__getitem__, row)))
              for row in rows.tolist()),
             dtype=float, count=len(rows),
         )
@@ -195,9 +194,6 @@ class LinearEmbedScorer(ScoreModel):
     _queries: dict[tuple[str, ...], tuple[np.ndarray, float, frozenset[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _row_tables: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -243,28 +239,18 @@ class LinearEmbedScorer(ScoreModel):
     def score(self, query: Query, doc: Document) -> float:
         return sigmoid(self.decision(query, doc))
 
-    def _row_of(self, words: WordIds) -> np.ndarray:
-        """Each id's row of ``embeddings.vectors``, the +0.0 row for a word
-        without a vector, made once per vocabulary and extended when it has
-        grown."""
-        table = self._row_tables.get(words)
-        done = 0 if table is None else len(table)
-        if done < len(words.tokens):
-            tail = words.tokens[done:]
-            new = np.fromiter(map(self.embeddings.index.get, tail, repeat(len(self.embeddings))),
-                              dtype=np.int32, count=len(tail))
-            table = self._row_tables[words] = new if table is None else np.concatenate([table, new])
-        return table
-
     def score_batch(
-        self, query: Query, doc: Document, words: WordIds, rows: np.ndarray
+        self, query: Query, doc: Document, members: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
-        """``score`` of every row, bit for bit. Each row's pooled vector is
-        a running sum of its words' embedding rows, gathered by id, one
+        """``score`` of every row, bit for bit. The call's ``members`` are
+        mapped once to their rows of ``embeddings.vectors`` (the +0.0 row
+        for a word without a vector) and once to query-term codes (-1 for
+        any other word), and both are gathered by ``rows``. Each row's
+        pooled vector is a running sum of its words' embedding rows, one
         position at a time (a word without an embedding adds the +0.0 row
         and is not counted), so memory stays at ``(n, dim)``; the
-        term-overlap fractions come from comparing ids with the query
-        terms' ids. The norms, query dots and decisions are stacked
+        term-overlap fractions come from comparing codes with each query
+        term's. The norms, query dots and decisions are stacked
         vector-vector matmuls, which numpy runs slice by slice through the
         kernel that ``np.dot`` of two vectors uses, and ``sigmoid_array``
         keeps ``sigmoid``'s bits; a matrix-vector product (``F @ w``),
@@ -274,17 +260,22 @@ class LinearEmbedScorer(ScoreModel):
         contiguous axis, where numpy sums pairwise rather than in order, so
         there the rows go through ``score`` one by one."""
         if self.embeddings.dim == 1:
-            return super().score_batch(query, doc, words, rows)
+            return super().score_batch(query, doc, members, rows)
         qv, qn, q_terms = self._query_side(query)
         vectors = self.embeddings.vectors
-        emb_rows = self._row_of(words)[rows]
+        words = members.tolist()
+        emb_rows = np.fromiter(map(self.embeddings.index.get, words, repeat(len(self.embeddings))),
+                               dtype=np.int32, count=len(words))[rows]
         pooled = vectors[emb_rows[:, 0]]
         for column in emb_rows.T[1:]:
             pooled += vectors[column]
         pooled /= np.maximum((emb_rows < len(self.embeddings)).sum(axis=1), 1)[:, None]
-        hits = [rows == words.ids[t] for t in q_terms if t in words.ids]
-        coverage = sum((h.any(axis=1) for h in hits), np.zeros(len(rows))) / len(q_terms)
-        density = sum((h.sum(axis=1) for h in hits), np.zeros(len(rows))) / rows.shape[1]
+        code_of = {t: k for k, t in enumerate(q_terms)}
+        codes = np.fromiter(map(code_of.get, words, repeat(-1)),
+                            dtype=np.int32, count=len(words))[rows]
+        coverage = sum(((codes == k).any(axis=1) for k in range(len(q_terms))),
+                       np.zeros(len(rows))) / len(q_terms)
+        density = (codes >= 0).sum(axis=1) / rows.shape[1]
         stacked = pooled[:, None, :]
         dn = np.sqrt(np.matmul(stacked, pooled[:, :, None])).ravel()
         cos = np.divide(np.matmul(stacked, qv[:, None]).ravel(), qn * dn,

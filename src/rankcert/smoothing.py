@@ -101,10 +101,10 @@ def derive_streams(
 class PerturbationSampler:
     """Draws documents from the product perturbation distribution.
 
-    The perturbation sets of a token sequence are looked up once in the
-    lexicon's :class:`~rankcert.lexicon.WordIds` and kept, flattened, as
-    int32 member ids with their sizes and offsets. :meth:`picks` draws many
-    samples as rows of flat member indices with one ``integers`` call, and
+    :meth:`table` flattens the perturbation sets of a token sequence, once
+    per sequence, into an object array of their member words with the int32
+    set sizes and offsets. :meth:`picks` draws many samples as rows of
+    indices into those members with one ``integers`` call, and
     :meth:`sample` turns one row into a document.
     """
 
@@ -112,36 +112,34 @@ class PerturbationSampler:
     _tables: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _strings: dict[tuple[str, ...], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-    def _table(self, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(member ids of every ``T_w`` in order, set sizes, set offsets)."""
+    def table(self, tokens: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(the member words of every ``T_w`` of ``tokens`` in order, as an
+        object array; the int32 set sizes; the int32 set offsets into the
+        members), built from ``lexicon.perturb_set`` on the first call for
+        a token tuple."""
         table = self._tables.get(tokens)
         if table is None:
-            table = self._tables[tokens] = self.lexicon.word_ids.table(tokens)
+            sets = list(map(self.lexicon.perturb_set, tokens))
+            sizes = np.fromiter(map(len, sets), dtype=np.int32, count=len(sets))
+            ends = np.cumsum(sizes, dtype=np.int32)
+            members = np.array(list(itertools.chain.from_iterable(sets)), dtype=object)
+            table = self._tables[tokens] = (members, sizes, ends - sizes)
         return table
 
     def picks(self, doc: Document, rng: np.random.Generator, n: int) -> np.ndarray:
-        """An ``(n, M)`` int32 matrix whose row ``i`` holds the flat member
-        indices of draw ``i``. Its values, and the state it leaves ``rng``
-        in, are those of ``n`` calls to ``rng.integers(0, sizes)`` in order."""
-        _, sizes, offsets = self._table(doc.tokens)
+        """An ``(n, M)`` int32 matrix whose row ``i`` holds the indices of
+        draw ``i`` into the members of ``table(doc.tokens)``. Its values,
+        and the state it leaves ``rng`` in, are those of ``n`` calls to
+        ``rng.integers(0, sizes)`` in order."""
+        _, sizes, offsets = self.table(doc.tokens)
         picks = rng.integers(0, sizes, size=(n, len(sizes)), dtype=np.int32)
         picks += offsets
         return picks
 
     def sample(self, doc: Document, row: np.ndarray) -> Document:
-        """The document that one row of :meth:`picks` for ``doc`` names. The
-        members' words are gathered into an array on the first call for a
-        token sequence."""
-        words = self._strings.get(doc.tokens)
-        if words is None:
-            tokens = self.lexicon.word_ids.tokens
-            ids = self._table(doc.tokens)[0].tolist()
-            words = self._strings[doc.tokens] = np.array([tokens[i] for i in ids], dtype=object)
-        return doc.with_tokens(words[row].tolist())
+        """The document that one row of :meth:`picks` for ``doc`` names."""
+        return doc.with_tokens(self.table(doc.tokens)[0][row].tolist())
 
 
 def enumerate_perturbations(doc: Document, lexicon: Lexicon) -> Iterator[tuple[str, ...]]:
@@ -268,28 +266,29 @@ class SmoothedModel(ScoreModel):
         repeated document once, are cut in ``docs`` order into consecutive
         runs of one document id and length, as a greedy step's trials come,
         and each run into blocks of ``_BLOCK_ROWS // n`` estimates (one when
-        ``n >= _BLOCK_ROWS``). A block's pick matrices are turned into rows
-        of word ids of the lexicon's ``word_ids``, stacked, and scored with
-        one ``base.score_batch`` call; each estimate's mean is taken over
-        its own ``n`` rows, which gives the same mean as scoring it alone.
-        The memo is filled in ``docs`` order. A base score outside [0, 1]
-        raises naming its document; no estimate of its block is memoized.
+        ``n >= _BLOCK_ROWS``). A block's member tables are concatenated, each
+        estimate's picks shifted by where its table starts, and the stacked
+        rows scored with one ``base.score_batch`` call; each estimate's mean
+        is taken over its own ``n`` rows, which gives the same mean as
+        scoring it alone. The memo is filled in ``docs`` order. A base score
+        outside [0, 1] raises naming its document; no estimate of its block
+        is memoized.
         """
         if self.n is None:
             return super().score_many(query, docs)
         misses = dict.fromkeys(d for d in docs if (query.id, d.id, d.tokens) not in self._memo)
         per_block = max(1, _BLOCK_ROWS // self.n)
         sampler = PerturbationSampler(self.lexicon)
-        words = self.lexicon.word_ids
         for _, same_doc in itertools.groupby(misses, key=lambda d: (d.id, d.length)):
             run = list(same_doc)
             for start in range(0, len(run), per_block):
                 block = run[start:start + per_block]
-                rows = np.empty((len(block) * self.n, block[0].length), dtype=np.int32)
-                for i, doc in enumerate(block):
-                    sampler._table(doc.tokens)[0].take(
-                        self._picks(sampler, query, doc), out=rows[i * self.n:(i + 1) * self.n])
-                scores = self.base.score_batch(query, block[0], words, rows)
+                members = [sampler.table(doc.tokens)[0] for doc in block]
+                offsets = itertools.accumulate(map(len, members), initial=0)
+                rows = [self._picks(sampler, query, doc) + offset
+                        for doc, offset in zip(block, offsets)]
+                scores = self.base.score_batch(query, block[0], np.concatenate(members),
+                                               np.concatenate(rows))
                 for doc, mean in zip(block, _run_means(scores, query, block)):
                     self._memo[(query.id, doc.id, doc.tokens)] = mean
         return [self._memo[(query.id, doc.id, doc.tokens)] for doc in docs]

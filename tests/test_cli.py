@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel,
                       write_run)
 from rankcert.certify import substitution_budget
 from rankcert.cli import main
+from rankcert.lexicon import LexiconError
 
 from conftest import size_mismatch_lexicon
 
@@ -600,7 +602,16 @@ class TestAttackAndEvaluate:
 
 class TestJobsByteIdentity:
     """Query-side caches and the embedding rows are shared by worker threads;
-    the outputs must not depend on how many there are."""
+    the outputs must not depend on how many there are. The threads switch
+    as often as the interpreter lets them, so that a race on shared mutable
+    state shows."""
+
+    @pytest.fixture(autouse=True)
+    def _switch_often(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
         "command, extra, written",
@@ -960,6 +971,28 @@ class TestMalformedFiles:
         assert result.exit_code == 1
         assert f"{model}: " in result.output and message in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", ["--lexicon", "--model"])
+    def test_a_lexicon_or_model_file_that_is_not_utf8_names_its_line(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path, option
+    ):
+        # The message names the line and column of the byte, and never
+        # holds the file's contents.
+        source = built_lexicon if option == "--lexicon" else trained_model
+        lines = source.read_bytes().splitlines(keepends=True)
+        bad, out = tmp_path / source.name, tmp_path / "out"
+        bad.write_bytes(b"".join(lines[:3]) + b'  "caf\xff' + b"".join(lines[3:]))
+        files = {"--lexicon": built_lexicon, "--model": trained_model, option: bad}
+        result = run_cli(*scoring_args("certify", pipeline_dir, files["--lexicon"],
+                                       files["--model"], out, "--k", "2"))
+        assert result.exit_code == 1
+        message = f"{bad}:4: not UTF-8 text: byte 0xff at column 7: invalid start byte"
+        error = next(line for line in result.output.splitlines() if line.startswith("Error:"))
+        assert error == f"Error: {message}" and len(error) < 300
+        assert not out.exists()
+        if option == "--lexicon":
+            with pytest.raises(LexiconError, match=re.escape(message)):
+                Lexicon.load(bad)
 
     @pytest.mark.parametrize("kind, content, message", [
         ("corpus", '{"id": "d1", "text": "h h"}\n{"id": "d2"}\n',

@@ -4,8 +4,6 @@ import hashlib
 import json
 import math
 import re
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +23,7 @@ from rankcert import (
     smooth_rank,
 )
 from rankcert import lexicon as lexicon_mod
-from rankcert.lexicon import LexiconError, WordIds
+from rankcert.lexicon import LexiconError
 
 from conftest import TokenTableModel, hand_lexicon, random_world, size_mismatch_lexicon
 
@@ -606,85 +604,6 @@ class TestLexiconJson:
             loaded = Lexicon.load(path)
             assert loaded == world.lexicon
             assert loaded.to_json_dict() == payload and not loaded.is_perturbable(flipped)
-
-
-class TestWordIds:
-    def test_is_compiled_on_first_use_only(self, tmp_path):
-        world = random_world(np.random.default_rng(12), regime="mixed")
-        lexicon = Lexicon.build(world.emb, tau=0.85, j=world.j)
-        lexicon.save(tmp_path / "lexicon.json")
-        loaded = Lexicon.load(tmp_path / "lexicon.json")
-        assert "_word_ids" not in vars(lexicon) and "_word_ids" not in vars(loaded)
-        assert loaded.word_ids is loaded.word_ids
-
-    @pytest.mark.parametrize("seed", [13, 14, 15])
-    def test_sets_and_tables_name_the_perturbation_sets(self, seed):
-        rng = np.random.default_rng(seed)
-        world = random_world(rng, regime="loose")
-        words = world.lexicon.word_ids
-        assert words.tokens == list(world.lexicon.vocab) and words.size == len(words.tokens)
-        assert words.offsets.dtype == words.members.dtype == np.int32
-        for i, w in enumerate(words.tokens):
-            members = words.members[words.offsets[i]:words.offsets[i + 1]]
-            assert [words.tokens[m] for m in members] == list(world.lexicon.perturb_set(w))
-        first = words.ids_of(["new-b", world.vocab[0], "new-a", "new-b"])
-        assert first.dtype == np.int32
-        assert first.tolist() == [words.size, words.ids[world.vocab[0]], words.size + 1, words.size]
-        for _ in range(5):
-            tokens = [str(t) for t in rng.choice([*world.vocab, "new-a", "new-c"], size=12)]
-            members, sizes, offsets = words.table(tokens)
-            assert members.dtype == sizes.dtype == offsets.dtype == np.int32
-            sets = [world.lexicon.perturb_set(t) for t in tokens]
-            assert [words.tokens[m] for m in members] == [w for t in sets for w in t]
-            assert sizes.tolist() == list(map(len, sets))
-            assert offsets.tolist() == np.cumsum([0, *sizes[:-1]]).tolist()
-        # Ids never change once given.
-        assert words.ids_of(["new-a", "new-b", "new-c"]).tolist() == [
-            words.size + 1, words.size, words.size + 2]
-
-    def test_threads_share_one_table_and_one_id_per_token(self):
-        # Sixteen threads, on two cores, compile the lexicon and give ids to
-        # overlapping new tokens at once, switching as often as they can.
-        world = random_world(np.random.default_rng(16), regime="mixed")
-        lexicon = Lexicon(synonyms=world.lexicon.synonyms, perturb=world.lexicon.perturb,
-                          j=world.lexicon.j)
-        seen = []
-
-        def work(k):
-            words = lexicon.word_ids
-            tokens = [f"new-{(k * 7 + i) % 60}" for i in range(40)] + world.vocab[:5]
-            seen.append((words, tokens, words.ids_of(tokens).tolist()))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(16)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and len(seen) == 16
-        words = lexicon.word_ids
-        assert all(w is words for w, _, _ in seen)
-        assert len(words.tokens) == len(words.ids) == words.size + 60
-        assert all(words.ids[t] == i for i, t in enumerate(words.tokens))
-        for _, tokens, ids in seen:
-            assert [words.tokens[i] for i in ids] == tokens
-
-    def test_a_member_outside_the_vocabulary_is_its_own_set(self):
-        words = WordIds({"b": ("b", "z"), "a": ("a",)})
-        assert words.tokens == ["a", "b", "z"] and words.size == 2
-        members, sizes, _ = words.table(("b", "z", "a"))
-        assert [words.tokens[m] for m in members] == ["b", "z", "z", "a"]
-        assert sizes.tolist() == [2, 1, 1]
-
-    def test_an_empty_lexicon_gives_every_token_its_own_set(self):
-        words = WordIds({})
-        members, sizes, offsets = words.table(("x", "y", "x"))
-        assert members.tolist() == [0, 1, 0] and sizes.tolist() == [1, 1, 1]
-        assert offsets.tolist() == [0, 1, 2]
 
 
 # Tokens that exercise every escape of the ASCII-only JSON encoder: quotes,

@@ -17,7 +17,6 @@ from rankcert import (
     Query,
     rank,
 )
-from rankcert.lexicon import WordIds
 from rankcert.rankers import sigmoid, sigmoid_array
 
 from conftest import make_doc, make_query, random_linear_model, random_world
@@ -311,9 +310,6 @@ def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
         LinearEmbedScorer(weights=np.array([900.0, 1500.0, -2000.0]), bias=-700.0, embeddings=emb),
     ]
     members = np.array([*vocab[:150], "oov-a", "oov-b"], dtype=object)
-    # Every other word has a lexicon id; the rest get ids past the lexicon.
-    words = WordIds({t: (t,) for t in vocab[::2]})
-    ids = words.ids_of(members.tolist())
     queries = [Query(f"q{i}", tuple(rng.choice(members, size=4).tolist())) for i in range(3)]
     decisions = []
     for i, n in enumerate([1, 1000, *[8] * 18]):
@@ -323,7 +319,7 @@ def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
             for query in queries:
                 docs = [doc.with_tokens(members[row].tolist()) for row in picks]
                 rows = [model.score(query, d) for d in docs]
-                assert model.score_batch(query, doc, words, ids[picks]).tolist() == rows
+                assert model.score_batch(query, doc, members, picks).tolist() == rows
                 if model is models[1]:
                     decisions.extend(model.decision(query, d) for d in docs)
     assert min(decisions) < -500.0 and max(decisions) > 500.0
@@ -374,25 +370,26 @@ def test_linear_score_batch_keeps_the_pairwise_sum_of_one_dimensional_embeddings
     doc = Document("d", ("a", "a", "a", "b", "b", "b", "c", "c"))
     members = np.array([*doc.tokens, "oov"], dtype=object)
     picks = np.array([[0, 1, 2, 3, 4, 5, 6, 7], [0, 8, 2, 3, 4, 5, 6, 7]])
-    words = WordIds({"a": ("a",), "b": ("b",), "c": ("c",)})
     query = Query("q", ("c",))
     assert model.features(query, doc)[0] == 0.0
     rows = [model.score(query, doc.with_tokens(members[row].tolist())) for row in picks]
-    ids = words.ids_of(members.tolist())
-    assert model.score_batch(query, doc, words, ids[picks]).tolist() == rows
+    assert model.score_batch(query, doc, members, picks).tolist() == rows
 
 
 def _batches(seed: int, n: int = 16):
-    """(document, word-id rows, pick matrix) for every document of
+    """(document, its member table, pick matrix) for every document of
     ``_identity_cases``: out-of-vocabulary members, and one document with no
     in-vocabulary token at all."""
     rng, world, queries, docs = _identity_cases(seed)
     sampler = PerturbationSampler(world.lexicon)
-    batches = []
-    for doc in docs:
-        picks = sampler.picks(doc, rng, n)
-        batches.append((doc, sampler._table(doc.tokens)[0][picks], picks))
+    batches = [(doc, sampler.table(doc.tokens)[0], sampler.picks(doc, rng, n)) for doc in docs]
     return rng, world, queries, sampler, batches
+
+
+def _bm25_of(queries, batches):
+    corpus = {doc.id: doc for doc, _, _ in batches[::4]}
+    return Bm25Model.from_corpus(corpus).calibrated(
+        [(q, d) for q in queries for d in corpus.values()])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -403,23 +400,42 @@ def test_linear_score_batch_equals_per_row_score(seed):
     # its pooled vector is zero (qn = 0).
     queries = [*queries, Query("q3", ("oov-x", "oov-y", "oov-x"))]
     assert batches[0][0].id == "oov" and not any(t in world.emb.index for t in batches[0][0].tokens)
-    for doc, rows, picks in batches:
+    for doc, members, picks in batches:
         for query in queries:
-            batch = model.score_batch(query, doc, world.lexicon.word_ids, rows)
+            batch = model.score_batch(query, doc, members, picks)
             expected = [model.score(query, sampler.sample(doc, row)) for row in picks]
             assert batch.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bm25_default_score_batch_equals_per_row_score(seed):
-    _, world, queries, sampler, batches = _batches(seed)
-    corpus = {doc.id: doc for doc, _, _ in batches[::4]}
-    model = Bm25Model.from_corpus(corpus).calibrated(
-        [(q, d) for q in queries for d in corpus.values()])
-    for doc, rows, picks in batches:
+    _, _, queries, sampler, batches = _batches(seed)
+    model = _bm25_of(queries, batches)
+    for doc, members, picks in batches:
         for query in queries:
-            batch = model.score_batch(query, doc, world.lexicon.word_ids, rows)
+            batch = model.score_batch(query, doc, members, picks)
             assert batch.tolist() == [model.score(query, sampler.sample(doc, row)) for row in picks]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_score_batch_reads_rows_from_their_members_alone(seed):
+    # The members, padded with words no row names (query terms and an
+    # embedded word among them) and shuffled, with the picks remapped to
+    # match, name the same documents: a row's score may depend on nothing
+    # but the words it indexes, not on where they sit in the array.
+    rng, world, queries, _, batches = _batches(seed)
+    models = [random_linear_model(rng, world.emb), _bm25_of(queries, batches)]
+    padding = [*queries[0].tokens, world.vocab[-1], "oov-pad"]
+    for doc, members, picks in batches:
+        padded = np.array([*members, *padding], dtype=object)
+        order = rng.permutation(len(padded))
+        moved = np.empty_like(order)
+        moved[order] = np.arange(len(order))
+        assert padded[order][moved[picks]].tolist() == members[picks].tolist()
+        for model in models:
+            for query in queries:
+                assert (model.score_batch(query, doc, padded[order], moved[picks]).tolist()
+                        == model.score_batch(query, doc, members, picks).tolist())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -155,6 +155,36 @@ class TestPickMatrix:
             assert sampler.sample(doc, row).tokens == tuple(members[i] for i in row)
 
 
+class TestSamplerTable:
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_tables_name_the_perturbation_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, regime="loose")
+        sampler = PerturbationSampler(world.lexicon)
+        for _ in range(5):
+            tokens = tuple(str(t) for t in rng.choice([*world.vocab, "new-a", "new-c"], size=12))
+            members, sizes, offsets = sampler.table(tokens)
+            assert members.dtype == object and sizes.dtype == offsets.dtype == np.int32
+            sets = [world.lexicon.perturb_set(t) for t in tokens]
+            assert members.tolist() == [w for t in sets for w in t]
+            assert sizes.tolist() == list(map(len, sets))
+            assert offsets.tolist() == np.cumsum([0, *sizes[:-1]]).tolist()
+            assert sampler.table(tokens) is sampler.table(tokens)
+
+    def test_a_member_outside_the_vocabulary_is_its_own_set(self):
+        # "z" is only a member of T_b, and "oov" is in no set at all.
+        lexicon = hand_lexicon({"b": {"b", "z"}, "a": {"a"}}, {"b": ("b", "z"), "a": ("a",)}, j=2)
+        members, sizes, offsets = PerturbationSampler(lexicon).table(("b", "z", "a", "oov"))
+        assert members.tolist() == ["b", "z", "z", "a", "oov"]
+        assert sizes.tolist() == [2, 1, 1, 1] and offsets.tolist() == [0, 2, 3, 4]
+
+    def test_an_empty_lexicon_gives_every_token_its_own_set(self):
+        sampler = PerturbationSampler(Lexicon(synonyms={}, perturb={}, j=1))
+        members, sizes, offsets = sampler.table(("x", "y", "x"))
+        assert members.tolist() == ["x", "y", "x"] and sizes.tolist() == [1, 1, 1]
+        assert offsets.tolist() == [0, 1, 2]
+
+
 class TestPerturbationProb:
     def test_identity_with_singletons_is_one(self):
         lex = singleton_lexicon(["a", "b"])
@@ -604,9 +634,9 @@ class CountingBatches(ScoreModel):
     def score(self, query, doc):
         return self.model.score(query, doc)
 
-    def score_batch(self, query, doc, words, rows):
+    def score_batch(self, query, doc, members, rows):
         self.batches.append(len(rows))
-        return self.model.score_batch(query, doc, words, rows)
+        return self.model.score_batch(query, doc, members, rows)
 
 
 def _counting_streams(monkeypatch):
@@ -815,8 +845,8 @@ class TestScoreMany:
     @pytest.mark.parametrize("kind", ["linear", "bm25"])
     def test_tokens_outside_the_lexicon(self, seed, kind):
         # Documents hold a word with an embedding but no lexicon entry and a
-        # word with neither; a query term is outside the lexicon too. Their
-        # ids lie past the lexicon's words, as singleton sets.
+        # word with neither; a query term is outside the lexicon too. Each
+        # is its own singleton set.
         rng = np.random.default_rng(seed)
         world = random_world(rng, regime="mixed")
         emb = EmbeddingTable.from_pairs(
@@ -838,8 +868,7 @@ class TestScoreMany:
             values = stacked.score_many(q, trials)
             assert values == [one_by_one.score(q, t) for t in trials]
             assert values == self._expected(base, world, q, trials, n)
-        words = world.lexicon.word_ids
-        assert all(words.ids[t] >= words.size for t in ("emb-only", "nowhere"))
+        assert not any(t in world.lexicon.perturb for t in ("emb-only", "nowhere"))
         sampler = PerturbationSampler(world.lexicon)
         for doc in docs:
             members = [w for t in doc.tokens for w in world.lexicon.perturb_set(t)]
