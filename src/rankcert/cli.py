@@ -22,7 +22,7 @@ from . import certify as certify_mod
 from . import corpus as corpus_mod
 from . import metrics as metrics_mod
 from . import training as train_mod
-from .corpus import Document, Query, RankedList, json_field, numbered_lines, read_text
+from .corpus import Corpus, Document, Query, RankedList, json_field, numbered_lines, read_text
 from .lexicon import EmbeddingTable, Lexicon
 from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
 from .smoothing import SmoothedModel, hoeffding_radius, smooth_rank
@@ -78,14 +78,16 @@ def _linear_from(payload: dict, path: str | Path, embeddings: EmbeddingTable) ->
 
 def _load_model(
     model_path: Path,
-    corpus: Mapping[str, Document],
+    corpus: Corpus,
     embeddings: EmbeddingTable | None,
     queries: Mapping[str, Query],
     run: Mapping[str, RankedList],
     qids: list[str],
 ) -> ScoreModel:
-    """Load a scorer; BM25 is calibrated on the (query, document) pairs of
-    the scored queries ``qids`` only, so a skipped query moves no score."""
+    """Load a scorer. BM25 takes its statistics from every document of the
+    corpus file (``corpus.stats``), whether held or not, and is calibrated
+    on the (query, document) pairs of the scored queries ``qids`` only, so
+    a skipped query moves no score."""
     payload = _read_model_file(model_path)
     kind = payload.get("type")
     if kind == "linear":
@@ -136,12 +138,20 @@ def _queries_to_score(
     return qids, skipped
 
 
-def _read_jsonl(path: str, from_json_dict: Callable) -> list:
-    records = []
+def _read_jsonl(path: str, from_json_dict: Callable, name: Callable[..., str]) -> list:
+    """The record of every non-blank line of ``path``. Each record has a
+    ``name``, such as ``query 'q1'``, that no other record of the file may
+    have: a second one fails the command, naming both lines."""
+    records, first_line = [], {}
     for lineno, line in numbered_lines(path):
         if line.strip():
             with _naming(f"{path}:{lineno}"):
-                records.append(from_json_dict(json.loads(line)))
+                record = from_json_dict(json.loads(line))
+                key = name(record)
+                first = first_line.setdefault(key, lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate record for {key} (first on line {first})")
+            records.append(record)
     return records
 
 
@@ -271,15 +281,21 @@ def _load_scoring_inputs(
     corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k,
 ):
     """Read a scoring command's inputs and decide which queries it scores
-    (see :func:`_queries_to_score`) before the model is loaded."""
-    corpus = corpus_mod.load_corpus(corpus_path)
+    (see :func:`_queries_to_score`) before the model is loaded. The corpus
+    is read once, after the run: every line is checked and counted for
+    BM25, but only the documents the run names are held. Returns the
+    sidecar fields every scoring command writes with the inputs."""
     queries = corpus_mod.load_queries(queries_path)
     run = corpus_mod.load_run(run_path)
+    corpus = corpus_mod.load_corpus(
+        corpus_path, keep={e.doc_id for ranked in run.values() for e in ranked.entries})
     lexicon = Lexicon.load(lexicon_path)
     emb = EmbeddingTable.load(embeddings_path) if embeddings_path else None
     qids, skipped = _queries_to_score(run, queries, corpus, k)
     model = _load_model(Path(model_path), corpus, emb, queries, run, qids)
-    return corpus, queries, run, lexicon, model, qids, skipped
+    meta = {"skipped": skipped, "corpus_documents": corpus.stats.n_docs,
+            "corpus_kept": len(corpus)}
+    return corpus, queries, run, lexicon, model, qids, meta
 
 
 @main.command("certify")
@@ -290,7 +306,7 @@ def cmd_certify(
 ) -> None:
     """Certify top-K robustness per query; writes report JSONL and the
     smoothed run it certifies to ``<out>.smoothed.run``, prints CRQ."""
-    corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
+    corpus, queries, run, lexicon, model, qids, meta = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
     def work(qid: str) -> tuple[RankedList, certify_mod.CertificateReport]:
@@ -303,7 +319,7 @@ def cmd_certify(
     _write_jsonl(out_path, reports)
     corpus_mod.write_run({qid: ranked for qid, (ranked, _) in results.items()},
                          _beside(out_path, ".smoothed.run"), tag="smoothed")
-    _write_meta(skipped=skipped)
+    _write_meta(**meta)
     value = metrics_mod.crq(reports)
     click.echo(f"radius per estimate: {hoeffding_radius(n_samples, alpha):.6f}")
     click.echo(f"CRQ: {value:.2f}% ({sum(1 for r in reports if r.certified)}/{len(reports)} queries)")
@@ -326,7 +342,7 @@ def cmd_attack(
     is reported unchanged. The sidecar totals the greedy trials scored and
     the trials skipped as unable to change the score.
     """
-    corpus, queries, run, lexicon, model, qids, skipped = _load_scoring_inputs(
+    corpus, queries, run, lexicon, model, qids, meta = _load_scoring_inputs(
         corpus_path, queries_path, run_path, lexicon_path, model_path, embeddings_path, k)
 
     def work(qid: str) -> list[attack_mod.AttackOutcome]:
@@ -344,7 +360,7 @@ def cmd_attack(
     results = _map_queries(work, qids, jobs)
     outcomes = [o for per_query in results.values() for o in per_query]
     _write_jsonl(out_path, outcomes)
-    _write_meta(skipped=skipped,
+    _write_meta(**meta,
                 trials_scored=sum(o.trials_scored for o in outcomes),
                 trials_pruned=sum(o.trials_pruned for o in outcomes))
     if outcomes:
@@ -364,8 +380,10 @@ def cmd_evaluate(reports_path, outcomes_path, run_path, qrels_path, cutoffs, out
     """Aggregate CRQ / SR / CondSR (and MRR when run + qrels are given)."""
     if (run_path is None) != (qrels_path is None):
         raise click.UsageError("--run and --qrels go together: give both for MRR, or neither")
-    reports = _read_jsonl(reports_path, certify_mod.CertificateReport.from_json_dict)
-    outcomes = _read_jsonl(outcomes_path, attack_mod.AttackOutcome.from_json_dict)
+    reports = _read_jsonl(reports_path, certify_mod.CertificateReport.from_json_dict,
+                          lambda r: f"query {r.query_id!r}")
+    outcomes = _read_jsonl(outcomes_path, attack_mod.AttackOutcome.from_json_dict,
+                           lambda o: f"query {o.query_id!r}, document {o.doc_id!r}")
     report_qids = {r.query_id for r in reports}
     outcome_qids = {o.query_id for o in outcomes}
     unmatched = sorted(outcome_qids - report_qids)

@@ -7,10 +7,11 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -120,39 +121,82 @@ def make_ranked(query_id: str, scored: Iterable[tuple[str, float]]) -> RankedLis
     return RankedList(query_id, entries)
 
 
-def load_corpus(path: str | Path) -> dict[str, Document]:
-    """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects.
+@dataclass(frozen=True)
+class CorpusStats:
+    """What BM25 needs from every document of a corpus: the number of
+    documents, their total length in tokens, and for each word the number
+    of documents that hold it."""
 
-    ``text`` must be a JSON string and ``id`` a JSON string or integer (an
-    integer id ``7`` is the doc id ``"7"``); any other value is an error
+    n_docs: int
+    total_len: int
+    doc_freq: dict[str, int]
+
+    @classmethod
+    def count(cls, token_seqs: Iterable[Sequence[str]]) -> "CorpusStats":
+        """The statistics of the documents whose tokens ``token_seqs``
+        gives, counted in order."""
+        df: Counter[str] = Counter()
+        n_docs = total_len = 0
+        for tokens in token_seqs:
+            n_docs += 1
+            total_len += len(tokens)
+            df.update(set(tokens))
+        return cls(n_docs=n_docs, total_len=total_len, doc_freq=dict(df))
+
+
+class Corpus(dict[str, Document]):
+    """The documents :func:`load_corpus` kept, by id, and in ``stats`` the
+    statistics of every document it read, kept or not."""
+
+    __slots__ = ("stats",)
+    stats: CorpusStats
+
+
+def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
+    """Load a JSONL corpus of ``{"id": ..., "text": ...}`` objects, holding
+    the documents whose ids are in ``keep`` (every document when ``keep`` is
+    ``None``) and counting the :class:`CorpusStats` of all of them.
+
+    Every line is checked, kept or not: ``text`` must be a JSON string that
+    tokenizes to something and ``id`` a unique JSON string or integer (an
+    integer id ``7`` is the doc id ``"7"``); anything else is an error
     naming the line and the field. Equal words share one string object
     across the whole corpus, so memory holds one pointer per token plus
     the vocabulary, not a string per occurrence."""
-    docs: dict[str, Document] = {}
+    docs = Corpus()
+    seen: set[str] = set()
     words: dict[str, str] = {}
-    for lineno, line in numbered_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-            raise ValueError(f"{path}:{lineno}: expected object with 'id' and 'text'")
-        raw_id, text = obj["id"], obj["text"]
-        if type(raw_id) not in (str, int):
-            raise ValueError(f"{path}:{lineno}: field 'id' must be a JSON string or "
-                             f"integer, got {raw_id!r}")
-        if type(text) is not str:
-            raise ValueError(f"{path}:{lineno}: field 'text' must be a JSON string, "
-                             f"got {text!r}")
-        doc_id = str(raw_id)
-        if doc_id in docs:
-            raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
-        tokens = tokenize(text)
-        if not tokens:
-            raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
-        docs[doc_id] = Document(doc_id, tuple(map(words.setdefault, tokens, tokens)))
+
+    def documents() -> Iterator[tuple[str, ...]]:
+        for lineno, line in numbered_lines(path):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+                raise ValueError(f"{path}:{lineno}: expected object with 'id' and 'text'")
+            raw_id, text = obj["id"], obj["text"]
+            if type(raw_id) not in (str, int):
+                raise ValueError(f"{path}:{lineno}: field 'id' must be a JSON string or "
+                                 f"integer, got {raw_id!r}")
+            if type(text) is not str:
+                raise ValueError(f"{path}:{lineno}: field 'text' must be a JSON string, "
+                                 f"got {text!r}")
+            doc_id = str(raw_id)
+            if doc_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+            tokens = tokenize(text)
+            if not tokens:
+                raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
+            tokens = tuple(map(words.setdefault, tokens, tokens))
+            if keep is None or doc_id in keep:
+                docs[doc_id] = Document(doc_id, tokens)
+            yield tokens
+
+    docs.stats = CorpusStats.count(documents())
     return docs
 
 

@@ -419,13 +419,20 @@ class Lexicon:
     def from_json_dict(cls, payload: Mapping) -> "Lexicon":
         """The lexicon of :meth:`to_json_dict`'s payload; ``J`` must be a
         JSON integer >= 1, as :func:`build_perturb_dict` requires, and every
-        ``synonyms`` and ``perturb`` entry a JSON list of strings."""
+        ``synonyms`` and ``perturb`` entry a JSON list of strings. Each word
+        is one string object, as a key and in every set that holds it:
+        ``json`` shares equal keys but makes a new string for every list
+        member."""
         j = json_field(payload, "J", int)
         if j < 1:
             raise ValueError(f"field 'J' must be >= 1, got {j}")
+        words: dict[str, str] = {}
+        shared = words.setdefault
         return cls(
-            synonyms={w: frozenset(s) for w, s in _word_lists(payload, "synonyms").items()},
-            perturb={w: tuple(t) for w, t in _word_lists(payload, "perturb").items()},
+            synonyms={shared(w, w): frozenset(map(shared, s, s))
+                      for w, s in _word_lists(payload, "synonyms").items()},
+            perturb={shared(w, w): tuple(map(shared, t, t))
+                     for w, t in _word_lists(payload, "perturb").items()},
             j=j,
         )
 

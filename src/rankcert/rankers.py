@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Document, Query, RankedList, json_field, make_ranked
+from .corpus import Corpus, CorpusStats, Document, Query, RankedList, json_field, make_ranked
 from .lexicon import EmbeddingTable
 
 
@@ -116,19 +115,19 @@ class Bm25Model(ScoreModel):
     def from_corpus(
         cls, corpus: Mapping[str, Document], k1: float = 0.9, b: float = 0.4
     ) -> "Bm25Model":
-        if not corpus:
+        """BM25 with the statistics of ``corpus``: for a :class:`Corpus`
+        those of every document its file holds, counted as it was loaded;
+        for any other mapping those of the documents it maps."""
+        stats = corpus.stats if isinstance(corpus, Corpus) else CorpusStats.count(
+            doc.tokens for doc in corpus.values())
+        if not stats.n_docs:
             raise ValueError("cannot build BM25 statistics from an empty corpus")
-        df: Counter[str] = Counter()
-        total_len = 0
-        for doc in corpus.values():
-            total_len += doc.length
-            df.update(set(doc.tokens))
         return cls(
             k1=k1,
             b=b,
-            doc_freq=dict(df),
-            n_docs=len(corpus),
-            avg_len=total_len / len(corpus),
+            doc_freq=stats.doc_freq,
+            n_docs=stats.n_docs,
+            avg_len=stats.total_len / stats.n_docs,
         )
 
     def idf(self, term: str) -> float:

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rankcert import (EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel, greedy_attack,
-                      hoeffding_radius, load_corpus, load_queries, load_run, rank, smooth_rank,
-                      write_run)
+from rankcert import (Bm25Model, EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel,
+                      certify_topk, greedy_attack, hoeffding_radius, load_corpus, load_queries,
+                      load_run, rank, smooth_rank, write_run)
 from rankcert.certify import substitution_budget
 from rankcert.cli import main
 from rankcert.lexicon import LexiconError
@@ -723,6 +723,89 @@ class TestOptionRanges:
         assert [(o["query_id"], o["original_rank"]) for o in outcomes] == [("q1", 3), ("q2", 3)]
 
 
+@pytest.fixture(scope="module")
+def wider_corpus(pipeline_dir) -> Path:
+    """The toy corpus, whose documents the run names all, plus two longer
+    documents that no run names."""
+    path = pipeline_dir / "corpus_wider.jsonl"
+    extra = [{"id": "d7", "text": "h j0 u j1"}, {"id": "d8", "text": "g3 g1 h"}]
+    path.write_text((pipeline_dir / "corpus.jsonl").read_text()
+                    + "".join(json.dumps(d) + "\n" for d in extra))
+    return path
+
+
+class TestCandidateOnlyCorpus:
+    """``certify`` and ``attack`` hold only the documents the run names,
+    yet check every line of the corpus and fit BM25 to all of them."""
+
+    @pytest.mark.parametrize("line,error", [
+        ('{"id": "d9", "text": "h u', "malformed JSON"),
+        ('{"id": "d9", "text": ["h", "u"]}', "field 'text' must be a JSON string"),
+        ('{"id": ["d9"], "text": "h u"}', "field 'id' must be a JSON string or integer"),
+        ('{"id": "d7", "text": "u u"}', "duplicate document id 'd7'"),
+        ('{"id": "d9", "text": "--"}', "document 'd9' tokenizes to nothing"),
+    ], ids=["json", "text-type", "id-type", "duplicate", "no-tokens"])
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    def test_a_fault_on_a_line_the_run_does_not_name_fails_the_command(
+        self, pipeline_dir, built_lexicon, trained_model, wider_corpus, tmp_path, command, line,
+        error,
+    ):
+        corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+        corpus.write_text(wider_corpus.read_text() + line + "\n")
+        result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", corpus=corpus))
+        assert result.exit_code == 1
+        assert f"{corpus}:9: {error}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    def test_sidecar_counts_the_documents_read_and_held(
+        self, pipeline_dir, built_lexicon, trained_model, wider_corpus, tmp_path, command
+    ):
+        # The run names d1-d6 and dgone, which the corpus does not hold.
+        run = tmp_path / "run.txt"
+        run.write_text((pipeline_dir / "run.txt").read_text().replace("q1 Q0 d3 ", "q1 Q0 dgone "))
+        out = tmp_path / "out"
+        result = run_cli(*scoring_args(command, pipeline_dir, built_lexicon, trained_model, out,
+                                       "--k", "2", corpus=wider_corpus, run=run))
+        assert result.exit_code == 0, result.output
+        named = {d for ranked in load_run(run).values() for d in ranked.doc_ids}
+        meta = read_meta(out)
+        assert (meta["corpus_documents"], meta["corpus_kept"]) == (
+            8, len(named & set(load_corpus(wider_corpus))))
+        assert meta["corpus_kept"] == 6
+        for line in out.read_text().splitlines():
+            assert not {"corpus_documents", "corpus_kept"} & set(json.loads(line))
+
+    def test_bm25_counts_the_documents_it_does_not_hold(
+        self, pipeline_dir, built_lexicon, wider_corpus, tmp_path
+    ):
+        model = tmp_path / "bm25.json"
+        model.write_text(json.dumps({"type": "bm25"}))
+        reports = {}
+        for name, corpus in [("toy", pipeline_dir / "corpus.jsonl"), ("wider", wider_corpus)]:
+            out = tmp_path / f"reports_{name}.jsonl"
+            result = run_cli(*scoring_args("certify", pipeline_dir, built_lexicon, model, out,
+                                           "--k", "2", corpus=corpus))
+            assert result.exit_code == 0, result.output
+            reports[name] = out.read_text().splitlines()
+        corpus = load_corpus(wider_corpus)
+        queries = load_queries(pipeline_dir / "queries.tsv")
+        run = load_run(pipeline_dir / "run.txt")
+        lexicon = Lexicon.load(built_lexicon)
+        base = Bm25Model.from_corpus(dict(corpus)).calibrated(
+            (queries[qid], corpus[d]) for qid in ("q1", "q2") for d in run[qid].doc_ids)
+        expected = []
+        for qid in ("q1", "q2"):
+            smoothed = SmoothedModel(base, lexicon, n=100, alpha=0.05, root_seed=1)
+            ranked = smooth_rank(smoothed, queries[qid], [corpus[d] for d in run[qid].doc_ids])
+            report = certify_topk(smoothed, queries[qid], ranked, corpus, 2, 1.0)
+            expected.append(json.dumps(report.to_json_dict(), sort_keys=True))
+        assert reports["wider"] == expected
+        assert reports["wider"] != reports["toy"]
+
+
 class TestSidecar:
     @pytest.mark.parametrize("command", sorted(main.commands))
     def test_echoes_every_option_by_name(
@@ -928,6 +1011,30 @@ class TestMalformedFiles:
                          files["outcomes"], "--out", tmp_path / "summary.json")
         assert result.exit_code == 1
         assert f"{broken_path}:{len(lines)}: {message}" in result.output
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("kind,repeat,name", [
+        ("reports", 1, "query 'q2'"),
+        ("reports", 0, "query 'q1'"),
+        ("outcomes", 0, "query 'q1', document {doc}"),
+        ("outcomes", -1, "query 'q2', document {doc}"),
+    ], ids=["report-adjacent", "report-apart", "outcome-apart", "outcome-adjacent"])
+    def test_a_repeated_record_fails_naming_both_lines(self, tmp_path, certify_out, attack_out,
+                                                       kind, repeat, name):
+        # Counted twice, a repeated report moved CRQ and a concatenated
+        # outcomes file doubled the attacked documents.
+        source = certify_out if kind == "reports" else attack_out
+        lines = source.read_text().splitlines()
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("\n".join([*lines, lines[repeat]]) + "\n")
+        files = {"reports": certify_out, "outcomes": attack_out, kind: path}
+        result = run_cli("evaluate", "--reports", files["reports"], "--outcomes",
+                         files["outcomes"], "--out", tmp_path / "summary.json")
+        assert result.exit_code == 1
+        first = repeat % len(lines) + 1
+        doc = repr(json.loads(lines[repeat])["doc_id"]) if kind == "outcomes" else ""
+        assert (f"{path}:{len(lines) + 1}: duplicate record for {name.format(doc=doc)} "
+                f"(first on line {first})") in result.output
         assert not (tmp_path / "summary.json").exists()
 
     def test_outcome_line_that_is_not_utf8(self, tmp_path, certify_out, attack_out):

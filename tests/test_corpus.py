@@ -3,10 +3,13 @@
 import json
 import re
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rankcert import (
+    Bm25Model,
     Document,
     EmbeddingTable,
     RankedList,
@@ -20,6 +23,7 @@ from rankcert import (
     tokenize,
     write_run,
 )
+from rankcert.corpus import CorpusStats
 from rankcert.lexicon import LexiconError
 
 
@@ -96,6 +100,75 @@ class TestLoadCorpus:
         assert d0.tokens == ("cheap", "fares") and d1.tokens == ("cheap", "flights", "cheap")
         assert d1.tokens[0] is d0.tokens[0] and d1.tokens[2] is d0.tokens[0]
         assert d2.tokens[0] is d0.tokens[1]
+
+
+def write_corpus(path, n_docs: int, seed: int = 0) -> None:
+    """``n_docs`` documents of 100-200 words each, over 3,000 words."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(3000)]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n_docs):
+            words = rng.choice(vocab, size=int(rng.integers(100, 201)))
+            fh.write(json.dumps({"id": f"d{i}", "text": " ".join(words)}) + "\n")
+
+
+class TestKeep:
+    """``load_corpus(path, keep=ids)`` holds the documents named in ``ids``
+    and counts the statistics of all of them."""
+
+    def test_kept_documents_and_statistics_match_the_whole_load(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, 60)
+        whole = load_corpus(path)
+        ids = {"d3", "d17", "d59", "absent"}
+        kept = load_corpus(path, keep=ids)
+        assert kept == {i: whole[i] for i in ids if i in whole}
+        assert kept.stats == whole.stats == CorpusStats.count(d.tokens for d in whole.values())
+        assert kept.stats.n_docs == 60
+        assert kept.stats.total_len == sum(d.length for d in whole.values())
+        model, full = Bm25Model.from_corpus(kept), Bm25Model.from_corpus(dict(whole))
+        assert (model.n_docs, model.avg_len, model.doc_freq) == (
+            full.n_docs, full.avg_len, full.doc_freq)
+
+    def test_a_bare_load_keeps_every_document(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "text": "cheap fares"}\n{"id": 2, "text": "fares"}\n')
+        docs = load_corpus(path)
+        assert docs == {"d1": Document("d1", ("cheap", "fares")), "2": Document("2", ("fares",))}
+        assert docs.stats == CorpusStats(n_docs=2, total_len=3,
+                                         doc_freq={"cheap": 1, "fares": 2})
+        assert load_corpus(path, keep=set()) == {}
+
+    @pytest.mark.parametrize("line,error", [
+        ('{"id": "d9", "text": ', "malformed JSON"),
+        ('{"id": "d9", "text": 3}', "field 'text' must be a JSON string, got 3"),
+        ('{"id": "d0", "text": "again"}', "duplicate document id 'd0'"),
+        ('{"id": "d9", "text": "?!"}', "document 'd9' tokenizes to nothing"),
+    ], ids=["json", "text-type", "duplicate", "no-tokens"])
+    def test_a_document_not_kept_is_still_checked(self, tmp_path, line, error):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d0", "text": "one"}\n{"id": "d1", "text": "two"}\n'
+                        + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {error}")):
+            load_corpus(path, keep={"d1"})
+
+    def test_peak_memory_follows_the_kept_documents(self, tmp_path):
+        # Forty documents of 1,500 hold a small share of the tokens; the
+        # vocabulary and the counts are all a candidate-only load keeps of
+        # the rest.
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, 1500)
+        peaks = {}
+        for name, keep in [("whole", None), ("kept", {f"d{i}" for i in range(0, 1480, 37)})]:
+            tracemalloc.start()
+            try:
+                docs = load_corpus(path, keep=keep)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(docs) == (1500 if keep is None else 40)
+            del docs
+        assert peaks["kept"] < peaks["whole"] / 3, peaks
 
 
 class TestLoadRun:

@@ -541,6 +541,18 @@ class TestLexiconJson:
         assert loaded.overlaps == world.lexicon.overlaps
         assert set(json.loads(path.read_text())) == {"J", "synonyms", "perturb"}
 
+    def test_equal_words_share_one_object(self, tmp_path):
+        world = random_world(np.random.default_rng(11), regime="mixed")
+        path = tmp_path / "lexicon.json"
+        world.lexicon.save(path)
+        loaded = Lexicon.load(path)
+        key = {w: w for w in loaded.synonyms}
+        assert all(w is key[w] for w in loaded.perturb)
+        members = [m for w in key for m in (*loaded.synonyms[w], *loaded.perturb[w])]
+        assert all(m is key[m] for m in members)
+        # Most members sit in other words' sets, not only in their own.
+        assert len(members) > 3 * len(key)
+
     def test_size_mismatch_certifies_unsoundly(self):
         # Why load validates: with |T_a| = 2 but |T_b| = 3, o_a = 1/2 makes
         # the tail document (a,) look certifiably below the top one (u,) ...
