@@ -17,9 +17,20 @@ logger = logging.getLogger(__name__)
 
 _NON_WORD = re.compile(r"[^\w\s]+")
 
+# The rule of tokenize for one ASCII character: A-Z lowered, a character
+# that is neither a word character nor whitespace made a space. str.lower is
+# per-character on ASCII text only, so the table serves ASCII text alone.
+_ASCII_FOLD = {c: " " if _NON_WORD.match(chr(c)) else chr(c).lower() for c in range(128)}
+
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase, strip punctuation, split on whitespace."""
+    """The words of ``text``: ``text.lower()`` with every run of characters
+    that are neither word characters (``\\w``) nor whitespace replaced by a
+    space, split on whitespace, so ``"Don't"`` gives ``("don", "t")``. ASCII
+    text takes one ``str.translate`` by the same rule; any other text the
+    regular expression."""
+    if text.isascii():
+        return tuple(text.translate(_ASCII_FOLD).split())
     return tuple(_NON_WORD.sub(" ", text.lower()).split())
 
 
@@ -161,8 +172,9 @@ def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
     tokenizes to something and ``id`` a unique JSON string or integer (an
     integer id ``7`` is the doc id ``"7"``); anything else is an error
     naming the line and the field. Equal words share one string object
-    across the whole corpus, so memory holds one pointer per token plus
-    the vocabulary, not a string per occurrence."""
+    across the held documents, so memory holds one pointer per token plus
+    their vocabulary, not a string per occurrence; a document that is not
+    held is counted from its own tokens and dropped."""
     docs = Corpus()
     seen: set[str] = set()
     words: dict[str, str] = {}
@@ -191,8 +203,8 @@ def load_corpus(path: str | Path, keep: Container[str] | None = None) -> Corpus:
             tokens = tokenize(text)
             if not tokens:
                 raise ValueError(f"{path}:{lineno}: document {doc_id!r} tokenizes to nothing")
-            tokens = tuple(map(words.setdefault, tokens, tokens))
             if keep is None or doc_id in keep:
+                tokens = tuple(map(words.setdefault, tokens, tokens))
                 docs[doc_id] = Document(doc_id, tokens)
             yield tokens
 

@@ -303,7 +303,7 @@ def build_perturb_dict(
 @dataclass(frozen=True)
 class Lexicon:
     """Synonym sets ``S_w``, perturbation sets ``T_w`` built for size ``j``,
-    and the overlaps ``o_w``, computed from the two on first read.
+    and the overlaps ``o_w``, each computed from the two on its first read.
 
     A word is perturbable when ``|T_w| >= 2``. Words outside the vocabulary
     get ``S_w = {w}`` and ``T_w = (w,)``. The constructor does not check the
@@ -314,6 +314,9 @@ class Lexicon:
     synonyms: Mapping[str, frozenset[str]]
     perturb: Mapping[str, tuple[str, ...]]
     j: int
+    _overlaps: dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, emb: EmbeddingTable, tau: float = 0.8, j: int = 4) -> "Lexicon":
@@ -346,25 +349,26 @@ class Lexicon:
         return tuple(sorted(self.synonym_set(word)))
 
     def _overlap(self, word: str) -> float:
-        """``min over w' in S_w of |T_w intersect T_w'| / |T_w|``; 1.0 for
-        non-perturbable words (they contribute no slack)."""
+        """``min over w' in S_w of |T_w intersect T_w'| / |T_w|`` for a
+        perturbable ``word``."""
         t_w = self.perturb_set(word)
-        if len(t_w) < 2:
-            return 1.0
         t_set = set(t_w)
         ratios = (len(t_set.intersection(self.perturb_set(w2))) / len(t_w)
                   for w2 in self.synonym_set(word))
         return min(ratios, default=1.0)
 
-    @functools.cached_property
-    def overlaps(self) -> Mapping[str, float]:
-        """``o_w`` of every vocabulary word, computed on first read: only a
-        certificate reads them, so building or loading a lexicon does not."""
-        return {w: self._overlap(w) for w in self.perturb}
-
     def overlap_of(self, word: str) -> float:
-        """``o_w``; 1.0 for non-perturbable and out-of-vocabulary words."""
-        return self.overlaps.get(word, 1.0)
+        """``o_w``; 1.0 for non-perturbable and out-of-vocabulary words
+        (they contribute no slack). A perturbable word's overlap is computed
+        on its first read and kept: only a certificate reads overlaps, and
+        only its tail documents' words. Concurrent first reads of one word
+        may both compute it; they store equal values."""
+        if not self.is_perturbable(word):
+            return 1.0
+        overlap = self._overlaps.get(word)
+        if overlap is None:
+            overlap = self._overlaps[word] = self._overlap(word)
+        return overlap
 
     def space_size(self, tokens: Iterable[str]) -> int:
         """Number of joint perturbations of a token sequence."""

@@ -112,7 +112,8 @@ def train(
         doc = corpus[doc_id]
         if not cfg.noise_enabled:
             return doc
-        return sampler.sample(doc, sampler.picks(doc, rng, 1)[0])
+        members = sampler.table(doc.tokens)[0]
+        return sampler.sample(doc, members[sampler.picks(doc, rng, 1)[0]].tolist())
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):

@@ -17,6 +17,7 @@ from rankcert import (
     ScoreModel,
     tokenize,
 )
+from rankcert.smoothing import PerturbationSampler
 
 
 def make_doc(doc_id: str, text: str) -> Document:
@@ -58,6 +59,13 @@ def size_mismatch_lexicon() -> Lexicon:
          "u": ("u",)},
         j=2,
     )
+
+
+def draw(sampler: PerturbationSampler, doc: Document, row: np.ndarray) -> Document:
+    """The document that one row of ``sampler.picks`` for ``doc`` names,
+    its words gathered from the members as ``smoothed_score_mc`` gathers
+    them."""
+    return sampler.sample(doc, sampler.table(doc.tokens)[0][row].tolist())
 
 
 def singleton_lexicon(words: list[str]) -> Lexicon:

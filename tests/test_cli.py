@@ -1,7 +1,9 @@
 """End-to-end command-line pipeline tests."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rankcert
 from rankcert import (Bm25Model, EmbeddingTable, Lexicon, LinearEmbedScorer, SmoothedModel,
                       certify_topk, greedy_attack, hoeffding_radius, load_corpus, load_queries,
                       load_run, rank, smooth_rank, write_run)
@@ -654,6 +657,35 @@ class TestJobsByteIdentity:
         assert outs[0] == outs[1]
 
 
+class TestHashSeedIndependence:
+    def test_outputs_do_not_depend_on_the_hash_seed(
+        self, pipeline_dir, built_lexicon, trained_model, tmp_path
+    ):
+        # Shared word strings and the memo dicts iterate in hash order;
+        # reports, smoothed runs and outcomes must not.
+        bm25 = tmp_path / "bm25.json"
+        bm25.write_text(json.dumps({"type": "bm25"}))
+        src = str(Path(rankcert.__file__).parents[1])
+        written = {}
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"hash{hash_seed}"
+            out.mkdir()
+            for name, command, model in [("linear", "certify", trained_model),
+                                         ("bm25", "certify", bm25),
+                                         ("outcomes", "attack", trained_model)]:
+                args = scoring_args(command, pipeline_dir, built_lexicon, model,
+                                    out / f"{name}.out", "--k", "2")
+                subprocess.run([sys.executable, "-m", "rankcert.cli", *map(str, args)],
+                               env=env, check=True, capture_output=True, timeout=120)
+            written[hash_seed] = {p.name: p.read_bytes() for p in out.iterdir()
+                                  if not p.name.endswith(".meta.json")}
+        assert sorted(written["1"]) == ["bm25.out", "bm25.out.smoothed.run", "linear.out",
+                                        "linear.out.smoothed.run", "outcomes.out"]
+        assert all(written["1"].values()) and written["1"] == written["2"]
+
+
 class TestOptionRanges:
     @pytest.fixture
     def refuse_loading(self, monkeypatch):
@@ -869,8 +901,15 @@ class TestOverlapsOnFirstRead:
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == certify_out.read_bytes()
         (read,) = {id(lex): lex for lex, _ in calls}.values()
-        assert sorted(word for _, word in calls) == sorted(read.perturb)  # each word once
-        assert read.overlaps == {w: original(read, w) for w in read.perturb}
+        corpus = load_corpus(pipeline_dir / "corpus.jsonl")
+        tail = {e["doc_id"] for line in out.read_text().splitlines()
+                for e in json.loads(line)["per_doc_od"]}
+        tail_words = {w for d in tail for w in corpus[d].tokens if read.is_perturbable(w)}
+        assert tail_words == {"g0", "g1"}  # g2 and g3 are perturbable too, but in no tail
+        assert sorted(word for _, word in calls) == sorted(tail_words)  # each word once
+        assert {w: read.overlap_of(w) for w in tail_words} == {w: original(read, w)
+                                                               for w in tail_words}
+        assert len(calls) == len(tail_words)  # read again from the memo
 
 
 class TestInvalidLexicon:

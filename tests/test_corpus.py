@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcert import (
     Bm25Model,
@@ -23,8 +25,23 @@ from rankcert import (
     tokenize,
     write_run,
 )
-from rankcert.corpus import CorpusStats
+from rankcert.corpus import _NON_WORD, CorpusStats
 from rankcert.lexicon import LexiconError
+
+
+def _reference_tokens(text: str) -> tuple[str, ...]:
+    """The tokenizer's rule as one regular expression, for any text."""
+    return tuple(_NON_WORD.sub(" ", text.lower()).split())
+
+
+# Every ASCII character, and characters whose lowercase, word or whitespace
+# class differs between ASCII and Unicode rules: Latin-1 letters and signs,
+# dotted capital I (two characters when lowered), capital and final sigma
+# (lowered by context), combining marks, and the separators \x1c-\x1f.
+_TOKENIZER_ALPHABET = [chr(c) for c in range(128)] + list(
+    "\u00a0\u00aa\u00b5\u00b7\u00c0\u00c9\u00d7\u00df\u00e9\u00ff"
+    "\u0130\u03a3\u03c2\u03c3\u0301\u0308\u2019\u2028\u3000"
+)
 
 
 class TestTokenize:
@@ -37,6 +54,21 @@ class TestTokenize:
     def test_is_pure(self):
         text = "Cheap FLIGHTS to Paris?"
         assert tokenize(text) == tokenize(text) == ("cheap", "flights", "to", "paris")
+
+    def test_an_apostrophe_splits_a_word(self):
+        assert tokenize("Don't") == tokenize("don\u2019t") == ("don", "t")
+
+    @pytest.mark.parametrize("context", ["{}", "a{}b", "A{}Z", "{}{}9", " {} ", "_{}_",
+                                         "x{}\u00e9", "{}\u03a3"])
+    def test_every_ascii_character_follows_the_rule(self, context):
+        for code in range(128):
+            text = context.format(chr(code), chr(code))
+            assert tokenize(text) == _reference_tokens(text), (code, text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(_TOKENIZER_ALPHABET), max_size=30))
+    def test_equals_the_regular_expression(self, text):
+        assert tokenize(text) == _reference_tokens(text)
 
 
 class TestLoadCorpus:
@@ -102,14 +134,19 @@ class TestLoadCorpus:
         assert d2.tokens[0] is d0.tokens[1]
 
 
-def write_corpus(path, n_docs: int, seed: int = 0) -> None:
-    """``n_docs`` documents of 100-200 words each, over 3,000 words."""
+def write_corpus(path, n_docs: int, seed: int = 0, mixed: bool = False) -> None:
+    """``n_docs`` documents of 100-200 words each, over 3,000 words. With
+    ``mixed``, every odd-numbered document is written in capitals with
+    punctuation and ends in two non-ASCII words, so that the corpus mixes
+    ASCII and non-ASCII lines that share words."""
     rng = np.random.default_rng(seed)
     vocab = [f"w{i}" for i in range(3000)]
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(n_docs):
-            words = rng.choice(vocab, size=int(rng.integers(100, 201)))
-            fh.write(json.dumps({"id": f"d{i}", "text": " ".join(words)}) + "\n")
+            text = " ".join(rng.choice(vocab, size=int(rng.integers(100, 201))))
+            if mixed and i % 2:
+                text = text.upper().replace(" ", ", ") + " Stra\u00dfe \u039f\u0394\u039f\u03a3!"
+            fh.write(json.dumps({"id": f"d{i}", "text": text}, ensure_ascii=False) + "\n")
 
 
 class TestKeep:
@@ -118,9 +155,12 @@ class TestKeep:
 
     def test_kept_documents_and_statistics_match_the_whole_load(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        write_corpus(path, 60)
+        write_corpus(path, 60, mixed=True)
         whole = load_corpus(path)
-        ids = {"d3", "d17", "d59", "absent"}
+        texts = [json.loads(line)["text"] for line in path.read_text("utf-8").splitlines()]
+        assert [d.tokens for d in whole.values()] == list(map(_reference_tokens, texts))
+        assert whole["d3"].tokens[-2:] == ("straße", "οδος")
+        ids = {"d3", "d17", "d59", "d40", "absent"}
         kept = load_corpus(path, keep=ids)
         assert kept == {i: whole[i] for i in ids if i in whole}
         assert kept.stats == whole.stats == CorpusStats.count(d.tokens for d in whole.values())

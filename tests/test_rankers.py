@@ -19,7 +19,7 @@ from rankcert import (
 )
 from rankcert.rankers import sigmoid, sigmoid_array
 
-from conftest import make_doc, make_query, random_linear_model, random_world
+from conftest import draw, make_doc, make_query, random_linear_model, random_world
 
 
 @pytest.fixture
@@ -262,7 +262,7 @@ def _identity_cases(seed: int):
             tokens.insert(int(rng.integers(0, len(tokens))), "oov-d")
         doc = Document(f"d{i}", tuple(tokens))
         docs.append(doc)
-        docs.extend(sampler.sample(doc, row) for row in sampler.picks(doc, rng, 3))
+        docs.extend(draw(sampler, doc, row) for row in sampler.picks(doc, rng, 3))
     docs.append(Document("q1-verbatim", queries[0].tokens))
     return rng, world, queries, docs
 
@@ -403,7 +403,7 @@ def test_linear_score_batch_equals_per_row_score(seed):
     for doc, members, picks in batches:
         for query in queries:
             batch = model.score_batch(query, doc, members, picks)
-            expected = [model.score(query, sampler.sample(doc, row)) for row in picks]
+            expected = [model.score(query, draw(sampler, doc, row)) for row in picks]
             assert batch.tolist() == expected
 
 
@@ -414,7 +414,7 @@ def test_bm25_default_score_batch_equals_per_row_score(seed):
     for doc, members, picks in batches:
         for query in queries:
             batch = model.score_batch(query, doc, members, picks)
-            assert batch.tolist() == [model.score(query, sampler.sample(doc, row)) for row in picks]
+            assert batch.tolist() == [model.score(query, draw(sampler, doc, row)) for row in picks]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

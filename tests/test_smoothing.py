@@ -35,6 +35,7 @@ from rankcert.smoothing import (
 
 from conftest import (
     TokenTableModel,
+    draw,
     hand_lexicon,
     make_doc,
     make_query,
@@ -69,7 +70,7 @@ class TestSamplePerturbed:
         doc = make_doc("d", "only words")
         sampler = PerturbationSampler(lex)
         for row in sampler.picks(doc, np.random.default_rng(0), 10):
-            assert sampler.sample(doc, row).tokens == doc.tokens
+            assert draw(sampler, doc, row).tokens == doc.tokens
 
     def test_joint_outcomes_are_uniform(self, two_by_three_lexicon):
         # 2 x 3 = 6 outcomes; each should appear with frequency 1/6 within
@@ -78,7 +79,7 @@ class TestSamplePerturbed:
         rng = np.random.default_rng(20240817)
         n = 60000
         sampler = PerturbationSampler(two_by_three_lexicon)
-        counts = Counter(sampler.sample(doc, row).tokens for row in sampler.picks(doc, rng, n))
+        counts = Counter(draw(sampler, doc, row).tokens for row in sampler.picks(doc, rng, n))
         assert len(counts) == 6
         p = 1.0 / 6.0
         bound = 3.0 * math.sqrt(p * (1 - p) / n)
@@ -98,7 +99,7 @@ class TestSamplePerturbed:
         doc = Document("d", ("q", "p", "q"))
         sampler = PerturbationSampler(two_by_three_lexicon)
         for row in sampler.picks(doc, np.random.default_rng(3), 100):
-            out = sampler.sample(doc, row)
+            out = draw(sampler, doc, row)
             assert out.length == doc.length
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in two_by_three_lexicon.perturb_set(w)
@@ -152,7 +153,7 @@ class TestPickMatrix:
         picks = sampler.picks(doc, np.random.default_rng(4), 20)
         members = [w for t in doc.tokens for w in two_by_three_lexicon.perturb_set(t)]
         for row in picks:
-            assert sampler.sample(doc, row).tokens == tuple(members[i] for i in row)
+            assert draw(sampler, doc, row).tokens == tuple(members[i] for i in row)
 
 
 class TestSamplerTable:
@@ -480,7 +481,9 @@ class TestStreams:
     def test_each_input_changes_the_draws(self, changed):
         assert _draws(derive_streams(*changed)) != _draws(derive_streams(*self.BASE))
 
-    def test_mc_draws_its_samples_from_one_stream_in_order(self, two_by_three_lexicon):
+    # 129 draws fill two gather blocks of 64 and start a third.
+    @pytest.mark.parametrize("n", [50, 64, 129])
+    def test_mc_draws_its_samples_from_one_stream_in_order(self, two_by_three_lexicon, n):
         doc = Document("d1", ("p", "q"))
         outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
         model = TokenTableModel({t: i / 5 for i, t in enumerate(outcomes)})
@@ -488,9 +491,9 @@ class TestStreams:
         sampler = PerturbationSampler(two_by_three_lexicon)
         rng = derive_streams(3, "q1", "d1", doc.tokens)
         expected = np.mean(
-            [model.score(q, sampler.sample(doc, sampler.picks(doc, rng, 1)[0])) for _ in range(50)]
+            [model.score(q, draw(sampler, doc, sampler.picks(doc, rng, 1)[0])) for _ in range(n)]
         )
-        est = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=50, root_seed=3),
+        est = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=n, root_seed=3),
                                 q, doc)
         assert est.mean == expected
 
@@ -504,7 +507,7 @@ class TestStreams:
         seen = {first.id: set(), second.id: set()}
         for _ in range(200):
             for doc in (first, second):
-                out = sampler.sample(doc, sampler.picks(doc, rng, 1)[0])
+                out = draw(sampler, doc, sampler.picks(doc, rng, 1)[0])
                 assert out.id == doc.id and out.length == doc.length
                 for w, r in zip(doc.tokens, out.tokens):
                     assert r in two_by_three_lexicon.perturb_set(w)
@@ -873,7 +876,7 @@ class TestScoreMany:
         for doc in docs:
             members = [w for t in doc.tokens for w in world.lexicon.perturb_set(t)]
             for row in sampler.picks(doc, np.random.default_rng(seed), 20):
-                assert sampler.sample(doc, row).tokens == tuple(members[i] for i in row)
+                assert draw(sampler, doc, row).tokens == tuple(members[i] for i in row)
 
     def test_memory_stays_at_one_trial_for_large_n(self):
         # At n=1000 every block holds one trial, so the peak of a call over

@@ -19,7 +19,7 @@ from rankcert import (
 from rankcert.rankers import sigmoid
 from rankcert.training import hinge_loss
 
-from conftest import hand_lexicon, singleton_lexicon
+from conftest import draw, hand_lexicon, singleton_lexicon
 
 
 @pytest.fixture
@@ -174,7 +174,7 @@ class TestNoise:
         sampler = PerturbationSampler(noisy_lexicon)
         seen = set()
         for row in sampler.picks(doc, np.random.default_rng(0), 50):
-            out = sampler.sample(doc, row)
+            out = draw(sampler, doc, row)
             seen.add(out.tokens)
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in noisy_lexicon.perturb_set(w)
