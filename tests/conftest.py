@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +68,53 @@ def draw(sampler: PerturbationSampler, doc: Document, row: np.ndarray) -> Docume
     its words gathered from the members as ``smoothed_score_mc`` gathers
     them."""
     return sampler.sample(doc, sampler.table(doc.tokens)[0][row].tolist())
+
+
+def write_pipeline(root: Path) -> Path:
+    """Write a self-contained toy dataset into ``root``: one tight 4-word
+    cluster (so slack is zero at J=4) plus singleton words, three queries,
+    and a short list that certify must skip at K=2."""
+    rng = np.random.default_rng(5)
+
+    lines = []
+    base = np.array([1.0, 0.0, 0.0, 0.0])
+    for i in range(4):
+        vec = base + rng.normal(scale=0.002, size=4)
+        lines.append("g%d %s" % (i, " ".join(f"{v:.6f}" for v in vec)))
+    for name, vec in [
+        ("h", [0.0, 1.0, 0.0, 0.0]),
+        ("u", [0.0, 0.0, 1.0, 0.0]),
+        ("j0", [0.0, 0.0, 0.0, 1.0]),
+        ("j1", [0.0, 0.7071, 0.0, -0.7071]),
+    ]:
+        lines.append(f"{name} " + " ".join(f"{v:.6f}" for v in vec))
+    (root / "embeddings.txt").write_text("\n".join(lines) + "\n")
+
+    corpus = [
+        {"id": "d1", "text": "h h"},
+        {"id": "d2", "text": "g0 g1"},
+        {"id": "d3", "text": "u j0"},
+        {"id": "d4", "text": "j0 j1"},
+        {"id": "d5", "text": "g2 u"},
+        {"id": "d6", "text": "h u"},
+    ]
+    (root / "corpus.jsonl").write_text("\n".join(json.dumps(d) for d in corpus) + "\n")
+
+    (root / "queries.tsv").write_text("q1\th h\nq2\tg0 u\nqshort\th\n")
+
+    run_lines = []
+    for qid, docs in [
+        ("q1", ["d1", "d6", "d2", "d4", "d3"]),
+        ("q2", ["d5", "d2", "d3", "d4", "d1"]),
+        ("qshort", ["d1"]),
+    ]:
+        for i, doc in enumerate(docs):
+            run_lines.append(f"{qid} Q0 {doc} {i + 1} {1.0 - i / 10:.3f} init")
+    (root / "run.txt").write_text("\n".join(run_lines) + "\n")
+
+    (root / "qrels.txt").write_text("q1 0 d1 1\nq2 0 d5 1\nqshort 0 d1 1\n")
+    (root / "triples.tsv").write_text("q1\td1\td4\nq1\td6\td3\nq2\td5\td4\nq2\td2\td3\n")
+    return root
 
 
 def singleton_lexicon(words: list[str]) -> Lexicon:
