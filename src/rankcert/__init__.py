@@ -39,7 +39,6 @@ from .rankers import Bm25Model, LinearEmbedScorer, ScoreModel, rank
 from .smoothing import (
     PerturbationSampler,
     SmoothedModel,
-    SmoothedScore,
     hoeffding_radius,
     smooth_rank,
     smoothed_score_mc,
@@ -63,7 +62,6 @@ __all__ = [
     "RankedList",
     "ScoreModel",
     "SmoothedModel",
-    "SmoothedScore",
     "TrainConfig",
     "TrainResult",
     "TrainingTriple",

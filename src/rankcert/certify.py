@@ -29,7 +29,7 @@ from typing import Mapping
 
 from .corpus import Document, Query, RankedList, json_field
 from .lexicon import Lexicon
-from .smoothing import SmoothedModel, SmoothedScore, smoothed_score_mc
+from .smoothing import SmoothedModel, smoothed_score_mc
 
 
 def substitution_budget(delta: float, length: int) -> int:
@@ -141,12 +141,12 @@ def certify_topk(
 
     ``ranked`` must be the list ``smoothed`` ranked. The two boundary scores
     are estimated again by that ranker: exactly from its memo with
-    ``n=None`` (radius 0, reported as ``n: 0``), or by Monte Carlo with the
-    same derived streams. An estimate that differs from the list's score at
-    its rank raises a ``ValueError``, so the report always describes the
-    list's own ranker. The margin subtracts one confidence radius per
-    estimate, making the decision conservative at level ``alpha`` per
-    estimate.
+    ``n=None`` (reported as ``n: 0``), or by Monte Carlo with the same
+    derived streams. An estimate that differs from the list's score at its
+    rank raises a ``ValueError``, so the report always describes the list's
+    own ranker. ``n`` and the radius are the model's. The margin subtracts
+    one confidence radius per estimate, making the decision conservative at
+    level ``alpha`` per estimate.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
@@ -158,20 +158,20 @@ def certify_topk(
     if missing:
         raise KeyError(f"documents missing from corpus: {missing}")
 
-    def estimate(rank: int) -> SmoothedScore:
+    def estimate(rank: int) -> float:
         entry = ranked.entry_at(rank)
         doc = docs[entry.doc_id]
         if smoothed.n is None:
-            est = SmoothedScore.exact(smoothed.score(query, doc))
+            mean = smoothed.score(query, doc)
         else:
-            est = smoothed_score_mc(smoothed, query, doc)
-        if est.mean != entry.score:
+            mean = smoothed_score_mc(smoothed, query, doc)
+        if mean != entry.score:
             raise ValueError(
                 f"rank {rank} of the list for query {query.id!r} holds document {doc.id!r} "
-                f"with score {entry.score!r}, but the smoothed ranker scores it {est.mean!r}; "
+                f"with score {entry.score!r}, but the smoothed ranker scores it {mean!r}; "
                 "certify the list this SmoothedModel ranked"
             )
-        return est
+        return mean
 
     fbar_k = estimate(k)
     fbar_k1 = estimate(k + 1)
@@ -182,16 +182,16 @@ def certify_topk(
     )
     max_od = max(o for _, o in per_doc)
 
-    radius = fbar_k.radius
-    margin = certification_margin(fbar_k.mean, fbar_k1.mean, max_od, fbar_k.radius + fbar_k1.radius)
+    radius = smoothed.radius
+    margin = certification_margin(fbar_k, fbar_k1, max_od, radius + radius)
     return CertificateReport(
         query_id=query.id,
         k=k,
         delta=delta,
-        n=fbar_k.n,
+        n=smoothed.n or 0,
         alpha=smoothed.alpha,
-        fbar_k=fbar_k.mean,
-        fbar_k1=fbar_k1.mean,
+        fbar_k=fbar_k,
+        fbar_k1=fbar_k1,
         radius=radius,
         max_od=max_od,
         delta_lq=margin,

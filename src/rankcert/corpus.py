@@ -257,10 +257,7 @@ def load_run(path: str | Path) -> dict[str, RankedList]:
             raise ValueError(f"{path}:{lineno}: bad rank/score: {exc}") from exc
         if not math.isfinite(score):
             raise ValueError(f"{path}:{lineno}: score {score_s!r} is not finite")
-        first = first_line.setdefault((qid, doc_id), lineno)
-        if first != lineno:
-            raise ValueError(f"{path}:{lineno}: duplicate document {doc_id!r} for query "
-                             f"{qid!r} (first on line {first})")
+        _refuse_repeat(first_line, qid, doc_id, path, lineno)
         rows.setdefault(qid, []).append((doc_id, rank, score))
 
     run: dict[str, RankedList] = {}
@@ -282,9 +279,21 @@ def write_run(run: Mapping[str, RankedList], path: str | Path, tag: str = "rankc
                 fh.write(f"{qid} Q0 {e.doc_id} {rank} {e.score!r} {tag}\n")
 
 
+def _refuse_repeat(first_line: dict[tuple[str, str], int], qid: str, doc_id: str,
+                   path: str | Path, lineno: int) -> None:
+    """Record that line ``lineno`` of ``path`` names (``qid``, ``doc_id``);
+    a second line naming the pair raises a ``ValueError`` naming both."""
+    first = first_line.setdefault((qid, doc_id), lineno)
+    if first != lineno:
+        raise ValueError(f"{path}:{lineno}: duplicate document {doc_id!r} for query "
+                         f"{qid!r} (first on line {first})")
+
+
 def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:
-    """Load 4-column qrels ``qid 0 docid rel``; relevant means rel > 0."""
+    """Load 4-column qrels ``qid 0 docid rel``; relevant means rel > 0. A
+    document listed twice for one query is an error."""
     rel: dict[str, set[str]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in numbered_lines(path):
         if not line.strip():
             continue
@@ -296,6 +305,7 @@ def load_qrels(path: str | Path) -> dict[str, frozenset[str]]:
             grade = int(rel_s)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad relevance grade: {exc}") from exc
+        _refuse_repeat(first_line, qid, doc_id, path, lineno)
         if grade > 0:
             rel.setdefault(qid, set()).add(doc_id)
         else:

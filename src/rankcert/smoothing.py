@@ -18,10 +18,10 @@ Randomness is derived, never shared: a root seed plus hashes of the query
 id, document id, and token sequence seed one generator per estimate. The
 estimate draws its ``n`` samples from it with one ``integers`` call, as an
 ``(n, M)`` matrix of picks; that call gives the same values, and leaves the
-generator in the same state, as ``n`` one-row draws in order. One
-``SmoothedModel`` helper applies that rule for the per-draw and the batched
-estimates alike. An estimate runs on one thread, so estimates are
-reproducible and safe to compute concurrently across queries and documents.
+generator in the same state, as ``n`` one-row draws in order.
+``PerturbationSampler.draws`` alone turns pick rows into documents. An
+estimate runs on one thread, so estimates are reproducible and safe to
+compute concurrently across queries and documents.
 
 Base scores must lie in [0, 1], the range the Hoeffding radius assumes; exact
 and Monte Carlo smoothing both reject a score outside it, NaN included, with
@@ -52,7 +52,7 @@ _SEED_MASK = (1 << 64) - 1
 # the stacked draws of 256 // n estimates, or of one when n >= 256.
 _BLOCK_ROWS = 256
 
-# Draws whose words smoothed_score_mc gathers with one fancy index. A small
+# Draws whose words PerturbationSampler.draws gathers with one index. A small
 # block keeps the gathered word lists, one per token of each draw, to a few
 # thousand pointers; gathering all n draws at once raised the peak memory
 # of a 200-token, n=500 certify run by about 2 MB.
@@ -67,19 +67,6 @@ def hoeffding_radius(n: int, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-
-
-@dataclass(frozen=True)
-class SmoothedScore:
-    """A smoothed-score estimate with its confidence radius."""
-
-    mean: float
-    n: int
-    radius: float
-
-    @classmethod
-    def exact(cls, mean: float) -> "SmoothedScore":
-        return cls(mean=mean, n=0, radius=0.0)
 
 
 def _entropy(text: str) -> int:
@@ -110,9 +97,9 @@ class PerturbationSampler:
     :meth:`table` flattens the perturbation sets of a token sequence, once
     per sequence, into an object array of their member words with the int32
     set sizes and offsets. :meth:`picks` draws many samples as rows of
-    indices into those members with one ``integers`` call; indexing the
-    members with a row gathers the draw's words, and :meth:`sample` makes
-    them its document.
+    indices into those members with one ``integers`` call. :meth:`draws`
+    gathers each row's words from the members and :meth:`sample` makes them
+    the draw's document.
     """
 
     lexicon: Lexicon
@@ -144,6 +131,18 @@ class PerturbationSampler:
         picks += offsets
         return picks
 
+    def draws(self, doc: Document, rng: np.random.Generator, n: int) -> Iterator[Document]:
+        """The ``n`` draws of ``doc`` from ``rng``, in order: the rows of one
+        :meth:`picks` matrix, whose words are gathered from the members of
+        ``table(doc.tokens)`` ``_GATHER_ROWS`` rows at a time with one index,
+        each made its document by :meth:`sample`. The matrix is drawn on the
+        first ``next``."""
+        members = self.table(doc.tokens)[0]
+        picks = self.picks(doc, rng, n)
+        for start in range(0, n, _GATHER_ROWS):
+            for words in members[picks[start:start + _GATHER_ROWS]].tolist():
+                yield self.sample(doc, words)
+
     def sample(self, doc: Document, words: Iterable[str]) -> Document:
         """The draw of ``doc`` whose words ``words`` are, in order: one row of
         :meth:`picks` for ``doc`` gathered from ``table(doc.tokens)``'s
@@ -162,30 +161,24 @@ def enumerate_perturbations(doc: Document, lexicon: Lexicon) -> Iterator[tuple[s
     return itertools.product(*(lexicon.perturb_set(w) for w in doc.tokens))
 
 
-def smoothed_score_mc(smoothed: SmoothedModel, query: Query, doc: Document) -> SmoothedScore:
+def smoothed_score_mc(smoothed: SmoothedModel, query: Query, doc: Document) -> float:
     """Monte Carlo estimate of the smoothed score of ``smoothed``, a model
-    with ``n`` set, from its ``n`` i.i.d. draws: one pick matrix from the
-    estimate's one derived stream, and per draw, in order, one ``sample``
-    and one base ``score`` call. The words of ``_GATHER_ROWS`` draws at a
-    time are gathered from the document's members with one index.
+    with ``n`` set: the mean base score of the ``n`` draws that
+    ``PerturbationSampler.draws`` makes of ``doc`` from the estimate's one
+    derived stream, one base ``score`` call per draw, in order. Its
+    confidence radius is ``smoothed.radius``.
 
     The sample scores are reduced in a fixed order, so the result is
     bit-stable regardless of how callers parallelize across documents.
     """
     if smoothed.n is None:
         raise ValueError("smoothed_score_mc needs a Monte Carlo SmoothedModel, got n=None")
-    sampler = PerturbationSampler(smoothed.lexicon)
-    members = sampler.table(doc.tokens)[0]
-    picks = smoothed._picks(sampler, query, doc)
-
-    def draws() -> Iterator[float]:
-        for start in range(0, len(picks), _GATHER_ROWS):
-            for words in members[picks[start:start + _GATHER_ROWS]].tolist():
-                yield smoothed.base.score(query, sampler.sample(doc, words))
-
-    scores = np.fromiter(draws(), dtype=float, count=smoothed.n)
+    rng = derive_streams(smoothed.root_seed, query.id, doc.id, doc.tokens)
+    draws = PerturbationSampler(smoothed.lexicon).draws(doc, rng, smoothed.n)
+    scores = np.fromiter(map(smoothed.base.score, itertools.repeat(query), draws),
+                         dtype=float, count=smoothed.n)
     (mean,) = _run_means(scores, query, [doc])
-    return SmoothedScore(mean=mean, n=smoothed.n, radius=smoothed.radius)
+    return mean
 
 
 def _run_means(scores: np.ndarray, query: Query, docs: Sequence[Document]) -> list[float]:
@@ -216,8 +209,8 @@ class SmoothedModel(ScoreModel):
     score memoized per query by its token tuple. Otherwise it is estimated
     by Monte Carlo from ``n`` draws of per-document derived streams seeded
     by ``root_seed``, each with the Hoeffding radius ``radius`` at level
-    ``alpha`` (``n`` and ``alpha`` are checked here; ``radius`` is 0.0 when
-    exact). Results are memoized by (query id, doc id, token tuple),
+    ``alpha`` (both checked here, ``alpha`` also when exact; ``radius`` is
+    0.0 when exact). Results are memoized by (query id, doc id, token tuple),
     the same inputs the Monte Carlo streams derive from; concurrent readers
     may race on the memos but always write identical values.
     """
@@ -230,6 +223,8 @@ class SmoothedModel(ScoreModel):
         alpha: float = 0.05,
         root_seed: int = 0,
     ) -> None:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         self.radius = 0.0 if n is None else hoeffding_radius(n, alpha)
         self.base = base
         self.lexicon = lexicon
@@ -238,12 +233,6 @@ class SmoothedModel(ScoreModel):
         self.root_seed = root_seed
         self._memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
         self._base_scores: dict[str, dict[tuple[str, ...], float]] = {}
-
-    def _picks(self, sampler: PerturbationSampler, query: Query, doc: Document) -> np.ndarray:
-        """The ``(n, M)`` pick matrix of the estimate of ``doc`` for
-        ``query``, drawn from that estimate's one derived stream."""
-        rng = derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
-        return sampler.picks(doc, rng, self.n)
 
     def substitution_key(self, word: str) -> tuple[str, ...]:
         """``T_w`` as a sorted tuple, the multiset of draws at the word's
@@ -271,7 +260,7 @@ class SmoothedModel(ScoreModel):
                 total += s
             value = total / self.lexicon.space_size(doc.tokens)
         else:
-            value = smoothed_score_mc(self, query, doc).mean
+            value = smoothed_score_mc(self, query, doc)
         self._memo[key] = value
         return value
 
@@ -302,8 +291,10 @@ class SmoothedModel(ScoreModel):
                 block = run[start:start + per_block]
                 members = [sampler.table(doc.tokens)[0] for doc in block]
                 offsets = itertools.accumulate(map(len, members), initial=0)
-                rows = [self._picks(sampler, query, doc) + offset
-                        for doc, offset in zip(block, offsets)]
+                streams = (derive_streams(self.root_seed, query.id, doc.id, doc.tokens)
+                           for doc in block)
+                rows = [sampler.picks(doc, rng, self.n) + offset
+                        for doc, rng, offset in zip(block, streams, offsets)]
                 scores = self.base.score_batch(query, block[0], np.concatenate(members),
                                                np.concatenate(rows))
                 for doc, mean in zip(block, _run_means(scores, query, block)):

@@ -110,10 +110,7 @@ def train(
 
     def resolve(doc_id: str) -> Document:
         doc = corpus[doc_id]
-        if not cfg.noise_enabled:
-            return doc
-        members = sampler.table(doc.tokens)[0]
-        return sampler.sample(doc, members[sampler.picks(doc, rng, 1)[0]].tolist())
+        return next(sampler.draws(doc, rng, 1)) if cfg.noise_enabled else doc
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):

@@ -19,7 +19,6 @@ from rankcert import (
     ScoreModel,
     tokenize,
 )
-from rankcert.smoothing import PerturbationSampler
 
 
 def make_doc(doc_id: str, text: str) -> Document:
@@ -63,11 +62,12 @@ def size_mismatch_lexicon() -> Lexicon:
     )
 
 
-def draw(sampler: PerturbationSampler, doc: Document, row: np.ndarray) -> Document:
-    """The document that one row of ``sampler.picks`` for ``doc`` names,
-    its words gathered from the members as ``smoothed_score_mc`` gathers
-    them."""
-    return sampler.sample(doc, sampler.table(doc.tokens)[0][row].tolist())
+def row_document(lexicon: Lexicon, doc: Document, row: np.ndarray) -> Document:
+    """The document that one row of ``PerturbationSampler.picks`` for
+    ``doc`` names, its words read one by one from the perturbation sets of
+    ``doc``'s tokens laid end to end: the reference for ``draws``."""
+    members = [w for t in doc.tokens for w in lexicon.perturb_set(t)]
+    return doc.with_tokens(members[i] for i in row)
 
 
 def write_pipeline(root: Path) -> Path:

@@ -242,7 +242,7 @@ def test_estimation_error_and_coverage():
     for seed in range(trials):
         est = smoothed_score_mc(SmoothedModel(model, lex, n=1000, alpha=0.05, root_seed=seed),
                                 query, doc)
-        if abs(est.mean - exact) <= radius:
+        if abs(est - exact) <= radius:
             hits += 1
     assert hits / trials >= 0.95
     return f"2r = {2 * radius:.6f} vs 0.086; coverage {hits}/{trials}"

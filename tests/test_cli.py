@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -1111,6 +1110,8 @@ class TestMalformedFiles:
         ("run", "q1 Q0 d1 1 0.9 x\nq1 Q0 d2 2 high x\n", "{path}:2: bad rank/score"),
         ("qrels", "q1 0 d1 1\nq2 0 d5\n", "{path}:2: expected 4 columns, got 3"),
         ("qrels", "q1 0 d1 1\nq2 0 d5 yes\n", "{path}:2: bad relevance grade"),
+        ("qrels", "q1 0 d1 1\nq1 0 d1 0\n",
+         "{path}:2: duplicate document 'd1' for query 'q1' (first on line 1)"),
         ("model", '{"type": "neural"}', "unknown model type 'neural' in {path}"),
         ("model-without-embeddings", '{"type": "linear", "weights": [0, 0, 0], "bias": 0}',
          "--embeddings is required for the linear scorer model in {path}"),
@@ -1120,8 +1121,8 @@ class TestMalformedFiles:
          "{path}: field 'b' must be a JSON number, got '0.4'"),
     ], ids=["corpus-columns", "corpus-duplicate", "corpus-empty-text", "queries-columns",
             "queries-duplicate", "queries-empty-text", "run-columns", "run-rank", "run-score",
-            "qrels-columns", "qrels-grade", "model-type", "model-without-embeddings",
-            "model-bm25-bool-k1", "model-bm25-string-b"])
+            "qrels-columns", "qrels-grade", "qrels-duplicate", "model-type",
+            "model-without-embeddings", "model-bm25-bool-k1", "model-bm25-string-b"])
     def test_input_errors_name_the_file_and_line(
         self, pipeline_dir, built_lexicon, trained_model, certify_out, attack_out, tmp_path,
         kind, content, message,

@@ -312,6 +312,15 @@ class TestQueriesAndQrels:
         assert qrels["q1"] == frozenset({"dA"})
         assert qrels["q2"] == frozenset({"dC"})
 
+    @pytest.mark.parametrize("grades", [(1, 0), (0, 1), (1, 1)])
+    def test_repeated_qrels_pair_names_both_lines(self, tmp_path, grades):
+        # A repeated pair was merged: "relevant" won whichever line came first.
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d1 {grades[0]}\nq2 0 d1 1\nq1 0 d1 {grades[1]}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: duplicate document 'd1' for query 'q1' (first on line 1)")):
+            load_qrels(path)
+
 
 def test_document_requires_tokens():
     with pytest.raises(ValueError):

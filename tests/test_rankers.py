@@ -19,7 +19,7 @@ from rankcert import (
 )
 from rankcert.rankers import sigmoid, sigmoid_array
 
-from conftest import draw, make_doc, make_query, random_linear_model, random_world
+from conftest import make_doc, make_query, random_linear_model, random_world
 
 
 @pytest.fixture
@@ -262,7 +262,7 @@ def _identity_cases(seed: int):
             tokens.insert(int(rng.integers(0, len(tokens))), "oov-d")
         doc = Document(f"d{i}", tuple(tokens))
         docs.append(doc)
-        docs.extend(draw(sampler, doc, row) for row in sampler.picks(doc, rng, 3))
+        docs.extend(sampler.draws(doc, rng, 3))
     docs.append(Document("q1-verbatim", queries[0].tokens))
     return rng, world, queries, docs
 
@@ -383,7 +383,7 @@ def _batches(seed: int, n: int = 16):
     rng, world, queries, docs = _identity_cases(seed)
     sampler = PerturbationSampler(world.lexicon)
     batches = [(doc, sampler.table(doc.tokens)[0], sampler.picks(doc, rng, n)) for doc in docs]
-    return rng, world, queries, sampler, batches
+    return rng, world, queries, batches
 
 
 def _bm25_of(queries, batches):
@@ -394,7 +394,7 @@ def _bm25_of(queries, batches):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_linear_score_batch_equals_per_row_score(seed):
-    rng, world, queries, sampler, batches = _batches(seed)
+    rng, world, queries, batches = _batches(seed)
     model = random_linear_model(rng, world.emb)
     # q1 repeats a term and holds an unknown one; q3 has no known term, so
     # its pooled vector is zero (qn = 0).
@@ -403,18 +403,20 @@ def test_linear_score_batch_equals_per_row_score(seed):
     for doc, members, picks in batches:
         for query in queries:
             batch = model.score_batch(query, doc, members, picks)
-            expected = [model.score(query, draw(sampler, doc, row)) for row in picks]
+            expected = [model.score(query, doc.with_tokens(members[row].tolist()))
+                        for row in picks]
             assert batch.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bm25_default_score_batch_equals_per_row_score(seed):
-    _, _, queries, sampler, batches = _batches(seed)
+    _, _, queries, batches = _batches(seed)
     model = _bm25_of(queries, batches)
     for doc, members, picks in batches:
         for query in queries:
             batch = model.score_batch(query, doc, members, picks)
-            assert batch.tolist() == [model.score(query, draw(sampler, doc, row)) for row in picks]
+            assert batch.tolist() == [model.score(query, doc.with_tokens(members[row].tolist()))
+                                      for row in picks]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -423,7 +425,7 @@ def test_score_batch_reads_rows_from_their_members_alone(seed):
     # embedded word among them) and shuffled, with the picks remapped to
     # match, name the same documents: a row's score may depend on nothing
     # but the words it indexes, not on where they sit in the array.
-    rng, world, queries, _, batches = _batches(seed)
+    rng, world, queries, batches = _batches(seed)
     models = [random_linear_model(rng, world.emb), _bm25_of(queries, batches)]
     padding = [*queries[0].tokens, world.vocab[-1], "oov-pad"]
     for doc, members, picks in batches:

@@ -27,7 +27,6 @@ from rankcert import (
 from rankcert.smoothing import (
     _BLOCK_ROWS,
     ENUMERATION_CAP,
-    SmoothedScore,
     derive_streams,
     enumerate_perturbations,
     token_fingerprint,
@@ -35,7 +34,6 @@ from rankcert.smoothing import (
 
 from conftest import (
     TokenTableModel,
-    draw,
     hand_lexicon,
     make_doc,
     make_query,
@@ -43,6 +41,7 @@ from conftest import (
     random_linear_model,
     random_token_model,
     random_world,
+    row_document,
     singleton_lexicon,
 )
 from oracles import exact_smoothed_score, perturbation_prob
@@ -69,8 +68,8 @@ class TestSamplePerturbed:
         lex = singleton_lexicon(["only", "words"])
         doc = make_doc("d", "only words")
         sampler = PerturbationSampler(lex)
-        for row in sampler.picks(doc, np.random.default_rng(0), 10):
-            assert draw(sampler, doc, row).tokens == doc.tokens
+        for out in sampler.draws(doc, np.random.default_rng(0), 10):
+            assert out.tokens == doc.tokens
 
     def test_joint_outcomes_are_uniform(self, two_by_three_lexicon):
         # 2 x 3 = 6 outcomes; each should appear with frequency 1/6 within
@@ -79,7 +78,7 @@ class TestSamplePerturbed:
         rng = np.random.default_rng(20240817)
         n = 60000
         sampler = PerturbationSampler(two_by_three_lexicon)
-        counts = Counter(draw(sampler, doc, row).tokens for row in sampler.picks(doc, rng, n))
+        counts = Counter(out.tokens for out in sampler.draws(doc, rng, n))
         assert len(counts) == 6
         p = 1.0 / 6.0
         bound = 3.0 * math.sqrt(p * (1 - p) / n)
@@ -98,8 +97,7 @@ class TestSamplePerturbed:
     def test_samples_stay_in_perturbation_sets(self, two_by_three_lexicon):
         doc = Document("d", ("q", "p", "q"))
         sampler = PerturbationSampler(two_by_three_lexicon)
-        for row in sampler.picks(doc, np.random.default_rng(3), 100):
-            out = draw(sampler, doc, row)
+        for out in sampler.draws(doc, np.random.default_rng(3), 100):
             assert out.length == doc.length
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in two_by_three_lexicon.perturb_set(w)
@@ -123,6 +121,25 @@ def _one_row_draws(doc, lexicon, rng, n):
     sizes = np.array([len(lexicon.perturb_set(w)) for w in doc.tokens])
     offsets = np.cumsum(sizes) - sizes
     return np.stack([offsets + rng.integers(0, sizes) for _ in range(n)])
+
+
+def _assert_draws_name_their_rows(sampler, doc, seed, n):
+    """``draws`` of ``doc`` from a generator seeded ``seed`` are, in order,
+    the documents that the rows of ``picks`` name on a generator with the
+    same seed, and leave it in the same state."""
+    ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [row_document(sampler.lexicon, doc, row) for row in sampler.picks(doc, oracle, n)]
+    assert list(sampler.draws(doc, ours, n)) == expected
+    assert _draws(ours) == _draws(oracle)
+
+
+def _one_row_mean(model, lexicon, q, doc, root_seed, n):
+    """The Monte Carlo estimate made one pick row at a time from the
+    estimate's stream: the reference ``smoothed_score_mc`` must equal."""
+    sampler = PerturbationSampler(lexicon)
+    rng = derive_streams(root_seed, q.id, doc.id, doc.tokens)
+    return np.mean([model.score(q, row_document(lexicon, doc, sampler.picks(doc, rng, 1)[0]))
+                    for _ in range(n)])
 
 
 class TestPickMatrix:
@@ -149,11 +166,28 @@ class TestPickMatrix:
 
     def test_rows_name_the_sampled_documents(self, two_by_three_lexicon):
         doc = Document("d", ("q", "p", "q"))
-        sampler = PerturbationSampler(two_by_three_lexicon)
-        picks = sampler.picks(doc, np.random.default_rng(4), 20)
-        members = [w for t in doc.tokens for w in two_by_three_lexicon.perturb_set(t)]
-        for row in picks:
-            assert draw(sampler, doc, row).tokens == tuple(members[i] for i in row)
+        _assert_draws_name_their_rows(PerturbationSampler(two_by_three_lexicon), doc, 4, 20)
+
+
+class TestDraws:
+    # Blocks of 3 rows: n = 3 fills one block, 4 and 7 end in a part block.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_gather_blocks_keep_every_row_in_order(self, two_by_three_lexicon, n, monkeypatch):
+        monkeypatch.setattr("rankcert.smoothing._GATHER_ROWS", 3)
+        doc = Document("d", ("q", "p", "q", "p"))
+        _assert_draws_name_their_rows(PerturbationSampler(two_by_three_lexicon), doc, n, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_mc_across_gather_blocks_equals_one_row_draws(self, two_by_three_lexicon, n,
+                                                          monkeypatch):
+        monkeypatch.setattr("rankcert.smoothing._GATHER_ROWS", 3)
+        doc = Document("d1", ("p", "q", "p2"))
+        outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
+        model = TokenTableModel({t: i / (len(outcomes) - 1) for i, t in enumerate(outcomes)})
+        q = make_query("q1", "x")
+        est = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=n, root_seed=9),
+                                q, doc)
+        assert est == _one_row_mean(model, two_by_three_lexicon, q, doc, 9, n)
 
 
 class TestSamplerTable:
@@ -359,8 +393,7 @@ class TestSmoothedMc:
         for n in (1, 7, 100):
             smoothed = SmoothedModel(model, lex, n=n, alpha=0.05)
             est = smoothed_score_mc(smoothed, make_query("q", "x"), doc)
-            assert est.mean == pytest.approx(0.31, abs=1e-15)
-            assert est.n == n
+            assert est == pytest.approx(0.31, abs=1e-15)
 
     def test_reproducible_given_seed(self, two_by_three_lexicon):
         doc = Document("d", ("p", "q"))
@@ -371,8 +404,8 @@ class TestSmoothedMc:
         a = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200, root_seed=5), q, doc)
         b = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200, root_seed=5), q, doc)
         c = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=200, root_seed=6), q, doc)
-        assert a.mean == b.mean
-        assert a.mean != c.mean
+        assert a == b
+        assert a != c
 
     def test_coverage_against_exact_oracle(self, two_by_three_lexicon):
         # |MC - exact| <= radius must hold in >= 95% of seeded trials
@@ -393,7 +426,7 @@ class TestSmoothedMc:
         for seed in range(trials):
             smoothed = SmoothedModel(model, two_by_three_lexicon, n=n, alpha=alpha, root_seed=seed)
             est = smoothed_score_mc(smoothed, q, doc)
-            if abs(est.mean - exact) <= radius:
+            if abs(est - exact) <= radius:
                 hits += 1
         assert hits / trials >= 0.95
 
@@ -405,9 +438,10 @@ class TestSmoothedMc:
         model = TokenTableModel({t: i / (len(outcomes) - 1) for i, t in enumerate(outcomes)})
         smoothed = SmoothedModel(model, two_by_three_lexicon, n=257, root_seed=2024)
         est = smoothed_score_mc(smoothed, make_query("q1", "x"), doc)
-        assert est.mean == float.fromhex("0x1.e92cc49a7b75fp-2")
+        assert est == float.fromhex("0x1.e92cc49a7b75fp-2")
 
-    @pytest.mark.parametrize("n,alpha", [(0, 0.05), (-3, 0.05), (5, 0.0), (5, 1.0)])
+    @pytest.mark.parametrize("n,alpha", [(0, 0.05), (-3, 0.05), (5, 0.0), (5, 1.0),
+                                         (None, 0.0), (None, 7.0)])
     def test_bad_n_or_alpha_fails_before_any_draw(self, two_by_three_lexicon, n, alpha):
         # The SmoothedModel checks its settings on construction, before any
         # base score, so no estimate can run with them.
@@ -429,8 +463,6 @@ class TestSmoothedMc:
         smoothed = SmoothedModel(TokenTableModel({}, default=0.5), two_by_three_lexicon,
                                  n=n, alpha=alpha)
         assert smoothed.radius == hoeffding_radius(n, alpha)
-        est = smoothed_score_mc(smoothed, make_query("q1", "x"), Document("d", ("p", "q")))
-        assert (est.n, est.radius) == (n, smoothed.radius)
         exact = SmoothedModel(TokenTableModel({}, default=0.5), two_by_three_lexicon, n=None)
         assert exact.radius == 0.0
 
@@ -447,7 +479,7 @@ class TestSmoothedMc:
         for n in (100, 1000, 10000):
             errs = [
                 abs(smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=n,
-                                                    root_seed=seed), q, doc).mean - exact)
+                                                    root_seed=seed), q, doc) - exact)
                 for seed in range(50)
             ]
             medians.append(float(np.median(errs)))
@@ -488,14 +520,9 @@ class TestStreams:
         outcomes = list(enumerate_perturbations(doc, two_by_three_lexicon))
         model = TokenTableModel({t: i / 5 for i, t in enumerate(outcomes)})
         q = make_query("q1", "x")
-        sampler = PerturbationSampler(two_by_three_lexicon)
-        rng = derive_streams(3, "q1", "d1", doc.tokens)
-        expected = np.mean(
-            [model.score(q, draw(sampler, doc, sampler.picks(doc, rng, 1)[0])) for _ in range(n)]
-        )
         est = smoothed_score_mc(SmoothedModel(model, two_by_three_lexicon, n=n, root_seed=3),
                                 q, doc)
-        assert est.mean == expected
+        assert est == _one_row_mean(model, two_by_three_lexicon, q, doc, 3, n)
 
     def test_sampler_memo_keeps_documents_apart(self, two_by_three_lexicon):
         # One sampler alternating between documents, as noise training uses
@@ -507,7 +534,7 @@ class TestStreams:
         seen = {first.id: set(), second.id: set()}
         for _ in range(200):
             for doc in (first, second):
-                out = draw(sampler, doc, sampler.picks(doc, rng, 1)[0])
+                out = next(sampler.draws(doc, rng, 1))
                 assert out.id == doc.id and out.length == doc.length
                 for w, r in zip(doc.tokens, out.tokens):
                     assert r in two_by_three_lexicon.perturb_set(w)
@@ -545,7 +572,7 @@ class TestBaseScoreRange:
         q = make_query("q9", "x")
         assert SmoothedModel(model, two_by_three_lexicon, n=None).score(q, doc) == 1 / 6
         mc = SmoothedModel(model, two_by_three_lexicon, n=100)
-        assert 0.0 <= smoothed_score_mc(mc, q, doc).mean <= 1.0
+        assert 0.0 <= smoothed_score_mc(mc, q, doc) <= 1.0
 
 
 class TestSmoothRankAndModel:
@@ -570,7 +597,6 @@ class TestSmoothRankAndModel:
         first = smoothed.score(q, doc)
         assert first == smoothed.score(q, doc)
         assert first == exact_smoothed_score(model, q, doc, world.lexicon)
-        assert SmoothedScore.exact(first) == SmoothedScore(first, n=0, radius=0.0)
 
     def test_smoothed_model_mc_matches_function(self):
         rng = np.random.default_rng(33)
@@ -579,8 +605,7 @@ class TestSmoothRankAndModel:
         model = random_token_model(rng, world, [doc])
         q = make_query("q1", "whatever")
         smoothed = SmoothedModel(model, world.lexicon, n=64, alpha=0.05, root_seed=17)
-        expected = smoothed_score_mc(smoothed, q, doc)
-        assert smoothed.score(q, doc) == expected.mean
+        assert smoothed.score(q, doc) == smoothed_score_mc(smoothed, q, doc)
 
     def test_smoothed_model_mc_memo_keeps_doc_ids_apart(self):
         # Same tokens under two ids draw from different streams, so they get
@@ -592,7 +617,7 @@ class TestSmoothRankAndModel:
         model = random_token_model(rng, world, [doc])
         q = make_query("q1", "whatever")
         smoothed = SmoothedModel(model, world.lexicon, n=64, alpha=0.05, root_seed=17)
-        expected = [smoothed_score_mc(smoothed, q, d).mean for d in (doc, twin)]
+        expected = [smoothed_score_mc(smoothed, q, d) for d in (doc, twin)]
         assert expected[0] != expected[1]
         assert [smoothed.score(q, d) for d in (doc, twin)] == expected
 
@@ -674,7 +699,7 @@ class TestScoreMany:
         world, docs, model = self._world(seed)
         q = make_query("q1", "whatever")
         smoothed = SmoothedModel(model, world.lexicon, n=48, alpha=0.1, root_seed=5)
-        expected = [smoothed_score_mc(smoothed, q, d).mean for d in docs]
+        expected = [smoothed_score_mc(smoothed, q, d) for d in docs]
         assert smoothed.score(q, docs[2]) == expected[2]
         assert smoothed.score_many(q, docs) == expected
 
@@ -713,7 +738,7 @@ class TestScoreMany:
         return {"linear": random_linear_model(rng, world.emb), "fingerprint": FingerprintScores()}
 
     def _expected(self, base, world, q, docs, n):
-        return [smoothed_score_mc(self._smoothed(base, world, n), q, d).mean for d in docs]
+        return [smoothed_score_mc(self._smoothed(base, world, n), q, d) for d in docs]
 
     def _smoothed(self, base, world, n):
         return SmoothedModel(base, world.lexicon, n=n, alpha=self.ALPHA, root_seed=self.SEED)
@@ -874,9 +899,7 @@ class TestScoreMany:
         assert not any(t in world.lexicon.perturb for t in ("emb-only", "nowhere"))
         sampler = PerturbationSampler(world.lexicon)
         for doc in docs:
-            members = [w for t in doc.tokens for w in world.lexicon.perturb_set(t)]
-            for row in sampler.picks(doc, np.random.default_rng(seed), 20):
-                assert draw(sampler, doc, row).tokens == tuple(members[i] for i in row)
+            _assert_draws_name_their_rows(sampler, doc, seed, 20)
 
     def test_memory_stays_at_one_trial_for_large_n(self):
         # At n=1000 every block holds one trial, so the peak of a call over

@@ -19,7 +19,7 @@ from rankcert import (
 from rankcert.rankers import sigmoid
 from rankcert.training import hinge_loss
 
-from conftest import draw, hand_lexicon, singleton_lexicon
+from conftest import hand_lexicon, singleton_lexicon
 
 
 @pytest.fixture
@@ -173,8 +173,7 @@ class TestNoise:
         doc = Document("d", ("a", "n0", "b"))
         sampler = PerturbationSampler(noisy_lexicon)
         seen = set()
-        for row in sampler.picks(doc, np.random.default_rng(0), 50):
-            out = draw(sampler, doc, row)
+        for out in sampler.draws(doc, np.random.default_rng(0), 50):
             seen.add(out.tokens)
             for w, r in zip(doc.tokens, out.tokens):
                 assert r in noisy_lexicon.perturb_set(w)
