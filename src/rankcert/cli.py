@@ -225,8 +225,9 @@ def cmd_build_lexicon(embeddings_path: str, tau: float, j: int, out_path: str) -
             click.echo(f"violation: {p}", err=True)
         raise click.ClickException(f"lexicon fails validation with {len(problems)} violation(s)")
     lexicon.save(out_path)
-    _write_meta(vocab=len(lexicon.vocab))
-    click.echo(f"lexicon with {len(lexicon.vocab)} words written to {out_path}")
+    vocab = len(lexicon.perturb)
+    _write_meta(vocab=vocab)
+    click.echo(f"lexicon with {vocab} words written to {out_path}")
 
 
 @main.command("train")

@@ -169,11 +169,6 @@ class Bm25Model(ScoreModel):
         return replace(self, squash_c=c if c > 0 else 1.0)
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a real vector, without its dispatch."""
-    return math.sqrt(float(np.dot(v, v)))
-
-
 FEATURE_NAMES = ("embedding_cosine", "query_coverage", "match_density")
 
 
@@ -207,36 +202,33 @@ class LinearEmbedScorer(ScoreModel):
     def initial(cls, embeddings: EmbeddingTable) -> "LinearEmbedScorer":
         return cls(weights=np.zeros(len(FEATURE_NAMES)), bias=0.0, embeddings=embeddings)
 
-    def _pool(self, tokens: Sequence[str]) -> np.ndarray:
-        """Mean of the in-vocabulary tokens' vectors; zeros if there are none."""
-        index = self.embeddings.index
-        rows = [index[t] for t in tokens if t in index]
+    def _mean(self, tokens: Sequence[str]) -> tuple[np.ndarray, float]:
+        """Mean of the in-vocabulary tokens' vectors (zeros if there are
+        none) and its Euclidean norm. A known token may have row 0."""
+        rows = [r for r in map(self.embeddings.index.get, tokens) if r is not None]
         if not rows:
-            return np.zeros(self.embeddings.dim)
-        return np.add.reduce(self.embeddings.matrix.take(rows, axis=0), axis=0) / len(rows)
+            return np.zeros(self.embeddings.dim), 0.0
+        mean = np.add.reduce(self.embeddings.matrix.take(rows, axis=0), axis=0)
+        mean /= len(rows)
+        return mean, math.sqrt(float(np.dot(mean, mean)))
 
     def _query_side(self, query: Query) -> tuple[np.ndarray, float, frozenset[str]]:
         side = self._queries.get(query.tokens)
         if side is None:
-            qv = self._pool(query.tokens)
+            qv, qn = self._mean(query.tokens)
             qv.setflags(write=False)
-            side = self._queries[query.tokens] = (qv, _norm(qv), frozenset(query.tokens))
+            side = self._queries[query.tokens] = (qv, qn, frozenset(query.tokens))
         return side
 
     def features(self, query: Query, doc: Document) -> np.ndarray:
         qv, qn, q_terms = self._query_side(query)
-        dv = self._pool(doc.tokens)
-        dn = _norm(dv)
+        dv, dn = self._mean(doc.tokens)
         cos = float(np.dot(qv, dv) / (qn * dn)) if qn > 0 and dn > 0 else 0.0
-        coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
-        density = sum(map(q_terms.__contains__, doc.tokens)) / doc.length
-        return np.array([cos, coverage, density])
-
-    def decision(self, query: Query, doc: Document) -> float:
-        return float(np.dot(self.weights, self.features(query, doc))) + self.bias
+        hits = list(filter(q_terms.__contains__, doc.tokens))
+        return np.array([cos, len(set(hits)) / len(q_terms), len(hits) / doc.length])
 
     def score(self, query: Query, doc: Document) -> float:
-        return sigmoid(self.decision(query, doc))
+        return sigmoid(float(np.dot(self.weights, self.features(query, doc))) + self.bias)
 
     def score_batch(
         self, query: Query, doc: Document, members: np.ndarray, rows: np.ndarray
@@ -249,13 +241,13 @@ class LinearEmbedScorer(ScoreModel):
         position at a time (a word without an embedding adds the +0.0 row
         and is not counted), so memory stays at ``(n, dim)``; the
         term-overlap fractions come from comparing codes with each query
-        term's. The norms, query dots and decisions are stacked
+        term's. The norms, query dots and weighted sums are stacked
         vector-vector matmuls, which numpy runs slice by slice through the
         kernel that ``np.dot`` of two vectors uses, and ``sigmoid_array``
         keeps ``sigmoid``'s bits; a matrix-vector product (``F @ w``),
         ``einsum`` or ``np.exp`` would move last bits.
 
-        With one-dimensional embeddings ``_pool`` reduces along a
+        With one-dimensional embeddings ``_mean`` reduces along a
         contiguous axis, where numpy sums pairwise rather than in order, so
         there the rows go through ``score`` one by one."""
         if self.embeddings.dim == 1:

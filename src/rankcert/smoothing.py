@@ -170,6 +170,11 @@ def smoothed_score_mc(smoothed: SmoothedModel, query: Query, doc: Document) -> f
 
     The sample scores are reduced in a fixed order, so the result is
     bit-stable regardless of how callers parallelize across documents.
+
+    Each estimate builds its own sampler: one held by the ranker would
+    reuse only the two member tables that ``certify_topk`` re-estimates
+    (2 of a query's N + 2 estimates, tens of microseconds each) and would
+    keep every greedy trial's member table for the ranker's life.
     """
     if smoothed.n is None:
         raise ValueError("smoothed_score_mc needs a Monte Carlo SmoothedModel, got n=None")

@@ -203,9 +203,11 @@ class TestLinearEmbedScorer:
 # -- bit-identity against the original per-call formulas ----------------------
 
 
-def _reference_linear_score(model: LinearEmbedScorer, query: Query, doc: Document) -> float:
-    """The linear scorer as first written: list-of-vectors mean pooling and
-    both sides recomputed on every call."""
+def _reference_linear_score(
+    model: LinearEmbedScorer, query: Query, doc: Document
+) -> tuple[float, np.ndarray]:
+    """The linear scorer as first written, with its feature vector:
+    list-of-vectors mean pooling and both sides recomputed on every call."""
     emb = model.embeddings
 
     def pool(tokens):
@@ -223,7 +225,13 @@ def _reference_linear_score(model: LinearEmbedScorer, query: Query, doc: Documen
     coverage = len(q_terms.intersection(doc.tokens)) / len(q_terms)
     density = sum(1 for t in doc.tokens if t in q_terms) / doc.length
     features = np.array([cos, coverage, density])
-    return sigmoid(float(np.dot(model.weights, features)) + model.bias)
+    return sigmoid(float(np.dot(model.weights, features)) + model.bias), features
+
+
+def _assert_linear_matches_reference(model: LinearEmbedScorer, query: Query, doc: Document):
+    score, features = _reference_linear_score(model, query, doc)
+    assert model.score(query, doc) == score
+    assert model.features(query, doc).tolist() == features.tolist()
 
 
 def _reference_bm25_score(model: Bm25Model, query: Query, doc: Document) -> float:
@@ -245,8 +253,8 @@ def _reference_bm25_score(model: Bm25Model, query: Query, doc: Document) -> floa
 
 def _identity_cases(seed: int):
     """Queries and perturbed documents over a random world: repeated and
-    out-of-vocabulary query terms, documents with OOV tokens and one made of
-    OOV tokens only."""
+    out-of-vocabulary query terms, documents with OOV tokens, one made of
+    OOV tokens only and one whose only known token has embedding row 0."""
     rng = np.random.default_rng(seed)
     world = random_world(rng, max_vocab=40)
     vocab = list(world.vocab)
@@ -264,7 +272,14 @@ def _identity_cases(seed: int):
         docs.append(doc)
         docs.extend(sampler.draws(doc, rng, 3))
     docs.append(Document("q1-verbatim", queries[0].tokens))
+    docs.append(Document("row-0", ("oov-a", _row_zero_token(world.emb), "oov-b")))
     return rng, world, queries, docs
+
+
+def _row_zero_token(emb: EmbeddingTable) -> str:
+    """The token at row 0 of ``emb``, which a truthiness test on its row
+    would take for an unknown word."""
+    return next(t for t, r in emb.index.items() if r == 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -276,23 +291,29 @@ def test_linear_scores_are_bit_identical_to_reference(seed):
     for doc in docs:
         for scorer in (model, retrained):
             for query in queries:
-                assert scorer.score(query, doc) == _reference_linear_score(scorer, query, doc)
+                _assert_linear_matches_reference(scorer, query, doc)
     oov_doc = docs[0]
     assert model.features(queries[0], oov_doc)[0] == 0.0
 
 
-def test_linear_scores_are_bit_identical_on_wide_embeddings():
+@pytest.mark.parametrize("dim", [1, 32, 48])
+def test_linear_scores_are_bit_identical_to_reference_at_any_dim(dim):
+    # Long documents, so numpy's pairwise sum of one-dimensional rows
+    # takes part, and a document whose only known token has row 0.
     rng = np.random.default_rng(44)
     emb = EmbeddingTable.from_pairs(
-        (f"t{i}", rng.normal(size=32)) for i in range(300)
+        (f"t{i}", rng.normal(size=dim)) for i in range(300)
     )
     vocab = [f"t{i}" for i in range(300)]
     model = random_linear_model(rng, emb)
     queries = [Query(f"q{i}", tuple(rng.choice(vocab, size=4).tolist())) for i in range(3)]
+    docs = [Document("row-0", ("oov-a", _row_zero_token(emb), "oov-b"))]
     for i in range(40):
-        doc = Document(f"d{i}", tuple(rng.choice(vocab, size=int(rng.integers(50, 101))).tolist()))
+        docs.append(Document(
+            f"d{i}", tuple(rng.choice(vocab, size=int(rng.integers(50, 101))).tolist())))
+    for doc in docs:
         for query in queries:
-            assert model.score(query, doc) == _reference_linear_score(model, query, doc)
+            _assert_linear_matches_reference(model, query, doc)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 32, 48])
@@ -321,7 +342,8 @@ def test_linear_score_batch_equals_per_row_score_on_long_rows(dim):
                 rows = [model.score(query, d) for d in docs]
                 assert model.score_batch(query, doc, members, picks).tolist() == rows
                 if model is models[1]:
-                    decisions.extend(model.decision(query, d) for d in docs)
+                    decisions.extend(float(np.dot(model.weights, model.features(query, d)))
+                                     + model.bias for d in docs)
     assert min(decisions) < -500.0 and max(decisions) > 500.0
     assert any(-500.0 < z < 0.0 for z in decisions) and any(0.0 <= z < 500.0 for z in decisions)
 
@@ -513,7 +535,7 @@ def test_shared_scorer_caches_give_the_same_scores_under_thread_contention():
 
     rng, world, queries, docs = _identity_cases(5)
     shared = random_linear_model(rng, world.emb)
-    expected = [_reference_linear_score(shared, q, d) for d in docs for q in queries]
+    expected = [_reference_linear_score(shared, q, d)[0] for d in docs for q in queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
